@@ -51,7 +51,8 @@ pub enum SubEvent {
 /// A connection parked in subscriber mode (see [`CtlClient::subscribe`]).
 pub struct Subscription {
     reader: BufReader<TcpStream>,
-    /// The daemon's epoch count when the subscription was established.
+    /// The last epoch that started before the subscription: the first
+    /// frame is epoch `since_epoch + 1`'s.
     pub since_epoch: u64,
 }
 

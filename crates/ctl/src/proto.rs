@@ -234,7 +234,9 @@ pub enum Request {
     /// fleet, and run it to completion.
     Advance,
     /// Switch this connection into a telemetry subscriber: the daemon
-    /// pushes one [`Response::Telemetry`] frame per epoch until shutdown.
+    /// pushes one [`Response::Telemetry`] frame for every epoch that starts
+    /// after the subscription, until shutdown. Epochs render telemetry
+    /// only for subscribers registered when they start.
     Subscribe,
     /// Report the daemon's current epoch, last summary, and Prometheus
     /// rendering without advancing anything.
@@ -307,7 +309,9 @@ pub enum Response {
     },
     /// Subscription established; telemetry frames follow.
     Subscribed {
-        /// The epoch count at subscription time.
+        /// The last epoch that started before this subscription; the first
+        /// frame is epoch `epoch + 1`'s. A subscription made while an epoch
+        /// runs names that epoch, whose frame it does not receive.
         epoch: u64,
     },
     /// Current daemon state.

@@ -18,25 +18,27 @@
 //! One accept loop, one thread per connection, plus an optional HTTP
 //! thread. Subscribers ([`Request::Subscribe`]) park their connection on a
 //! channel the daemon pushes one [`Response::Telemetry`] frame into per
-//! epoch. Shutdown is graceful by ordering: the handler first waits for
-//! any in-flight epoch (so its telemetry is queued), then queues a final
-//! [`Response::ShuttingDown`] to every subscriber and drops the senders —
-//! each subscriber connection drains its queue fully before its socket
-//! closes — and finally wakes the accept loops so `run` can join every
-//! connection thread and return.
+//! epoch. An epoch arms its fleet's telemetry and renders the frame only
+//! if a subscriber was registered when it started, and queues one shared
+//! frame to all of them. Shutdown is graceful by ordering: the handler
+//! first waits for any in-flight epoch (so its telemetry is queued), then
+//! queues a final [`Response::ShuttingDown`] to every subscriber and drops
+//! the senders — each subscriber connection drains its queue fully before
+//! its socket closes — and finally wakes the accept loops so `run` can
+//! join every connection thread and return.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 use magus_experiments::engine::GovernorSpec;
 use magus_experiments::fleet::governor_run_opts;
 use magus_experiments::harness::{SimPath, SystemId};
-use magus_hetsim::fleet::FleetSummary;
+use magus_hetsim::fleet::{FleetSim, FleetSummary};
 use magus_hetsim::roster::{FleetRoster, RosterBuildOpts};
 use magus_workloads::app_trace;
 
@@ -91,8 +93,19 @@ pub struct FleetDaemon {
     epoch_lock: Mutex<()>,
     epochs: AtomicU64,
     last_summary: Mutex<Option<FleetSummary>>,
-    subscribers: Mutex<Vec<mpsc::Sender<Response>>>,
+    subscribers: Mutex<Subscribers>,
     stop: AtomicBool,
+}
+
+/// Telemetry subscribers, and the epoch count that decides which frames
+/// each one receives.
+#[derive(Default)]
+struct Subscribers {
+    /// The last epoch that started (its fleet was built).
+    started: u64,
+    /// Each subscriber's channel, with the last epoch that started before
+    /// it subscribed: it receives the frames of later epochs only.
+    senders: Vec<(u64, mpsc::Sender<Arc<Response>>)>,
 }
 
 /// Roster plus the per-node hardware preset (needed to resolve a catalog
@@ -115,7 +128,7 @@ impl FleetDaemon {
             epoch_lock: Mutex::new(()),
             epochs: AtomicU64::new(0),
             last_summary: Mutex::new(None),
-            subscribers: Mutex::new(Vec::new()),
+            subscribers: Mutex::new(Subscribers::default()),
             stop: AtomicBool::new(false),
         }
     }
@@ -150,17 +163,17 @@ impl FleetDaemon {
                 }
             }
         };
+        let (epoch, armed) = self.start_epoch(&mut fleet);
         let summary = fleet.run(&governor_run_opts(&self.cfg.governor, self.cfg.path));
-        #[cfg(feature = "telemetry")]
-        let jsonl = magus_experiments::fleet::fleet_telemetry_jsonl(&mut fleet);
-        #[cfg(not(feature = "telemetry"))]
-        let jsonl = String::new();
-        let epoch = self.epochs.fetch_add(1, Ordering::SeqCst) + 1;
+        self.epochs.store(epoch, Ordering::SeqCst);
         *self
             .last_summary
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(summary.clone());
-        self.broadcast(Response::Telemetry { epoch, jsonl });
+        if armed {
+            let jsonl = magus_experiments::fleet::fleet_telemetry_jsonl(&mut fleet);
+            self.broadcast(epoch, Response::Telemetry { epoch, jsonl });
+        }
         Response::Advanced {
             epoch,
             nodes: summary.nodes.len() as u64,
@@ -168,12 +181,35 @@ impl FleetDaemon {
         }
     }
 
-    /// Queue one frame to every live subscriber, pruning closed channels.
-    fn broadcast(&self, frame: Response) {
+    /// Start the next epoch on `fleet`: the subscribers registered now are
+    /// the only readers of its telemetry, so the fleet is armed only if
+    /// there is one. Returns the epoch and whether it is armed.
+    fn start_epoch(&self, fleet: &mut FleetSim) -> (u64, bool) {
+        let (epoch, armed) = {
+            let mut subs = self.subscribers();
+            subs.started += 1;
+            (subs.started, !subs.senders.is_empty())
+        };
+        if armed {
+            fleet.arm_telemetry();
+        }
+        (epoch, armed)
+    }
+
+    /// The subscriber list (poison-tolerant, like every daemon lock).
+    fn subscribers(&self) -> MutexGuard<'_, Subscribers> {
         self.subscribers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .retain(|tx| tx.send(frame.clone()).is_ok());
+    }
+
+    /// Queue one shared frame to every live subscriber that subscribed
+    /// before `epoch` started, pruning closed channels.
+    fn broadcast(&self, epoch: u64, message: Response) {
+        let frame = Arc::new(message);
+        self.subscribers()
+            .senders
+            .retain(|(since, tx)| *since >= epoch || tx.send(Arc::clone(&frame)).is_ok());
     }
 
     /// Accept a shutdown: finish any in-flight epoch, then drain
@@ -184,14 +220,12 @@ impl FleetDaemon {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         self.stop.store(true, Ordering::SeqCst);
-        let mut subs = self
-            .subscribers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for tx in subs.iter() {
-            let _ = tx.send(Response::ShuttingDown);
+        let mut subs = self.subscribers();
+        let frame = Arc::new(Response::ShuttingDown);
+        for (_, tx) in &subs.senders {
+            let _ = tx.send(Arc::clone(&frame));
         }
-        subs.clear();
+        subs.senders.clear();
         Response::ShuttingDown
     }
 
@@ -296,17 +330,17 @@ impl FleetDaemon {
         }
     }
 
-    /// Register a telemetry subscriber: returns the current epoch and the
-    /// channel the daemon pushes per-epoch frames into. The daemon closes
-    /// the channel (drops its sender) only after queueing every pending
-    /// frame plus a final [`Response::ShuttingDown`].
-    pub fn subscribe(&self) -> (u64, mpsc::Receiver<Response>) {
+    /// Register a telemetry subscriber: returns the last epoch that
+    /// started before it, and the channel the daemon pushes the frames of
+    /// every later epoch into. The daemon closes the channel (drops its
+    /// sender) only after queueing every pending frame plus a final
+    /// [`Response::ShuttingDown`].
+    pub fn subscribe(&self) -> (u64, mpsc::Receiver<Arc<Response>>) {
         let (tx, rx) = mpsc::channel();
-        self.subscribers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(tx);
-        (self.epochs(), rx)
+        let mut subs = self.subscribers();
+        let since = subs.started;
+        subs.senders.push((since, tx));
+        (since, rx)
     }
 
     /// True once a shutdown has been accepted.
@@ -476,7 +510,7 @@ fn serve_conn(stream: TcpStream, daemon: &FleetDaemon, waker: &Waker) {
             // queued frame — including the final ShuttingDown — is written
             // before the socket drops.
             while let Ok(frame) = frames.recv() {
-                if proto::write_message(&mut writer, &frame).is_err() {
+                if proto::write_message(&mut writer, &*frame).is_err() {
                     return;
                 }
             }
@@ -565,4 +599,67 @@ pub fn serve_fleet(cfg: ServeConfig) -> Result<Server, CtlError> {
         listener,
         http,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::TryRecvError;
+
+    use magus_experiments::fleet::{build_fleet, FleetSpec};
+
+    use super::*;
+
+    fn fleet() -> FleetSim {
+        build_fleet(&FleetSpec::new(GovernorSpec::magus_default(), 2))
+    }
+
+    fn armed_nodes(fleet: &FleetSim) -> usize {
+        (0..fleet.len())
+            .filter(|&i| fleet.sim(i).node().telemetry().is_some())
+            .count()
+    }
+
+    fn frame(epoch: u64) -> Response {
+        Response::Telemetry {
+            epoch,
+            jsonl: format!("{{\"epoch\":{epoch}}}\n"),
+        }
+    }
+
+    /// An epoch that starts with no subscriber leaves its fleet unarmed
+    /// (so it renders nothing); one that starts with a subscriber arms
+    /// every node.
+    #[test]
+    fn epochs_arm_only_when_a_subscriber_is_registered() {
+        let daemon = FleetDaemon::new(ServeConfig::default());
+        let mut unwatched = fleet();
+        assert_eq!(daemon.start_epoch(&mut unwatched), (1, false));
+        assert_eq!(armed_nodes(&unwatched), 0);
+
+        let (since, _frames) = daemon.subscribe();
+        assert_eq!(since, 1);
+        let mut watched = fleet();
+        assert_eq!(daemon.start_epoch(&mut watched), (2, true));
+        assert_eq!(armed_nodes(&watched), watched.len());
+    }
+
+    /// A subscriber registered while an epoch runs names that epoch and
+    /// gets none of its frame; the next epoch's frame reaches everyone.
+    #[test]
+    fn frames_reach_only_subscribers_registered_before_their_epoch() {
+        let daemon = FleetDaemon::new(ServeConfig::default());
+        let (since, early) = daemon.subscribe();
+        assert_eq!(since, 0);
+        assert_eq!(daemon.start_epoch(&mut fleet()), (1, true));
+        let (since, late) = daemon.subscribe();
+        assert_eq!(since, 1);
+        daemon.broadcast(1, frame(1));
+        assert_eq!(*early.try_recv().expect("epoch 1 frame"), frame(1));
+        assert_eq!(late.try_recv(), Err(TryRecvError::Empty));
+
+        assert_eq!(daemon.start_epoch(&mut fleet()), (2, true));
+        daemon.broadcast(2, frame(2));
+        assert_eq!(*early.try_recv().expect("epoch 2 frame"), frame(2));
+        assert_eq!(*late.try_recv().expect("epoch 2 frame"), frame(2));
+    }
 }

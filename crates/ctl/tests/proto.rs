@@ -61,23 +61,16 @@ fn join_armed(client: &mut CtlClient, count: u32) -> Vec<u64> {
     ids
 }
 
-/// The telemetry JSONL one epoch of `nodes` armed nodes streams: the batch
-/// rendering of the same fleet (empty without the `telemetry` feature).
+/// The telemetry JSONL one epoch of `nodes` submitted nodes streams to a
+/// subscriber: the batch rendering of the same fleet, armed.
 fn epoch_jsonl(nodes: usize) -> String {
-    #[cfg(feature = "telemetry")]
-    {
-        use magus_experiments::fleet::{run_fleet_with_telemetry, FleetSpec};
-        run_fleet_with_telemetry(&FleetSpec {
-            max_s: BUDGET_S,
-            ..FleetSpec::new(GovernorSpec::magus_default(), nodes)
-        })
-        .1
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = nodes;
-        String::new()
-    }
+    use magus_experiments::fleet::{run_fleet_with_telemetry, FleetSpec};
+    let (_, jsonl) = run_fleet_with_telemetry(&FleetSpec {
+        max_s: BUDGET_S,
+        ..FleetSpec::new(GovernorSpec::magus_default(), nodes)
+    });
+    assert!(!jsonl.is_empty(), "an armed fleet records events");
+    jsonl
 }
 
 #[test]

@@ -12,7 +12,7 @@ use magus_hsmp::{transact, FabricPstateTable, HsmpMessage};
 use magus_pcm::{NodeThroughputProbe, ThroughputSource};
 use magus_runtime::{MagusConfig, MagusCore, Telemetry, UncoreLevel};
 
-use crate::drivers::RuntimeDriver;
+use crate::drivers::{magus_decision_event, push_event, RuntimeDriver};
 
 /// MAGUS bound to an AMD node through the HSMP mailbox.
 #[derive(Debug)]
@@ -30,7 +30,7 @@ impl HsmpMagusDriver {
     pub fn new(cfg: MagusConfig, table: FabricPstateTable) -> Self {
         assert!(!table.is_empty(), "fabric P-state table must not be empty");
         Self {
-            core: MagusCore::with_log(cfg),
+            core: MagusCore::new(cfg),
             table,
             last_pstate: None,
             last_sample_mbs: 0.0,
@@ -86,8 +86,6 @@ impl RuntimeDriver for HsmpMagusDriver {
             probe.sample_mbs().unwrap_or(self.last_sample_mbs)
         };
         self.last_sample_mbs = sample;
-        #[cfg(feature = "telemetry")]
-        let log_len_before = self.core.telemetry().log.len();
         let action = self.core.on_sample(sample);
         match action.target() {
             Some(UncoreLevel::Upper) => self.set_pstate(sim, 0),
@@ -96,21 +94,10 @@ impl RuntimeDriver for HsmpMagusDriver {
         }
         // Same decision-event taxonomy as the Intel driver; only the
         // actuation path differs, and that is visible as `hsmp` here.
-        #[cfg(feature = "telemetry")]
-        if let Some(rec) = self.core.telemetry().log.last().copied() {
-            if self.core.telemetry().log.len() > log_len_before {
-                let t_us = sim.node().time_us();
-                sim.node_mut().telemetry_mut().push_event(
-                    magus_telemetry::Event::new(t_us, "magus_decision")
-                        .with("cycle", rec.cycle)
-                        .with("sample_mbs", rec.sample_mbs)
-                        .with("trend", crate::drivers::trend_name(rec.trend))
-                        .with("tune_event", rec.tune_event)
-                        .with("high_freq", rec.high_freq)
-                        .with("action", crate::drivers::action_name(rec.action))
-                        .with("actuation", "hsmp"),
-                );
-            }
+        if let Some(rec) = self.core.last_record() {
+            push_event(sim, |t_us| {
+                magus_decision_event(t_us, rec).with("actuation", "hsmp")
+            });
         }
         sim.node_mut().ledger_mut().drain().latency_us.round() as u64
     }

@@ -12,12 +12,12 @@ use magus_hetsim::governor::UncoreSetter;
 use magus_hetsim::Simulation;
 use magus_msr::MsrError;
 use magus_pcm::{NodeThroughputProbe, ThroughputSource};
-use magus_runtime::{MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
+use magus_runtime::{DecisionRecord, MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
+use magus_telemetry::Event;
 use magus_ups::{UpsConfig, UpsCore, UpsSampler};
 
 /// Stable wire name for a [`magus_runtime::Trend`] in decision events.
-#[cfg(feature = "telemetry")]
-pub(crate) fn trend_name(trend: magus_runtime::Trend) -> &'static str {
+fn trend_name(trend: magus_runtime::Trend) -> &'static str {
     match trend {
         magus_runtime::Trend::Increase => "increase",
         magus_runtime::Trend::Decrease => "decrease",
@@ -26,12 +26,33 @@ pub(crate) fn trend_name(trend: magus_runtime::Trend) -> &'static str {
 }
 
 /// Stable wire name for a [`MagusAction`] in decision events.
-#[cfg(feature = "telemetry")]
-pub(crate) fn action_name(action: MagusAction) -> &'static str {
+fn action_name(action: MagusAction) -> &'static str {
     match action {
         MagusAction::SetUpper => "set_upper",
         MagusAction::SetLower => "set_lower",
         MagusAction::Hold => "hold",
+    }
+}
+
+/// The `magus_decision` event for one decision cycle's record (the Intel
+/// and HSMP drivers share the taxonomy).
+pub(crate) fn magus_decision_event(t_us: u64, rec: &DecisionRecord) -> Event {
+    Event::new(t_us, "magus_decision")
+        .with("cycle", rec.cycle)
+        .with("sample_mbs", rec.sample_mbs)
+        .with("trend", trend_name(rec.trend))
+        .with("tune_event", rec.tune_event)
+        .with("high_freq", rec.high_freq)
+        .with("action", action_name(rec.action))
+}
+
+/// Push the event `make` builds onto the node's telemetry — only when the
+/// node is armed, so an unarmed node never builds an [`Event`]. Pushing
+/// never perturbs simulated state or thaws a frozen fast-forward span.
+pub(crate) fn push_event(sim: &mut Simulation, make: impl FnOnce(u64) -> Event) {
+    let t_us = sim.node().time_us();
+    if let Some(t) = sim.node_mut().telemetry_mut() {
+        t.push_event(make(t_us));
     }
 }
 
@@ -165,7 +186,7 @@ impl MagusDriver {
     #[must_use]
     pub fn new(cfg: MagusConfig) -> Self {
         Self {
-            core: MagusCore::with_log(cfg),
+            core: MagusCore::new(cfg),
             setter: UncoreSetter::new(),
             monitor_only: false,
             degraded: 0,
@@ -210,15 +231,11 @@ impl MagusDriver {
         if !set_max_with_retry(&mut self.setter, sim, target) {
             // Degrade: keep the previous limit; the next cycle retries.
             self.degraded += 1;
-            #[cfg(feature = "telemetry")]
-            {
-                let t_us = sim.node().time_us();
-                sim.node_mut().telemetry_mut().push_event(
-                    magus_telemetry::Event::new(t_us, "magus_degraded")
-                        .with("reason", "actuation")
-                        .with("target_ghz", target),
-                );
-            }
+            push_event(sim, |t_us| {
+                Event::new(t_us, "magus_degraded")
+                    .with("reason", "actuation")
+                    .with("target_ghz", target)
+            });
         }
     }
 }
@@ -252,39 +269,18 @@ impl RuntimeDriver for MagusDriver {
                     // Injected PCM dropout: hold the previous decision —
                     // don't feed the phase detector a fabricated sample.
                     self.degraded += 1;
-                    #[cfg(feature = "telemetry")]
-                    {
-                        let t_us = sim.node().time_us();
-                        sim.node_mut().telemetry_mut().push_event(
-                            magus_telemetry::Event::new(t_us, "magus_degraded")
-                                .with("reason", "sample"),
-                        );
-                    }
+                    push_event(sim, |t_us| {
+                        Event::new(t_us, "magus_degraded").with("reason", "sample")
+                    });
                     return;
                 }
             };
-            #[cfg(feature = "telemetry")]
-            let log_len_before = self.core.telemetry().log.len();
             let action = self.core.on_sample(sample);
             self.apply(sim, action);
-            // One structured event per *logged* decision (warm-up cycles may
-            // not log). Pushed after actuation so the event never perturbs
-            // the decision itself; `push_event` leaves frozen fast-forward
-            // spans intact.
-            #[cfg(feature = "telemetry")]
-            if let Some(rec) = self.core.telemetry().log.last().copied() {
-                if self.core.telemetry().log.len() > log_len_before {
-                    let t_us = sim.node().time_us();
-                    sim.node_mut().telemetry_mut().push_event(
-                        magus_telemetry::Event::new(t_us, "magus_decision")
-                            .with("cycle", rec.cycle)
-                            .with("sample_mbs", rec.sample_mbs)
-                            .with("trend", trend_name(rec.trend))
-                            .with("tune_event", rec.tune_event)
-                            .with("high_freq", rec.high_freq)
-                            .with("action", action_name(rec.action)),
-                    );
-                }
+            // One structured event per decision cycle. Pushed after
+            // actuation so the event never perturbs the decision itself.
+            if let Some(rec) = self.core.last_record() {
+                push_event(sim, |t_us| magus_decision_event(t_us, rec));
             }
         })
     }
@@ -309,8 +305,6 @@ pub struct UpsDriver {
     core: Option<UpsCore>,
     sampler: Option<UpsSampler>,
     setter: UncoreSetter,
-    /// (sim time µs, target GHz) decision log for Fig 6.
-    decisions: Vec<(u64, f64)>,
     monitor_only: bool,
     degraded: u64,
 }
@@ -324,7 +318,6 @@ impl UpsDriver {
             core: None,
             sampler: None,
             setter: UncoreSetter::new(),
-            decisions: Vec::new(),
             monitor_only: false,
             degraded: 0,
         }
@@ -334,12 +327,6 @@ impl UpsDriver {
     #[must_use]
     pub fn with_defaults() -> Self {
         Self::new(UpsConfig::default())
-    }
-
-    /// Decision log: (sim time µs, uncore target GHz).
-    #[must_use]
-    pub fn decisions(&self) -> &[(u64, f64)] {
-        &self.decisions
     }
 
     /// The decision core (after attach).
@@ -384,14 +371,9 @@ impl RuntimeDriver for UpsDriver {
                     // Injected counter-read fault: skip this cycle, keep the
                     // current limit.
                     self.degraded += 1;
-                    #[cfg(feature = "telemetry")]
-                    {
-                        let t_us = sim.node().time_us();
-                        sim.node_mut().telemetry_mut().push_event(
-                            magus_telemetry::Event::new(t_us, "ups_degraded")
-                                .with("reason", "sample"),
-                        );
-                    }
+                    push_event(sim, |t_us| {
+                        Event::new(t_us, "ups_degraded").with("reason", "sample")
+                    });
                     return;
                 }
             };
@@ -399,30 +381,20 @@ impl RuntimeDriver for UpsDriver {
             if !self.monitor_only && !set_max_with_retry(&mut self.setter, sim, decision.target_ghz)
             {
                 self.degraded += 1;
-                #[cfg(feature = "telemetry")]
-                {
-                    let t_us = sim.node().time_us();
-                    sim.node_mut().telemetry_mut().push_event(
-                        magus_telemetry::Event::new(t_us, "ups_degraded")
-                            .with("reason", "actuation")
-                            .with("target_ghz", decision.target_ghz),
-                    );
-                }
-            }
-            self.decisions
-                .push((sim.node().time_us(), decision.target_ghz));
-            #[cfg(feature = "telemetry")]
-            {
-                let t_us = sim.node().time_us();
-                sim.node_mut().telemetry_mut().push_event(
-                    magus_telemetry::Event::new(t_us, "ups_decision")
+                push_event(sim, |t_us| {
+                    Event::new(t_us, "ups_degraded")
+                        .with("reason", "actuation")
                         .with("target_ghz", decision.target_ghz)
-                        .with("mean_ipc", sample.mean_ipc)
-                        .with("dram_w", sample.dram_w)
-                        .with("phase_change", decision.phase_change)
-                        .with("backed_off", decision.backed_off),
-                );
+                });
             }
+            push_event(sim, |t_us| {
+                Event::new(t_us, "ups_decision")
+                    .with("target_ghz", decision.target_ghz)
+                    .with("mean_ipc", sample.mean_ipc)
+                    .with("dram_w", sample.dram_w)
+                    .with("phase_change", decision.phase_change)
+                    .with("backed_off", decision.backed_off)
+            });
         })
     }
 
@@ -494,19 +466,38 @@ mod tests {
     }
 
     #[test]
-    fn ups_records_decisions() {
+    fn ups_decisions_are_events_on_an_armed_node() {
         let mut d = UpsDriver::with_defaults();
         let mut s = sim();
+        s.node_mut().arm_telemetry();
         d.attach(&mut s);
-        for _ in 0..10 {
-            s.step();
+        let mut decided_at = Vec::new();
+        for _ in 0..2 {
+            for _ in 0..10 {
+                s.step();
+            }
+            d.on_decision(&mut s);
+            decided_at.push(s.node().time_us());
         }
-        d.on_decision(&mut s);
-        for _ in 0..10 {
-            s.step();
+        // One event per decision, stamped when its sweep ended.
+        let decisions: Vec<(u64, f64)> = s
+            .node()
+            .telemetry()
+            .expect("armed")
+            .events()
+            .iter()
+            .filter(|e| e.kind == "ups_decision")
+            .map(|e| match e.fields.get("target_ghz") {
+                Some(magus_telemetry::FieldValue::F64(ghz)) => (e.t_us, *ghz),
+                other => panic!("target_ghz field: {other:?}"),
+            })
+            .collect();
+        let times: Vec<u64> = decisions.iter().map(|&(t_us, _)| t_us).collect();
+        assert_eq!(times, decided_at);
+        let range = s.node().config().uncore;
+        for (_, ghz) in decisions {
+            assert!((range.freq_min_ghz..=range.freq_max_ghz).contains(&ghz));
         }
-        d.on_decision(&mut s);
-        assert!(!d.decisions().is_empty());
     }
 
     #[test]

@@ -26,12 +26,15 @@
 //!   ([`RunManifest`]): every spec's hash and label, cache hit/miss
 //!   counts, and wall time, written next to the cache by
 //!   [`Engine::finish`]. It also aggregates a metrics registry (trial,
-//!   cache, and node counters; see [`Engine::telemetry_snapshot`]) and
+//!   cache, and node counters; see [`Engine::telemetry_snapshot`]) and,
+//!   when a `--telemetry` sink will read it ([`Engine::with_telemetry`]),
 //!   buffers every trial's decision-event stream for export as JSON
-//!   Lines ([`Engine::telemetry_jsonl`], the CLI's `--telemetry`).
-//!   Recorded values are sim-time-only and deterministic; wall-clock
-//!   derived metrics live under the `diag/` prefix, which
-//!   [`magus_telemetry::Snapshot::deterministic`] excludes.
+//!   Lines ([`Engine::telemetry_jsonl`]). Trials record node telemetry
+//!   only when something will read it: that sink (`--telemetry` or
+//!   `run --json`), or the result cache, whose entries keep the events
+//!   for later `--telemetry` runs. Recorded values are sim-time-only and
+//!   deterministic; wall-clock derived metrics live under the `diag/`
+//!   prefix, which [`magus_telemetry::Snapshot::deterministic`] excludes.
 //!
 //! An engine is configured only through its constructors and builder
 //! methods — it reads no environment variable and no process-wide
@@ -41,7 +44,6 @@
 //! specs that carry none ([`Engine::with_faults`]). The CLI builds all of
 //! this from its flags in one call, [`crate::EngineOpts::build_engine`].
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -52,7 +54,7 @@ use std::{panic, thread};
 use magus_hetsim::{AppTrace, FaultCounters, FaultPlan, NodeConfig, RunSummary};
 use magus_hsmp::FabricPstateTable;
 use magus_runtime::MagusConfig;
-use magus_telemetry::{Event, FieldValue, Registry, Snapshot};
+use magus_telemetry::{Event, Registry, Snapshot};
 use magus_ups::UpsConfig;
 use magus_workloads::{app_trace, base_spec, AppId, Platform, TrafficSpec};
 use serde::{Deserialize, Serialize};
@@ -659,6 +661,9 @@ pub struct Engine {
     sim_path: Option<SimPath>,
     /// Fault plan for every spec without one of its own (`--faults`).
     faults: Option<FaultPlan>,
+    /// A telemetry sink will read every trial's events
+    /// ([`Engine::with_telemetry`]).
+    sink: bool,
     state: Mutex<EngineState>,
     started: Instant,
     /// Aggregated metrics: engine counters, node counter roll-ups, and
@@ -684,6 +689,7 @@ impl Engine {
             jobs: None,
             sim_path: None,
             faults: None,
+            sink: false,
             state: Mutex::new(EngineState::default()),
             started: Instant::now(),
             registry: Registry::new(),
@@ -759,6 +765,18 @@ impl Engine {
         self
     }
 
+    /// A telemetry sink (`--telemetry`, `run --json`) will read this
+    /// engine: arm every trial, so each outcome carries its `events` and
+    /// `node_telemetry`, and buffer the events for
+    /// [`Engine::telemetry_jsonl`]. Without a sink the buffer stays empty,
+    /// and only an engine with a cache arms its trials: the entries keep
+    /// the events for later `--telemetry` runs.
+    #[must_use]
+    pub fn with_telemetry(mut self) -> Self {
+        self.sink = true;
+        self
+    }
+
     /// The engine's worker count: what `--jobs` pinned, otherwise one per
     /// CPU.
     #[must_use]
@@ -818,6 +836,9 @@ impl Engine {
         if let Some(plan) = spec.faults.as_ref() {
             trial = trial.faults(plan);
         }
+        if self.sink || self.cache_dir.is_some() {
+            trial = trial.arm_telemetry();
+        }
         let result = trial.run(driver.as_mut());
         let high_freq_fraction = driver.high_freq_fraction();
         self.cache_store(&spec, &hash, &result, high_freq_fraction);
@@ -834,10 +855,10 @@ impl Engine {
         outcome
     }
 
-    /// Fold one outcome into the metrics registry and the per-trial event
-    /// buffer. Everything except `diag/` metrics derives from simulated
-    /// state alone, so the aggregation is identical across serial and
-    /// parallel runs (counters commute) and across sim paths.
+    /// Fold one outcome into the metrics registry and, with a sink, the
+    /// per-trial event buffer. Everything except `diag/` metrics derives
+    /// from simulated state alone, so the aggregation is identical across
+    /// serial and parallel runs (counters commute) and across sim paths.
     fn observe_outcome(&self, outcome: &TrialOutcome, wall_s: f64) {
         let r = &self.registry;
         r.inc("engine/trials_total", 1);
@@ -864,7 +885,7 @@ impl Engine {
         }
         // diag/: wall-clock-derived, excluded from determinism checks.
         r.observe("diag/trial_wall_s", &WALL_BOUNDS, wall_s, 1);
-        if !outcome.result.events.is_empty() {
+        if self.sink && !outcome.result.events.is_empty() {
             let mut state = self.state.lock().expect("engine state");
             state.events.push(TrialEvents {
                 label: outcome.spec.label(),
@@ -953,20 +974,21 @@ impl Engine {
         self.registry.snapshot()
     }
 
-    /// Per-trial decision-event streams buffered so far, sorted by label
-    /// (content tie-break) so serial and parallel runs export identically.
+    /// Per-trial decision-event streams buffered so far (empty without a
+    /// sink, [`Engine::with_telemetry`]), sorted by label (content
+    /// tie-break) so serial and parallel runs export identically.
     #[must_use]
     pub fn trial_events(&self) -> Vec<TrialEvents> {
-        let mut events = self.state.lock().expect("engine state").events.clone();
-        events.sort_by_cached_key(|t| {
-            let body = serde_json::to_string(&t.events).expect("events serialise");
-            (t.label.clone(), body)
-        });
-        events
+        let state = self.state.lock().expect("engine state");
+        export_order(&state.events)
+            .into_iter()
+            .map(|(t, _)| t.clone())
+            .collect()
     }
 
     /// All buffered decision events as JSON Lines, one event per line:
-    /// `{"trial": ..., "t_us": ..., "kind": ..., "fields": {...}}`.
+    /// `{"trial": ..., "t_us": ..., "kind": ..., "fields": {...}}` — the
+    /// event's own serialization with the trial label prepended.
     ///
     /// The rendering is deterministic — trials sort by label, events keep
     /// simulation order, field maps are sorted — so two runs of the same
@@ -974,23 +996,15 @@ impl Engine {
     /// or sim path. CI's telemetry-regression job diffs exactly this.
     #[must_use]
     pub fn telemetry_jsonl(&self) -> String {
-        #[derive(Serialize)]
-        struct EventLine<'a> {
-            trial: &'a str,
-            t_us: u64,
-            kind: &'a str,
-            fields: &'a BTreeMap<String, FieldValue>,
-        }
+        let state = self.state.lock().expect("engine state");
         let mut out = String::new();
-        for trial in self.trial_events() {
-            for e in &trial.events {
-                let line = EventLine {
-                    trial: &trial.label,
-                    t_us: e.t_us,
-                    kind: &e.kind,
-                    fields: &e.fields,
-                };
-                out.push_str(&serde_json::to_string(&line).expect("event line serialises"));
+        for (trial, json) in export_order(&state.events) {
+            let label = serde_json::to_string(&trial.label).expect("label serialises");
+            for event in json {
+                out.push_str("{\"trial\":");
+                out.push_str(&label);
+                out.push(',');
+                out.push_str(&event[1..]);
                 out.push('\n');
             }
         }
@@ -1131,6 +1145,25 @@ impl Engine {
             }
         }
     }
+}
+
+/// `trials` in export order, each paired with its events serialized once:
+/// sorted by label, ties broken by the trial's events as one JSON array,
+/// so serial and parallel runs export identically.
+fn export_order(trials: &[TrialEvents]) -> Vec<(&TrialEvents, Vec<String>)> {
+    let mut sorted: Vec<(&TrialEvents, Vec<String>)> = trials
+        .iter()
+        .map(|t| {
+            let json = t
+                .events
+                .iter()
+                .map(|e| serde_json::to_string(e).expect("event serialises"))
+                .collect();
+            (t, json)
+        })
+        .collect();
+    sorted.sort_by_cached_key(|(t, json)| (t.label.clone(), format!("[{}]", json.join(","))));
+    sorted
 }
 
 #[cfg(test)]

@@ -256,11 +256,15 @@ pub fn build_fleet(spec: &FleetSpec) -> FleetSim {
     builder.build().expect("invalid FleetSpec")
 }
 
-/// [`run_fleet`] returning the stepped [`FleetSim`] alongside the result,
-/// so callers can drain per-node telemetry afterwards.
+/// [`run_fleet`] returning the stepped [`FleetSim`] alongside the result.
+/// The fleet is not armed, so it holds no per-node telemetry.
 #[must_use]
 pub fn run_fleet_keeping(spec: &FleetSpec) -> (FleetRun, FleetSim) {
-    let mut fleet = build_fleet(spec);
+    run_built(spec, build_fleet(spec))
+}
+
+/// Run a fleet built from `spec` under the spec's governor and path.
+fn run_built(spec: &FleetSpec, mut fleet: FleetSim) -> (FleetRun, FleetSim) {
     let summary = fleet.run(&governor_run_opts(&spec.governor, spec.path));
     let run = FleetRun {
         spec: spec.clone(),
@@ -272,11 +276,11 @@ pub fn run_fleet_keeping(spec: &FleetSpec) -> (FleetRun, FleetSim) {
 
 /// Render every node's drained telemetry event stream as one JSONL blob —
 /// one line per event, `{"node":N,` prepended to the event's canonical
-/// serialization. This byte stream is part of the bit-identity contract
-/// (identical across shard counts and stepping modes) and
-/// is exactly what the control-plane daemon streams to subscribers, so the
-/// CI system test can `diff` daemon output against a batch run.
-#[cfg(feature = "telemetry")]
+/// serialization (empty for a fleet that was not armed). This byte stream
+/// is part of the bit-identity contract (identical across shard counts and
+/// stepping modes) and is exactly what the control-plane daemon streams
+/// to subscribers, so the CI system test can `diff` daemon output against
+/// a batch run.
 #[must_use]
 pub fn fleet_telemetry_jsonl(fleet: &mut FleetSim) -> String {
     use std::fmt::Write;
@@ -290,12 +294,13 @@ pub fn fleet_telemetry_jsonl(fleet: &mut FleetSim) -> String {
     out
 }
 
-/// [`run_fleet`] plus the fleet's telemetry JSONL rendering (drained after
-/// the run), for callers that need both the summary and the byte stream.
-#[cfg(feature = "telemetry")]
+/// [`run_fleet`] on an armed fleet, plus its telemetry JSONL rendering
+/// (drained after the run), for callers that read the byte stream.
 #[must_use]
 pub fn run_fleet_with_telemetry(spec: &FleetSpec) -> (FleetRun, String) {
-    let (run, mut fleet) = run_fleet_keeping(spec);
+    let mut fleet = build_fleet(spec);
+    fleet.arm_telemetry();
+    let (run, mut fleet) = run_built(spec, fleet);
     let jsonl = fleet_telemetry_jsonl(&mut fleet);
     (run, jsonl)
 }

@@ -126,12 +126,12 @@ pub struct TrialResult {
     /// Mean invocation latency (µs) across the run.
     pub mean_invocation_us: f64,
     /// Governor decision / actuation event stream in simulation order
-    /// (empty when the suite is built without the `telemetry` feature).
+    /// (empty unless the trial was armed, [`TrialBuilder::arm_telemetry`]).
     /// Byte-identical between the fast and reference stepping paths.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub events: Vec<Event>,
-    /// Deterministic per-node instrumentation counters (`None` without
-    /// the `telemetry` feature).
+    /// Deterministic per-node instrumentation counters: `Some` exactly
+    /// when the trial's node was armed ([`TrialBuilder::arm_telemetry`]).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub node_telemetry: Option<NodeCounters>,
     /// Counts of injected faults during the run, per kind. All zero on
@@ -151,7 +151,8 @@ fn fault_counters_zero(c: &FaultCounters) -> bool {
 /// Start from a paper testbed ([`TrialBuilder::on`]) or an explicit node
 /// configuration ([`TrialBuilder::custom`]); add a workload (or none, for
 /// the Table 2 idle-overhead protocol), options, an optional RAPL PL1 cap,
-/// an optional fault plan; then [`TrialBuilder::run`] a driver through it:
+/// an optional fault plan, and telemetry when something will read it; then
+/// [`TrialBuilder::run`] a driver through it:
 ///
 /// ```
 /// use magus_experiments::drivers::NoopDriver;
@@ -171,6 +172,7 @@ pub struct TrialBuilder {
     opts: TrialOpts,
     power_cap_w: Option<f64>,
     faults: Option<FaultPlan>,
+    telemetry: bool,
 }
 
 impl TrialBuilder {
@@ -185,6 +187,7 @@ impl TrialBuilder {
             opts: TrialOpts::default(),
             power_cap_w: None,
             faults: None,
+            telemetry: false,
         }
     }
 
@@ -200,6 +203,7 @@ impl TrialBuilder {
             opts: TrialOpts::default(),
             power_cap_w: None,
             faults: None,
+            telemetry: false,
         }
     }
 
@@ -258,6 +262,15 @@ impl TrialBuilder {
         self
     }
 
+    /// Arm the node's telemetry, for callers that will read the result's
+    /// `events` and `node_telemetry`. Unarmed trials (the default) record
+    /// neither; every other field is identical either way.
+    #[must_use]
+    pub fn arm_telemetry(mut self) -> Self {
+        self.telemetry = true;
+        self
+    }
+
     /// Execute the trial under `driver`.
     #[must_use]
     pub fn run(self, driver: &mut dyn RuntimeDriver) -> TrialResult {
@@ -268,6 +281,7 @@ impl TrialBuilder {
             self.opts,
             self.power_cap_w,
             self.faults.as_ref(),
+            self.telemetry,
         )
     }
 }
@@ -293,6 +307,8 @@ pub fn run_trial(
 /// * `faults` threads a fault plan into the node before the driver attaches
 ///   (the robustness-study path). `None` — or an empty plan — attaches
 ///   nothing: the run is bit-identical to a clean one.
+/// * `telemetry` arms the node, so the result carries its events and
+///   counters; every other field is the same either way.
 fn execute(
     config: NodeConfig,
     trace: Option<Arc<AppTrace>>,
@@ -300,8 +316,12 @@ fn execute(
     opts: TrialOpts,
     power_cap_w: Option<f64>,
     faults: Option<&FaultPlan>,
+    telemetry: bool,
 ) -> TrialResult {
     let mut sim = Simulation::new(Node::new(config));
+    if telemetry {
+        sim.node_mut().arm_telemetry();
+    }
     sim.set_recorder(TraceRecorder::new(opts.record_interval_us));
     if let Some(trace) = trace {
         sim.load(trace);
@@ -372,14 +392,10 @@ fn execute(
     let summary = sim.summary(start_us);
     let fault_counters = sim.node().fault_counters();
     let samples = sim.recorder_mut().take_samples();
-    #[cfg(feature = "telemetry")]
-    let (events, node_telemetry) = {
-        let telemetry = sim.node_mut().telemetry_mut();
-        let events = telemetry.take_events();
-        (events, Some(telemetry.counters()))
+    let (events, node_telemetry) = match sim.node_mut().telemetry_mut() {
+        Some(t) => (t.take_events(), Some(t.counters())),
+        None => (Vec::new(), None),
     };
-    #[cfg(not(feature = "telemetry"))]
-    let (events, node_telemetry) = (Vec::new(), None);
     TrialResult {
         runtime: driver.name().to_string(),
         summary,
@@ -510,17 +526,19 @@ mod tests {
         assert_eq!(a.invocations, b.invocations);
     }
 
+    /// An armed MAGUS trial of `app` with `opts`.
+    fn armed_magus_trial(app: AppId, opts: TrialOpts) -> TrialResult {
+        TrialBuilder::on(SystemId::IntelA100)
+            .app(app)
+            .opts(opts)
+            .arm_telemetry()
+            .run(&mut MagusDriver::with_defaults())
+    }
+
     #[test]
     fn fast_path_trial_matches_reference_exactly() {
-        let run = |path: SimPath| {
-            let mut driver = MagusDriver::with_defaults();
-            run_trial(
-                SystemId::IntelA100,
-                AppId::Bfs,
-                &mut driver,
-                TrialOpts::recorded().with_path(path),
-            )
-        };
+        let run =
+            |path: SimPath| armed_magus_trial(AppId::Bfs, TrialOpts::recorded().with_path(path));
         let r = run(SimPath::Reference);
         let f = run(SimPath::Fast);
         assert_eq!(r.summary, f.summary);
@@ -529,24 +547,39 @@ mod tests {
         assert_eq!(r.mean_invocation_us, f.mean_invocation_us);
         // Decision events and residency are part of the bit-identity
         // contract; only the fast-path span counters may differ.
+        assert!(!r.events.is_empty(), "an armed trial records events");
         assert_eq!(r.events, f.events);
-        if let (Some(rc), Some(fc)) = (&r.node_telemetry, &f.node_telemetry) {
-            assert_eq!(rc.residency_us, fc.residency_us);
-            assert_eq!(rc.uncore_msr_writes, fc.uncore_msr_writes);
-            assert_eq!(rc.events_dropped, fc.events_dropped);
-        }
+        let (rc, fc) = (
+            r.node_telemetry.expect("armed"),
+            f.node_telemetry.expect("armed"),
+        );
+        assert_eq!(rc.residency_us, fc.residency_us);
+        assert_eq!(rc.uncore_msr_writes, fc.uncore_msr_writes);
+        assert_eq!(rc.events_dropped, fc.events_dropped);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
-    fn magus_trials_carry_decision_events() {
+    fn unarmed_trials_record_no_telemetry_and_match_armed_ones() {
         let mut driver = MagusDriver::with_defaults();
-        let r = run_trial(
+        let unarmed = run_trial(
             SystemId::IntelA100,
-            AppId::Bfs,
+            AppId::Srad,
             &mut driver,
             TrialOpts::default(),
         );
+        assert!(unarmed.events.is_empty());
+        assert_eq!(unarmed.node_telemetry, None);
+        let armed = armed_magus_trial(AppId::Srad, TrialOpts::default());
+        assert!(!armed.events.is_empty());
+        assert!(armed.node_telemetry.is_some());
+        assert_eq!(unarmed.summary, armed.summary);
+        assert_eq!(unarmed.invocations, armed.invocations);
+        assert_eq!(unarmed.mean_invocation_us, armed.mean_invocation_us);
+    }
+
+    #[test]
+    fn magus_trials_carry_decision_events() {
+        let r = armed_magus_trial(AppId::Bfs, TrialOpts::default());
         let decisions = r
             .events
             .iter()

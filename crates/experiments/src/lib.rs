@@ -75,10 +75,9 @@ pub use engine::{
     TrialSpec, WorkloadSel, ENGINE_SALT,
 };
 pub use fleet::{
-    build_fleet, fleet_sweep, governor_run_opts, run_fleet, run_fleet_keeping, FleetRun, FleetSpec,
+    build_fleet, fleet_sweep, fleet_telemetry_jsonl, governor_run_opts, run_fleet,
+    run_fleet_keeping, run_fleet_with_telemetry, FleetRun, FleetSpec,
 };
-#[cfg(feature = "telemetry")]
-pub use fleet::{fleet_telemetry_jsonl, run_fleet_with_telemetry};
 pub use harness::{run_trial, SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
 pub use metrics::{burst_jaccard, Comparison};
 pub use opts::EngineOpts;

@@ -126,8 +126,10 @@ impl EngineOpts {
 
     /// Build the trial engine these options select: parallel, caching
     /// under `results/cache/` (or `$MAGUS_CACHE_DIR`) unless `--no-cache`,
-    /// then `--serial`, `--jobs`, the `--sim-path` stepping path and the
-    /// `--faults` plan (loaded and validated here).
+    /// then `--serial`, `--jobs`, the `--sim-path` stepping path, the
+    /// `--faults` plan (loaded and validated here) and, for a
+    /// `--telemetry` path, the sink that arms every trial and buffers its
+    /// events ([`Engine::with_telemetry`]).
     ///
     /// # Errors
     ///
@@ -153,6 +155,9 @@ impl EngineOpts {
         }
         if let Some(plan) = faults {
             engine = engine.with_faults(plan);
+        }
+        if self.telemetry.is_some() {
+            engine = engine.with_telemetry();
         }
         Ok(engine)
     }

@@ -385,8 +385,8 @@ impl FaultPlanBuilder {
 }
 
 /// Counts of injected faults, per kind — cheap ground truth for tests and
-/// reports, available even when the `telemetry` feature (and its event log)
-/// is compiled out.
+/// reports, kept whether or not the node's telemetry (and its event log)
+/// is armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(default)]
 pub struct FaultCounters {

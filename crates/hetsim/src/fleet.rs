@@ -850,14 +850,27 @@ impl FleetSim {
         &self.shard_stats
     }
 
-    /// Drain every node's telemetry event buffer, in node-index order.
-    /// Event streams are part of the bit-identity contract: byte-identical
-    /// across shard counts and stepping modes.
-    #[cfg(feature = "telemetry")]
+    /// Arm every node's telemetry ([`Node::arm_telemetry`]) before
+    /// [`FleetSim::run`], for callers that will read the event streams.
+    /// An unarmed fleet records nothing per node.
+    pub fn arm_telemetry(&mut self) {
+        for sim in &mut self.sims {
+            sim.node_mut().arm_telemetry();
+        }
+    }
+
+    /// Drain every node's telemetry event buffer, in node-index order
+    /// (empty for unarmed nodes). Event streams are part of the
+    /// bit-identity contract: byte-identical across shard counts and
+    /// stepping modes.
     pub fn take_node_events(&mut self) -> Vec<Vec<magus_telemetry::Event>> {
         self.sims
             .iter_mut()
-            .map(|s| s.node_mut().telemetry_mut().take_events())
+            .map(|s| {
+                s.node_mut()
+                    .telemetry_mut()
+                    .map_or_else(Vec::new, |t| t.take_events())
+            })
             .collect()
     }
 

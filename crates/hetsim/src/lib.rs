@@ -44,7 +44,6 @@ pub mod node;
 pub mod power;
 pub mod roster;
 pub mod sim;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod trace;
 pub mod uncore;

@@ -24,7 +24,6 @@ use crate::fault::{FaultCounters, FaultPlan, FaultState, InjectedFault};
 use crate::gpu::GpuDevice;
 use crate::mem::{progress_factor, MemoryChannel};
 use crate::power::{EnergyTotals, PowerBreakdown};
-#[cfg(feature = "telemetry")]
 use crate::telemetry::NodeTelemetry;
 use crate::uncore::UncoreDomain;
 
@@ -99,10 +98,9 @@ pub struct FastForward {
     pkg_per_socket_j: f64,
     dram_per_socket_j: f64,
     outcome: StepOutcome,
-    /// Per-socket uncore residency bin at capture time. Uncore frequency
-    /// is part of the feedback snapshot, so it is constant across a
-    /// frozen span and the bin can be replayed verbatim.
-    #[cfg(feature = "telemetry")]
+    /// Per-socket uncore residency bin at capture time (armed nodes only).
+    /// Uncore frequency is part of the feedback snapshot, so it is
+    /// constant across a frozen span and the bin can be replayed verbatim.
     residency_bins: Vec<u16>,
 }
 
@@ -169,11 +167,11 @@ pub struct Node {
     /// unless a non-empty plan was attached: the clean-run cost of the
     /// fault layer is one `Option` discriminant check per fault site.
     faults: Option<Box<FaultState>>,
-    /// Instrumentation counters + event log. Recording never touches
-    /// `state_epoch` or feedback state: telemetry is invisible to the
-    /// simulation and to the fast path's frozen spans.
-    #[cfg(feature = "telemetry")]
-    telemetry: NodeTelemetry,
+    /// Instrumentation counters + event log, `None` until a reader arms
+    /// the node ([`Node::arm_telemetry`]): an unarmed node records nothing.
+    /// Recording never touches `state_epoch` or feedback state: telemetry
+    /// is invisible to the simulation and to the fast path's frozen spans.
+    telemetry: Option<Box<NodeTelemetry>>,
 }
 
 impl Node {
@@ -211,8 +209,7 @@ impl Node {
             pcm_dropout_every: None,
             pcm_reads: 0,
             faults: None,
-            #[cfg(feature = "telemetry")]
-            telemetry: NodeTelemetry::default(),
+            telemetry: None,
         }
     }
 
@@ -269,19 +266,28 @@ impl Node {
         &mut self.ledger
     }
 
-    /// Instrumentation counters and buffered events (telemetry builds).
-    #[cfg(feature = "telemetry")]
-    #[must_use]
-    pub fn telemetry(&self) -> &NodeTelemetry {
-        &self.telemetry
+    /// Arm the node's telemetry: from here on it records decision
+    /// events, counters and its uncore-residency histogram. Arm before the
+    /// first tick, and only when something will read the result. Arming
+    /// never touches simulated state, so an armed run computes exactly
+    /// what an unarmed one does.
+    pub fn arm_telemetry(&mut self) {
+        self.telemetry.get_or_insert_with(Box::default);
     }
 
-    /// Mutable telemetry access — runtime drivers push decision events
-    /// here. Pushing events does **not** perturb simulated state, charge
-    /// monitoring cost, or invalidate fast-forward frozen spans.
-    #[cfg(feature = "telemetry")]
-    pub fn telemetry_mut(&mut self) -> &mut NodeTelemetry {
-        &mut self.telemetry
+    /// Instrumentation counters and buffered events; `None` unless the
+    /// node is armed.
+    #[must_use]
+    pub fn telemetry(&self) -> Option<&NodeTelemetry> {
+        self.telemetry.as_deref()
+    }
+
+    /// Mutable telemetry access (`None` unless armed) — runtime drivers
+    /// push decision events here. Pushing events does **not** perturb
+    /// simulated state, charge monitoring cost, or invalidate fast-forward
+    /// frozen spans.
+    pub fn telemetry_mut(&mut self) -> Option<&mut NodeTelemetry> {
+        self.telemetry.as_deref_mut()
     }
 
     /// Enable PCM dropout injection: every `n`-th read returns 0 GB/s.
@@ -337,10 +343,9 @@ impl Node {
                 .uncore
                 .set_msr_limits(lim.min_ghz(), lim.max_ghz());
             self.state_epoch = self.state_epoch.wrapping_add(1);
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.uncore_msr_writes += 1;
-                self.telemetry.push_event(
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.uncore_msr_writes += 1;
+                t.push_event(
                     magus_telemetry::Event::new(now, "uncore_limit_write")
                         .with("pkg", u64::from(w.pkg))
                         .with("min_ghz", lim.min_ghz())
@@ -478,10 +483,11 @@ impl Node {
         // 6b. Uncore-frequency residency: socket-µs per 0.1 GHz bin. One
         //     array add per socket; replayed bit-identically by the fast
         //     path from the bins captured at the fixed point.
-        #[cfg(feature = "telemetry")]
-        for socket in &self.sockets {
-            let bin = crate::telemetry::freq_bin(socket.uncore.freq_ghz());
-            self.telemetry.residency_us[bin as usize] += dt_us;
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            for socket in &self.sockets {
+                let bin = crate::telemetry::freq_bin(socket.uncore.freq_ghz());
+                t.residency_us[bin as usize] += dt_us;
+            }
         }
 
         // 7. Energy accounting, node-level and per-socket (RAPL domains).
@@ -551,9 +557,10 @@ impl Node {
             || ff.dt_us != dt_us
             || !demand_bits_eq(&ff.demand, demand)
         {
-            #[cfg(feature = "telemetry")]
             if ff.frozen {
-                self.telemetry.fastpath_invalidations += 1;
+                if let Some(t) = self.telemetry.as_deref_mut() {
+                    t.fastpath_invalidations += 1;
+                }
             }
             ff.frozen = false;
             ff.prev_valid = false;
@@ -566,9 +573,8 @@ impl Node {
         if ff.prev_valid && ff.cur == ff.prev {
             self.capture_increments(dt_us, demand, out, ff);
             ff.frozen = true;
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.fastpath_frozen_spans += 1;
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.fastpath_frozen_spans += 1;
             }
         } else {
             core::mem::swap(&mut ff.prev, &mut ff.cur);
@@ -652,8 +658,7 @@ impl Node {
             (out.power.core_w + out.power.uncore_w + out.power.overhead_w) / n_sockets * dt_s;
         ff.dram_per_socket_j = out.power.dram_w / n_sockets * dt_s;
         ff.outcome = out;
-        #[cfg(feature = "telemetry")]
-        {
+        if self.telemetry.is_some() {
             ff.residency_bins.clear();
             for s in &self.sockets {
                 ff.residency_bins
@@ -680,12 +685,11 @@ impl Node {
         self.record_bw(dt_us, ff.outcome.delivered_gbs);
         // Telemetry replay mirrors step() 6b exactly: the uncore frequency
         // is feedback state, so its bin is constant across the span.
-        #[cfg(feature = "telemetry")]
-        {
+        if let Some(t) = self.telemetry.as_deref_mut() {
             for &bin in &ff.residency_bins {
-                self.telemetry.residency_us[bin as usize] += dt_us;
+                t.residency_us[bin as usize] += dt_us;
             }
-            self.telemetry.fastpath_replayed_ticks += 1;
+            t.fastpath_replayed_ticks += 1;
         }
     }
 
@@ -781,29 +785,31 @@ impl Node {
                                 .is_some_and(|n| fs.uncore_writes.is_multiple_of(n))
                             {
                                 fs.counters.msr_write_fails += 1;
-                                #[cfg(feature = "telemetry")]
-                                self.telemetry.push_event(
-                                    magus_telemetry::Event::new(
-                                        self.time_us,
-                                        "fault_msr_write_fail",
-                                    )
-                                    .with("pkg", u64::from(pkg))
-                                    .with("attempt", fs.uncore_writes),
-                                );
+                                if let Some(t) = self.telemetry.as_deref_mut() {
+                                    t.push_event(
+                                        magus_telemetry::Event::new(
+                                            self.time_us,
+                                            "fault_msr_write_fail",
+                                        )
+                                        .with("pkg", u64::from(pkg))
+                                        .with("attempt", fs.uncore_writes),
+                                    );
+                                }
                                 return Err(MsrError::TransientFault);
                             }
                             if fs.plan.msr.actuation_delay_us > 0 {
                                 let due = self.time_us + fs.plan.msr.actuation_delay_us;
                                 fs.defer_write(due, pkg, value);
-                                #[cfg(feature = "telemetry")]
-                                self.telemetry.push_event(
-                                    magus_telemetry::Event::new(
-                                        self.time_us,
-                                        "fault_actuation_delayed",
-                                    )
-                                    .with("pkg", u64::from(pkg))
-                                    .with("due_us", due),
-                                );
+                                if let Some(t) = self.telemetry.as_deref_mut() {
+                                    t.push_event(
+                                        magus_telemetry::Event::new(
+                                            self.time_us,
+                                            "fault_actuation_delayed",
+                                        )
+                                        .with("pkg", u64::from(pkg))
+                                        .with("due_us", due),
+                                    );
+                                }
                                 return Ok(());
                             }
                         }
@@ -811,10 +817,9 @@ impl Node {
                         self.sockets[idx]
                             .uncore
                             .set_msr_limits(lim.min_ghz(), lim.max_ghz());
-                        #[cfg(feature = "telemetry")]
-                        {
-                            self.telemetry.uncore_msr_writes += 1;
-                            self.telemetry.push_event(
+                        if let Some(t) = self.telemetry.as_deref_mut() {
+                            t.uncore_msr_writes += 1;
+                            t.push_event(
                                 magus_telemetry::Event::new(self.time_us, "uncore_limit_write")
                                     .with("pkg", u64::from(pkg))
                                     .with("min_ghz", lim.min_ghz())
@@ -898,34 +903,37 @@ impl Node {
                 .is_some_and(|n| read_idx.is_multiple_of(n))
             {
                 fs.counters.pcm_dropouts += 1;
-                #[cfg(feature = "telemetry")]
-                self.telemetry.push_event(
-                    magus_telemetry::Event::new(time_us, "fault_pcm_dropout")
-                        .with("read", read_idx),
-                );
+                if let Some(t) = self.telemetry.as_deref_mut() {
+                    t.push_event(
+                        magus_telemetry::Event::new(time_us, "fault_pcm_dropout")
+                            .with("read", read_idx),
+                    );
+                }
                 return Err(InjectedFault::PcmDropout);
             }
             if pcm.stale_every.is_some_and(|n| read_idx.is_multiple_of(n)) {
                 fs.counters.pcm_stale += 1;
                 let stale = fs.last_pcm_gbs;
-                #[cfg(feature = "telemetry")]
-                self.telemetry.push_event(
-                    magus_telemetry::Event::new(time_us, "fault_pcm_stale")
-                        .with("read", read_idx)
-                        .with("gbs", stale),
-                );
+                if let Some(t) = self.telemetry.as_deref_mut() {
+                    t.push_event(
+                        magus_telemetry::Event::new(time_us, "fault_pcm_stale")
+                            .with("read", read_idx)
+                            .with("gbs", stale),
+                    );
+                }
                 return Ok(stale);
             }
             if pcm.spike_every.is_some_and(|n| read_idx.is_multiple_of(n)) {
                 fs.counters.pcm_spikes += 1;
                 let sign = if fs.rng.gen_bool(0.5) { 1.0 } else { -1.0 };
                 value = (value * (1.0 + sign * pcm.spike_magnitude_rel)).max(0.0);
-                #[cfg(feature = "telemetry")]
-                self.telemetry.push_event(
-                    magus_telemetry::Event::new(time_us, "fault_pcm_spike")
-                        .with("read", read_idx)
-                        .with("gbs", value),
-                );
+                if let Some(t) = self.telemetry.as_deref_mut() {
+                    t.push_event(
+                        magus_telemetry::Event::new(time_us, "fault_pcm_spike")
+                            .with("read", read_idx)
+                            .with("gbs", value),
+                    );
+                }
             }
             if pcm.extra_noise_rel > 0.0 {
                 let jitter: f64 = fs.rng.gen_range(-1.0..1.0);
@@ -1376,14 +1384,14 @@ mod tests {
         assert!((reading - 40.0).abs() < 4.0, "reading = {reading}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_is_identical_across_paths_and_records_msr_events() {
         let drive = |fast: bool| {
             let mut n = node();
+            n.arm_telemetry();
             let mut ff = FastForward::new();
             let busy = busy_demand();
-            let mut do_ticks = |n: &mut Node, ticks: usize, ff: &mut FastForward| {
+            let do_ticks = |n: &mut Node, ticks: usize, ff: &mut FastForward| {
                 for _ in 0..ticks {
                     if fast {
                         n.step_fast(10_000, &busy, ff);
@@ -1403,15 +1411,13 @@ mod tests {
         };
         let reference = drive(false);
         let fast = drive(true);
-        let (rc, fc) = (
-            reference.telemetry().counters(),
-            fast.telemetry().counters(),
-        );
+        let (rt, ft) = (reference.telemetry().unwrap(), fast.telemetry().unwrap());
+        let (rc, fc) = (rt.counters(), ft.counters());
         // Deterministic counters agree between the reference and fast paths.
         assert_eq!(rc.residency_us, fc.residency_us);
         assert_eq!(rc.uncore_msr_writes, 2);
         assert_eq!(fc.uncore_msr_writes, 2);
-        assert_eq!(reference.telemetry().events(), fast.telemetry().events());
+        assert_eq!(rt.events(), ft.events());
         // Fast-path diagnostics fire only on the fast path.
         assert!(fc.fastpath_frozen_spans >= 1);
         assert!(fc.fastpath_replayed_ticks > 0);
@@ -1419,32 +1425,31 @@ mod tests {
         assert_eq!(rc.fastpath_replayed_ticks, 0);
         // Residency covers every socket-tick exactly once.
         assert_eq!(rc.residency_total_us(), 1300 * 10_000 * 2);
-        let kinds: Vec<&str> = reference
-            .telemetry()
-            .events()
-            .iter()
-            .map(|e| e.kind.as_str())
-            .collect();
+        let kinds: Vec<&str> = rt.events().iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds, ["uncore_limit_write", "uncore_limit_write"]);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn event_push_does_not_thaw_frozen_spans() {
         let mut n = node();
+        n.arm_telemetry();
         let mut ff = FastForward::new();
         let demand = busy_demand();
         for _ in 0..1000 {
             n.step_fast(10_000, &demand, &mut ff);
         }
         assert!(ff.frozen());
-        let before = n.telemetry().counters().fastpath_invalidations;
+        let before = n.telemetry().unwrap().counters().fastpath_invalidations;
         let t = n.time_us();
         n.telemetry_mut()
+            .unwrap()
             .push_event(magus_telemetry::Event::new(t, "marker"));
         n.step_fast(10_000, &demand, &mut ff);
         assert!(ff.frozen(), "event push must not invalidate the span");
-        assert_eq!(n.telemetry().counters().fastpath_invalidations, before);
+        assert_eq!(
+            n.telemetry().unwrap().counters().fastpath_invalidations,
+            before
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Per-node instrumentation state (only compiled with the `telemetry`
-//! feature).
+//! Per-node instrumentation state.
 //!
-//! [`NodeTelemetry`] rides inside [`crate::Node`] and obeys two hard
-//! rules:
+//! A [`crate::Node`] carries a [`NodeTelemetry`] only once something that
+//! will read it has armed the node ([`crate::Node::arm_telemetry`]); an
+//! unarmed node records nothing and allocates nothing for telemetry.
+//! Armed recording obeys two hard rules:
 //!
 //! * **Sim-time only.** Every recorded value derives from simulated state
 //!   (`Node::time_us`, frequencies, counter deltas) — never the wall
@@ -39,7 +40,7 @@ pub fn freq_bin(ghz: f64) -> u16 {
     }
 }
 
-/// Instrumentation state carried by every [`crate::Node`].
+/// Instrumentation state carried by an armed [`crate::Node`].
 #[derive(Debug, Clone, Default)]
 pub struct NodeTelemetry {
     /// `wrmsr` writes to `MSR 0x620` (`UNCORE_RATIO_LIMIT`).

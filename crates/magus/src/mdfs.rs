@@ -95,6 +95,8 @@ pub struct MagusCore {
     /// tracked even while the high-frequency override withholds execution.
     virtual_level: UncoreLevel,
     telemetry: Telemetry,
+    /// The latest cycle's record, overwritten every cycle.
+    last_record: Option<DecisionRecord>,
 }
 
 impl MagusCore {
@@ -116,15 +118,8 @@ impl MagusCore {
             level: UncoreLevel::Lower,
             virtual_level: UncoreLevel::Lower,
             telemetry: Telemetry::default(),
+            last_record: None,
         }
-    }
-
-    /// New core with per-cycle decision logging enabled.
-    #[must_use]
-    pub fn with_log(cfg: MagusConfig) -> Self {
-        let mut core = Self::new(cfg);
-        core.telemetry = Telemetry::with_log();
-        core
     }
 
     /// The configuration.
@@ -137,6 +132,13 @@ impl MagusCore {
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// The most recent decision cycle's record (`None` before the first
+    /// sample). Each [`MagusCore::on_sample`] overwrites it.
+    #[must_use]
+    pub fn last_record(&self) -> Option<&DecisionRecord> {
+        self.last_record.as_ref()
     }
 
     /// True while the core is still warming up (no decisions yet).
@@ -186,6 +188,7 @@ impl MagusCore {
                 action: MagusAction::Hold,
             };
             self.telemetry.record(rec, true);
+            self.last_record = Some(rec);
             return MagusAction::Hold;
         }
 
@@ -255,6 +258,7 @@ impl MagusCore {
             action,
         };
         self.telemetry.record(rec, false);
+        self.last_record = Some(rec);
         action
     }
 }
@@ -405,15 +409,17 @@ mod tests {
     }
 
     #[test]
-    fn decision_log_captures_cycles() {
-        let mut c = MagusCore::with_log(MagusConfig::default());
-        for i in 0..15 {
-            c.on_sample(f64::from(i) * 1_000.0);
+    fn last_record_tracks_each_cycle() {
+        let mut c = core();
+        assert!(c.last_record().is_none());
+        for i in 0..15u32 {
+            let action = c.on_sample(f64::from(i) * 1_000.0);
+            let rec = c.last_record().expect("a record per cycle");
+            assert_eq!(rec.cycle, u64::from(i));
+            assert_eq!(rec.sample_mbs, f64::from(i) * 1_000.0);
+            assert_eq!(rec.action, action);
         }
-        let log = &c.telemetry().log;
-        assert_eq!(log.len(), 15);
-        assert_eq!(log[0].cycle, 0);
-        assert_eq!(log[14].cycle, 14);
+        assert_eq!(c.telemetry().cycles, 15);
     }
 
     #[test]

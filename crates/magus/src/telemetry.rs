@@ -1,7 +1,8 @@
 //! Decision telemetry: what MAGUS saw and did, cycle by cycle.
 //!
-//! Used by the experiment harness to regenerate Fig 6 (uncore decisions
-//! over time) and by the Jaccard burst-prediction analysis of §6.3.
+//! [`Telemetry`] keeps aggregate counters only; the latest cycle's
+//! [`DecisionRecord`] is exposed by [`crate::MagusCore::last_record`], so
+//! a long run holds one record, not one per cycle.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +27,7 @@ pub struct DecisionRecord {
     pub action: MagusAction,
 }
 
-/// Aggregate counters plus an optional full decision log.
+/// Aggregate decision counters.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Telemetry {
     /// Total decision cycles (including warm-up).
@@ -44,21 +45,9 @@ pub struct Telemetry {
     pub raised: u64,
     /// Executed switches to the lower uncore level.
     pub lowered: u64,
-    /// Full per-cycle log (only when enabled).
-    pub log: Vec<DecisionRecord>,
-    log_enabled: bool,
 }
 
 impl Telemetry {
-    /// Telemetry with the per-cycle log enabled.
-    #[must_use]
-    pub fn with_log() -> Self {
-        Self {
-            log_enabled: true,
-            ..Self::default()
-        }
-    }
-
     /// Record one decision cycle.
     pub fn record(&mut self, rec: DecisionRecord, in_warmup: bool) {
         self.cycles += 1;
@@ -77,9 +66,6 @@ impl Telemetry {
             MagusAction::SetUpper => self.raised += 1,
             MagusAction::SetLower => self.lowered += 1,
             MagusAction::Hold => {}
-        }
-        if self.log_enabled {
-            self.log.push(rec);
         }
     }
 
@@ -124,14 +110,6 @@ mod tests {
         assert_eq!(t.overridden, 1);
         assert_eq!(t.raised, 2);
         assert_eq!(t.lowered, 1);
-        assert!(t.log.is_empty(), "log disabled by default");
-    }
-
-    #[test]
-    fn log_records_when_enabled() {
-        let mut t = Telemetry::with_log();
-        t.record(rec(Trend::Stable, false, MagusAction::Hold), false);
-        assert_eq!(t.log.len(), 1);
     }
 
     #[test]

@@ -400,8 +400,8 @@ pub fn prometheus_name(name: &str) -> String {
 /// simulated node at the end of a trial.
 ///
 /// Lives here (not in `magus-hetsim`) so the experiments layer can carry
-/// it in `TrialResult` unconditionally — when the simulator is built
-/// without its `telemetry` feature the field is simply `None`.
+/// it in `TrialResult` as a portable value — `Some` exactly when the
+/// trial's node was armed, `None` when nothing was going to read it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct NodeCounters {

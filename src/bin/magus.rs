@@ -25,7 +25,7 @@ use magus_suite::ctl::{
 };
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
 use magus_suite::experiments::figures::{evaluate_app, fig4};
-use magus_suite::experiments::fleet::{fleet_app, FleetRun, FleetSpec};
+use magus_suite::experiments::fleet::{fleet_app, run_fleet, run_fleet_with_telemetry, FleetSpec};
 use magus_suite::experiments::harness::SystemId;
 use magus_suite::experiments::report::{figure, render_fig4_table};
 use magus_suite::hetsim::fleet::FleetSummary;
@@ -64,8 +64,10 @@ fn main() -> ExitCode {
         }
     };
     // Built before any command runs, so a bad `--faults` file fails every
-    // command up front.
+    // command up front. `run --json` prints each trial's events and node
+    // counters, so it is a telemetry sink.
     let engine = match opts.build_engine() {
+        Ok(engine) if matches!(command, Command::Run { json: true, .. }) => engine.with_telemetry(),
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("error: {e}");
@@ -357,21 +359,6 @@ fn drive(
     Ok(())
 }
 
-/// The batch fleet run with the telemetry JSONL rendering (empty without
-/// the `telemetry` feature, matching what the daemon streams there).
-#[cfg(feature = "telemetry")]
-fn fleet_run_and_jsonl(spec: &FleetSpec) -> (FleetRun, String) {
-    magus_suite::experiments::fleet::run_fleet_with_telemetry(spec)
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn fleet_run_and_jsonl(spec: &FleetSpec) -> (FleetRun, String) {
-    (
-        magus_suite::experiments::fleet::run_fleet(spec),
-        String::new(),
-    )
-}
-
 /// In-process batch equivalent of a daemon drive session, writing the
 /// same bytes to the same three artefacts (`--telemetry` JSONL + `.prom`
 /// sibling, `--summary` JSON) so CI can diff the two paths.
@@ -385,7 +372,12 @@ fn fleet(
     if let Some(path) = traffic_path {
         spec = spec.with_traffic(magus_suite::workloads::io::load_traffic_spec(path)?);
     }
-    let (run, jsonl) = fleet_run_and_jsonl(&spec);
+    // Only a `--telemetry` path reads the event streams, so only it arms
+    // the fleet.
+    let (run, jsonl) = match telemetry_path {
+        Some(_) => run_fleet_with_telemetry(&spec),
+        None => (run_fleet(&spec), String::new()),
+    };
     println!(
         "fleet of {nodes}: {} completed, {:.0} J, makespan {:.2} s ({} decisions)",
         run.summary.completed, run.summary.total_j, run.summary.makespan_s, run.summary.decisions

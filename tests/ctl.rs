@@ -44,20 +44,11 @@ fn batch_spec(nodes: usize) -> FleetSpec {
     }
 }
 
-/// Run the batch fleet and return (summary, telemetry JSONL). Without the
-/// `telemetry` feature the JSONL is empty on both paths, so the byte
-/// comparison still holds.
-#[cfg(feature = "telemetry")]
+/// Run the batch fleet armed and return (summary, telemetry JSONL).
 fn batch_run(nodes: usize) -> (FleetSummary, String) {
     let (run, jsonl) =
         magus_suite::experiments::fleet::run_fleet_with_telemetry(&batch_spec(nodes));
     (run.summary, jsonl)
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn batch_run(nodes: usize) -> (FleetSummary, String) {
-    let run = magus_suite::experiments::fleet::run_fleet(&batch_spec(nodes));
-    (run.summary, String::new())
 }
 
 /// Block until the subscription yields `epoch`'s telemetry frame.
@@ -114,6 +105,10 @@ fn daemon_session_is_bit_identical_to_batch_fleet() {
     let (epoch, daemon_summary) = client.advance().expect("advance");
     assert_eq!(epoch, 1);
     let daemon_jsonl = telemetry_frame(&mut sub, epoch);
+    assert!(
+        !daemon_jsonl.is_empty(),
+        "a subscribed epoch records events"
+    );
 
     let (batch_summary, batch_jsonl) = batch_run(NODES as usize);
     assert_eq!(
@@ -158,6 +153,57 @@ fn daemon_session_is_bit_identical_to_batch_fleet() {
             None => break,
         }
     }
+    runner
+        .join()
+        .expect("server thread")
+        .expect("server exits cleanly");
+}
+
+/// An epoch with no subscriber renders no telemetry. A subscriber that
+/// registers after it learns that epoch 1 already started, and its first
+/// frame is epoch 2's, byte-identical to the batch rendering.
+#[test]
+fn late_subscribers_get_frames_from_the_next_epoch_on() {
+    let server = serve_fleet(ServeConfig {
+        http_addr: None,
+        ..test_config()
+    })
+    .expect("bind daemon");
+    let ctl_addr = server.ctl_addr().expect("ctl addr");
+    let runner = thread::spawn(move || server.run());
+
+    let mut client = CtlClient::connect(ctl_addr).expect("connect");
+    let ids = client.join(SystemId::IntelA100, 2, 0).expect("join");
+    for (i, id) in ids.iter().enumerate() {
+        client.submit(*id, fleet_app(i)).expect("submit workload");
+    }
+    let (epoch, unwatched) = client.advance().expect("advance without subscribers");
+    assert_eq!(epoch, 1);
+
+    let mut sub = CtlClient::connect(ctl_addr)
+        .expect("connect subscriber")
+        .subscribe()
+        .expect("subscribe");
+    assert_eq!(sub.since_epoch, 1);
+    let (epoch, watched) = client.advance().expect("advance with a subscriber");
+    assert_eq!(epoch, 2);
+    assert_eq!(watched, unwatched, "arming changed the epoch's results");
+    let (batch_summary, batch_jsonl) = batch_run(2);
+    assert_eq!(watched, batch_summary);
+    assert!(!batch_jsonl.is_empty());
+    assert_eq!(
+        sub.next_event().expect("first frame"),
+        Some(SubEvent::Telemetry {
+            epoch: 2,
+            jsonl: batch_jsonl,
+        })
+    );
+
+    client.shutdown().expect("shutdown");
+    assert_eq!(
+        sub.next_event().expect("final frame"),
+        Some(SubEvent::ShuttingDown)
+    );
     runner
         .join()
         .expect("server thread")

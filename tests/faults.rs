@@ -8,7 +8,7 @@
 //!    and across the two stepping paths.
 
 use magus_suite::experiments::drivers::MagusDriver;
-use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
+use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialBrief, TrialOutcome, TrialSpec};
 use magus_suite::experiments::harness::{SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
 use magus_suite::hetsim::FaultPlan;
 use magus_suite::workloads::AppId;
@@ -100,15 +100,25 @@ fn fault_schedules_identical_across_scheduling_modes() {
         })
         .collect();
 
-    let parallel = Engine::ephemeral();
-    let par_briefs = parallel.run_brief(&specs);
-    let serial = Engine::ephemeral().serial();
-    let ser_briefs = serial.run_brief(&specs);
+    // A telemetry sink arms every trial: each outcome carries node counters.
+    let armed_brief = |_, outcome: TrialOutcome| {
+        assert!(outcome.result.node_telemetry.is_some(), "trial not armed");
+        TrialBrief::from(outcome)
+    };
+    let parallel = Engine::ephemeral().with_telemetry();
+    let par_briefs = parallel.run_mapped(&specs, armed_brief);
+    let serial = Engine::ephemeral().serial().with_telemetry();
+    let ser_briefs = serial.run_mapped(&specs, armed_brief);
 
     assert_eq!(par_briefs, ser_briefs, "scheduling changed faulted results");
     assert!(par_briefs.iter().all(|b| b.fault_counters.total() > 0));
+    let jsonl = parallel.telemetry_jsonl();
+    assert!(
+        jsonl.contains("fault_pcm_dropout"),
+        "no fault events recorded"
+    );
     assert_eq!(
-        parallel.telemetry_jsonl(),
+        jsonl,
         serial.telemetry_jsonl(),
         "scheduling changed the faulted telemetry stream"
     );

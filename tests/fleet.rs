@@ -11,7 +11,7 @@
 
 use magus_suite::experiments::engine::GovernorSpec;
 use magus_suite::experiments::fleet::{
-    fleet_app, fleet_sweep, governor_run_opts, run_fleet, FleetSpec,
+    build_fleet, fleet_app, fleet_sweep, governor_run_opts, run_fleet, run_fleet_keeping, FleetSpec,
 };
 use magus_suite::experiments::harness::{run_trial, SimPath, SystemId, TrialOpts};
 use magus_suite::hetsim::{FaultPlan, FleetSim};
@@ -113,8 +113,14 @@ fn catalog_fleet(nodes: usize, budget_s: f64, plan: Option<&FaultPlan>, shards: 
 /// Render every node's drained telemetry event stream as one JSONL blob —
 /// the byte-level artifact the bit-identity contract covers. (Shared with
 /// the control-plane daemon, which streams the same bytes to subscribers.)
-#[cfg(feature = "telemetry")]
 use magus_suite::experiments::fleet::fleet_telemetry_jsonl as telemetry_jsonl;
+
+/// How many nodes of `fleet` are armed (carry node telemetry).
+fn armed_nodes(fleet: &FleetSim) -> usize {
+    (0..fleet.len())
+        .filter(|&i| fleet.sim(i).node().telemetry().is_some())
+        .count()
+}
 
 /// The tentpole's core contract: under a fault plan mixing sensor faults
 /// (access-counted, per node) and fleet-level stall/crash schedules
@@ -134,9 +140,11 @@ fn sharded_fleet_is_bit_identical_across_shard_counts_paths_and_faults() {
     let opts_for = |path| governor_run_opts(&GovernorSpec::magus_default(), path);
 
     let mut baseline_fleet = catalog_fleet(nodes, 600.0, Some(&plan), 1);
+    baseline_fleet.arm_telemetry();
     let baseline = baseline_fleet.run(&opts_for(SimPath::Fast));
-    #[cfg(feature = "telemetry")]
+    assert_eq!(armed_nodes(&baseline_fleet), nodes);
     let baseline_jsonl = telemetry_jsonl(&mut baseline_fleet);
+    assert!(!baseline_jsonl.is_empty(), "an armed fleet records events");
     assert!(
         baseline.node_fault_counters.iter().any(|c| c.total() > 0),
         "MAGUS reads PCM, so the dropout schedule must actually fire"
@@ -147,12 +155,13 @@ fn sharded_fleet_is_bit_identical_across_shard_counts_paths_and_faults() {
     for shards in [1usize, 2, 7, 64] {
         for path in [SimPath::Fast, SimPath::Reference] {
             let mut fleet = catalog_fleet(nodes, 600.0, Some(&plan), shards);
+            fleet.arm_telemetry();
             let summary = fleet.run(&opts_for(path));
             assert_eq!(
                 summary, baseline,
                 "shards={shards} path={path:?} diverged from single-shard fast"
             );
-            #[cfg(feature = "telemetry")]
+            assert_eq!(armed_nodes(&fleet), nodes, "shards={shards} path={path:?}");
             assert_eq!(
                 telemetry_jsonl(&mut fleet),
                 baseline_jsonl,
@@ -160,6 +169,23 @@ fn sharded_fleet_is_bit_identical_across_shard_counts_paths_and_faults() {
             );
         }
     }
+}
+
+/// Nothing reads a plain fleet run's per-node telemetry, so `build_fleet`
+/// and `run_fleet` leave every node unarmed: the stepped fleet holds no
+/// events and renders an empty stream.
+#[test]
+fn run_fleet_leaves_every_node_unarmed() {
+    let spec = FleetSpec {
+        max_s: 60.0,
+        ..FleetSpec::new(GovernorSpec::magus_default(), 4)
+    };
+    assert_eq!(armed_nodes(&build_fleet(&spec)), 0);
+    let (run, mut stepped) = run_fleet_keeping(&spec);
+    assert!(run.summary.decisions > 0);
+    assert_eq!(armed_nodes(&stepped), 0);
+    assert!(telemetry_jsonl(&mut stepped).is_empty());
+    assert_eq!(run_fleet(&spec).summary, run.summary);
 }
 
 /// Cases per property loop below.

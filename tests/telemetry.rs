@@ -2,12 +2,12 @@
 //! function of simulated state — byte-identical across repeated runs,
 //! across the fast and reference stepping paths, and across serial and
 //! parallel scheduling. These are the in-process counterparts of CI's
-//! `telemetry-regression` job.
-#![cfg(feature = "telemetry")]
+//! `telemetry-regression` job. Each test is a telemetry reader, so it arms
+//! the trials it inspects.
 
-use magus_suite::experiments::drivers::{MagusDriver, UpsDriver};
+use magus_suite::experiments::drivers::{MagusDriver, RuntimeDriver, UpsDriver};
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
-use magus_suite::experiments::harness::{run_trial, SimPath, SystemId, TrialOpts, TrialResult};
+use magus_suite::experiments::harness::{SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
 use magus_suite::telemetry::Event;
 use magus_suite::workloads::AppId;
 
@@ -15,17 +15,18 @@ fn events_json(r: &TrialResult) -> String {
     serde_json::to_string(&r.events).expect("events serialise")
 }
 
+/// An armed bfs trial on the Intel+A100 testbed.
+fn armed_trial(driver: &mut dyn RuntimeDriver, opts: TrialOpts) -> TrialResult {
+    TrialBuilder::on(SystemId::IntelA100)
+        .app(AppId::Bfs)
+        .opts(opts)
+        .arm_telemetry()
+        .run(driver)
+}
+
 #[test]
 fn repeated_trials_emit_byte_identical_event_streams() {
-    let run = || {
-        let mut d = MagusDriver::with_defaults();
-        run_trial(
-            SystemId::IntelA100,
-            AppId::Bfs,
-            &mut d,
-            TrialOpts::default(),
-        )
-    };
+    let run = || armed_trial(&mut MagusDriver::with_defaults(), TrialOpts::default());
     let a = run();
     let b = run();
     assert!(!a.events.is_empty());
@@ -39,24 +40,11 @@ fn repeated_trials_emit_byte_identical_event_streams() {
 #[test]
 fn fast_and_reference_paths_emit_identical_events() {
     for governor in ["magus", "ups"] {
-        let run = |path: SimPath| match governor {
-            "magus" => {
-                let mut d = MagusDriver::with_defaults();
-                run_trial(
-                    SystemId::IntelA100,
-                    AppId::Bfs,
-                    &mut d,
-                    TrialOpts::default().with_path(path),
-                )
-            }
-            _ => {
-                let mut d = UpsDriver::with_defaults();
-                run_trial(
-                    SystemId::IntelA100,
-                    AppId::Bfs,
-                    &mut d,
-                    TrialOpts::default().with_path(path),
-                )
+        let run = |path: SimPath| {
+            let opts = TrialOpts::default().with_path(path);
+            match governor {
+                "magus" => armed_trial(&mut MagusDriver::with_defaults(), opts),
+                _ => armed_trial(&mut UpsDriver::with_defaults(), opts),
             }
         };
         let fast = run(SimPath::Fast);
@@ -95,8 +83,8 @@ fn catalog_specs() -> Vec<TrialSpec> {
 #[test]
 fn serial_and_parallel_engines_agree_on_all_telemetry() {
     let specs = catalog_specs();
-    let parallel = Engine::ephemeral();
-    let serial = Engine::ephemeral().serial();
+    let parallel = Engine::ephemeral().with_telemetry();
+    let serial = Engine::ephemeral().serial().with_telemetry();
     let _ = parallel.run_brief(&specs);
     let _ = serial.run_brief(&specs);
     // The JSONL rendering sorts per-trial blocks, so scheduling order is
@@ -121,10 +109,11 @@ fn cached_outcomes_replay_events_and_count_hits() {
         AppId::Bfs,
         GovernorSpec::magus_default(),
     );
-    let engine = Engine::with_cache(&dir);
+    let engine = Engine::with_cache(&dir).with_telemetry();
     let miss = engine.run(&spec);
     let hit = engine.run(&spec);
     assert!(!miss.cached && hit.cached);
+    assert!(!miss.result.events.is_empty());
     // Events round-trip through the on-disk cache bit-exactly.
     assert_eq!(miss.result.events, hit.result.events);
     assert_eq!(miss.result.node_telemetry, hit.result.node_telemetry);
@@ -139,10 +128,56 @@ fn cached_outcomes_replay_events_and_count_hits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Nothing reads an engine's telemetry without a sink: its trials record
+/// nothing and its event buffer stays empty, while the results match.
+#[test]
+fn engines_without_a_reader_record_nothing() {
+    let spec = TrialSpec::new(
+        SystemId::IntelA100,
+        AppId::Bfs,
+        GovernorSpec::magus_default(),
+    );
+    let plain = Engine::ephemeral();
+    let unarmed = plain.run(&spec);
+    assert!(unarmed.result.events.is_empty());
+    assert_eq!(unarmed.result.node_telemetry, None);
+    assert!(plain.trial_events().is_empty());
+    assert!(plain.telemetry_jsonl().is_empty());
+    let armed = Engine::ephemeral().with_telemetry().run(&spec);
+    assert!(!armed.result.events.is_empty());
+    assert_eq!(unarmed.result.summary, armed.result.summary);
+}
+
+/// A cache stores each trial's events for later `--telemetry` runs: an
+/// engine with no sink that fills the cache still arms its trials, so a
+/// sink reading that cache exports exactly what simulating would.
+#[test]
+fn a_cache_filled_without_a_sink_serves_later_telemetry_runs() {
+    let dir = std::env::temp_dir().join(format!("magus-telemetry-fill-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let specs = catalog_specs();
+    let filler = Engine::with_cache(&dir);
+    let _ = filler.run_brief(&specs);
+    assert!(filler.telemetry_jsonl().is_empty(), "no sink, no buffer");
+
+    let reader = Engine::with_cache(&dir).with_telemetry();
+    let briefs = reader.run_brief(&specs);
+    assert!(
+        briefs.iter().all(|b| b.cached),
+        "every trial is a cache hit"
+    );
+    let simulated = Engine::ephemeral().with_telemetry();
+    let _ = simulated.run_brief(&specs);
+    let jsonl = simulated.telemetry_jsonl();
+    assert!(!jsonl.is_empty());
+    assert_eq!(reader.telemetry_jsonl(), jsonl);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn write_telemetry_emits_parseable_jsonl_and_prometheus_text() {
     let dir = std::env::temp_dir().join(format!("magus-telemetry-out-{}", std::process::id()));
-    let engine = Engine::ephemeral();
+    let engine = Engine::ephemeral().with_telemetry();
     let _ = engine.run(&TrialSpec::new(
         SystemId::IntelA100,
         AppId::Bfs,
