@@ -104,9 +104,11 @@ mod tests {
     use magus_hetsim::power::EnergyTotals;
 
     fn summary(runtime_s: f64, cpu_w: f64, total_j: f64) -> RunSummary {
-        let mut energy = EnergyTotals::default();
-        energy.core_j = total_j; // park everything in one domain
-        energy.elapsed_s = runtime_s;
+        let energy = EnergyTotals {
+            core_j: total_j, // park everything in one domain
+            elapsed_s: runtime_s,
+            ..EnergyTotals::default()
+        };
         RunSummary {
             app: "x".into(),
             system: "y".into(),

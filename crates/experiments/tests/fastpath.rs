@@ -10,13 +10,16 @@
 //!    and MSR writes injected at arbitrary instants, driving the two paths
 //!    through the same event script.
 //!
+//! A last test puts a floor under how much the fast path replays: a fast
+//! path that stopped freezing would still pass every equality check here.
+//!
 //! Equality is asserted with `==` on `f64`-bearing structs deliberately:
 //! the fast path replays the exact per-tick increments the reference path
 //! computes, so anything short of bitwise identity is a bug.
 
 use magus_experiments::{
-    run_trial, FixedUncoreDriver, MagusDriver, NoopDriver, RuntimeDriver, SimPath, SystemId,
-    TrialOpts, TrialResult, UpsDriver,
+    run_trial, Engine, FixedUncoreDriver, GovernorSpec, MagusDriver, NoopDriver, RuntimeDriver,
+    SimPath, SystemId, TrialOpts, TrialResult, TrialSpec, UpsDriver,
 };
 use magus_hetsim::governor::set_fixed_uncore;
 use magus_hetsim::workload::PhaseKind;
@@ -24,7 +27,7 @@ use magus_hetsim::{
     secs_to_us, AppTrace, Demand, FastForward, GpuUtilVec, Node, NodeConfig, Phase, RunSummary,
     Simulation, TraceRecorder, TraceSample,
 };
-use magus_workloads::AppId;
+use magus_workloads::{fig4a_suite, AppId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,8 +65,8 @@ fn run_path(system: SystemId, app: AppId, which: usize, path: SimPath) -> TrialR
 fn fast_path_matches_reference_on_full_catalog() {
     for system in SYSTEMS {
         for &app in AppId::all() {
-            for which in 0..GOVERNOR_NAMES.len() {
-                let ctx = format!("{} / {app:?} / {}", system.name(), GOVERNOR_NAMES[which]);
+            for (which, governor) in GOVERNOR_NAMES.iter().enumerate() {
+                let ctx = format!("{} / {app:?} / {governor}", system.name());
                 let r = run_path(system, app, which, SimPath::Reference);
                 let f = run_path(system, app, which, SimPath::Fast);
                 assert_eq!(r.summary, f.summary, "summary diverged: {ctx}");
@@ -230,4 +233,41 @@ fn fast_path_matches_reference_on_random_traces() {
         assert_eq!(rsam, fsam, "case {case}");
         assert_eq!(rpcm, fpcm, "case {case}");
     }
+}
+
+/// If the fast path stops freezing, every result stays identical and only
+/// time is lost, so no equality test notices. On the Fig 4a suite (every
+/// app under default, MAGUS and UPS on Intel+A100) it replays about two
+/// thirds of all ticks; require at least 60%.
+#[test]
+fn fast_path_replays_most_ticks_of_the_fig4a_suite() {
+    let system = SystemId::IntelA100;
+    let cfg = system.node_config();
+    let socket_tick_us = u64::from(cfg.sockets) * cfg.tick_us;
+    let specs: Vec<TrialSpec> = fig4a_suite()
+        .into_iter()
+        .flat_map(|app| {
+            [
+                GovernorSpec::Default,
+                GovernorSpec::magus_default(),
+                GovernorSpec::ups_default(),
+            ]
+            .map(|g| TrialSpec::new(system, app, g))
+        })
+        .collect();
+    let engine = Engine::ephemeral()
+        .with_sim_path(SimPath::Fast)
+        .with_telemetry();
+    let (mut replayed, mut ticks) = (0, 0);
+    for outcome in engine.run_suite(&specs) {
+        let counters = outcome.result.node_telemetry.expect("armed trial");
+        replayed += counters.fastpath_replayed_ticks;
+        // Residency counts socket-µs, every tick once per socket.
+        ticks += counters.residency_total_us() / socket_tick_us;
+    }
+    assert!(ticks > 0);
+    assert!(
+        replayed * 10 >= ticks * 6,
+        "fast path replayed {replayed} of {ticks} ticks (< 60%)"
+    );
 }

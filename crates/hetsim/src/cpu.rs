@@ -6,10 +6,9 @@
 //! uncore (handled separately in [`crate::uncore`]) stays pinned.
 
 use crate::config::CpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// State of one socket's core complex.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuComplex {
     cfg: CpuConfig,
     /// Current average core frequency (GHz). Individual cores jitter around
@@ -139,9 +138,21 @@ impl CpuComplex {
     /// shape with voltage folded into the frequency exponent.
     #[must_use]
     pub fn power_w(&self) -> f64 {
-        let norm = (self.freq_ghz / self.cfg.core_freq_max_ghz).clamp(0.0, 1.0);
-        self.cfg.static_power_w
-            + self.cfg.dyn_power_max_w * self.util * norm.powf(self.cfg.dyn_freq_exp)
+        self.power_w_with(self.freq_term(self.freq_ghz))
+    }
+
+    /// The frequency term `(f/f_max)^exp` of [`CpuComplex::power_w`] at
+    /// core frequency `freq_ghz`: a pure function of its input and the
+    /// configuration, so the node may memoise it.
+    pub(crate) fn freq_term(&self, freq_ghz: f64) -> f64 {
+        let norm = (freq_ghz / self.cfg.core_freq_max_ghz).clamp(0.0, 1.0);
+        norm.powf(self.cfg.dyn_freq_exp)
+    }
+
+    /// [`CpuComplex::power_w`] given the frequency term at the current
+    /// frequency.
+    pub(crate) fn power_w_with(&self, freq_term: f64) -> f64 {
+        self.cfg.static_power_w + self.cfg.dyn_power_max_w * self.util * freq_term
     }
 
     /// Cumulative instructions retired across the socket.

@@ -322,9 +322,9 @@ mod tests {
 
     #[test]
     fn gpu_util_vec_rejects_oversized_input() {
-        let json = format!("[{}]", vec!["0.5"; MAX_GPUS + 1].join(","));
+        let json = format!("[{}]", ["0.5"; MAX_GPUS + 1].join(","));
         assert!(serde_json::from_str::<GpuUtilVec>(&json).is_err());
-        let ok = format!("[{}]", vec!["0.5"; MAX_GPUS].join(","));
+        let ok = format!("[{}]", ["0.5"; MAX_GPUS].join(","));
         let v: GpuUtilVec = serde_json::from_str(&ok).unwrap();
         assert_eq!(v.len(), MAX_GPUS);
     }

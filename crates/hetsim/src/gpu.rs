@@ -8,10 +8,9 @@
 //! savings shrink in Fig 4c.
 
 use crate::config::GpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// One GPU board.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuDevice {
     cfg: GpuConfig,
     sm_clock_mhz: f64,

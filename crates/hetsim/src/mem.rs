@@ -9,10 +9,9 @@
 //! tasks").
 
 use crate::config::MemoryConfig;
-use serde::{Deserialize, Serialize};
 
 /// One socket's memory channel group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryChannel {
     cfg: MemoryConfig,
     /// Delivered throughput during the last tick (GB/s).
@@ -45,12 +44,12 @@ impl MemoryChannel {
         self.cfg.peak_bw_gbs * (self.cfg.floor_frac + (1.0 - self.cfg.floor_frac) * n)
     }
 
-    /// Advance one tick: deliver `min(demand, cap)` and return the delivered
-    /// throughput (GB/s).
-    pub fn step(&mut self, dt_s: f64, demand_gbs: f64, uncore_norm: f64) -> f64 {
+    /// Advance one tick under bandwidth cap `cap_gbs` (the
+    /// [`MemoryChannel::bw_cap_gbs`] of the uncore clock): deliver
+    /// `min(demand, cap)` and return the delivered throughput (GB/s).
+    pub fn step(&mut self, dt_s: f64, demand_gbs: f64, cap_gbs: f64) -> f64 {
         let demand = demand_gbs.max(0.0);
-        let cap = self.bw_cap_gbs(uncore_norm);
-        let delivered = demand.min(cap);
+        let delivered = demand.min(cap_gbs);
         self.demanded_gbs = demand;
         self.delivered_gbs = delivered;
         self.total_gb += delivered * dt_s;
@@ -75,15 +74,14 @@ impl MemoryChannel {
         self.demanded_gbs
     }
 
-    /// Fraction of the current bandwidth cap in use (0..1); this is the
+    /// Fraction of the bandwidth cap `cap_gbs` in use (0..1); this is the
     /// activity factor fed to the uncore power model.
     #[must_use]
-    pub fn activity(&self, uncore_norm: f64) -> f64 {
-        let cap = self.bw_cap_gbs(uncore_norm);
-        if cap <= 0.0 {
+    pub fn activity(&self, cap_gbs: f64) -> f64 {
+        if cap_gbs <= 0.0 {
             0.0
         } else {
-            (self.delivered_gbs / cap).clamp(0.0, 1.0)
+            (self.delivered_gbs / cap_gbs).clamp(0.0, 1.0)
         }
     }
 
@@ -162,26 +160,28 @@ mod tests {
     #[test]
     fn delivery_respects_cap() {
         let mut m = mem();
-        let delivered = m.step(0.01, 1_000.0, 0.0);
-        assert!((delivered - m.bw_cap_gbs(0.0)).abs() < 1e-9);
-        let delivered = m.step(0.01, 5.0, 0.0);
+        let cap = m.bw_cap_gbs(0.0);
+        let delivered = m.step(0.01, 1_000.0, cap);
+        assert!((delivered - cap).abs() < 1e-9);
+        let delivered = m.step(0.01, 5.0, cap);
         assert!((delivered - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn activity_reflects_cap_usage() {
         let mut m = mem();
-        m.step(0.01, 1_000.0, 1.0);
-        assert!((m.activity(1.0) - 1.0).abs() < 1e-9);
-        m.step(0.01, 0.0, 1.0);
-        assert!(m.activity(1.0).abs() < 1e-9);
+        let cap = m.bw_cap_gbs(1.0);
+        m.step(0.01, 1_000.0, cap);
+        assert!((m.activity(cap) - 1.0).abs() < 1e-9);
+        m.step(0.01, 0.0, cap);
+        assert!(m.activity(cap).abs() < 1e-9);
     }
 
     #[test]
     fn dram_power_scales_with_traffic() {
         let mut m = mem();
         let idle = m.dram_power_w();
-        m.step(0.01, 40.0, 1.0);
+        m.step(0.01, 40.0, m.bw_cap_gbs(1.0));
         assert!(m.dram_power_w() > idle);
         assert!((idle - m.config().dram_base_w).abs() < 1e-9);
     }
@@ -190,7 +190,7 @@ mod tests {
     fn total_gb_accumulates() {
         let mut m = mem();
         for _ in 0..100 {
-            m.step(0.01, 10.0, 1.0);
+            m.step(0.01, 10.0, m.bw_cap_gbs(1.0));
         }
         assert!((m.total_gb() - 10.0).abs() < 1e-9);
     }

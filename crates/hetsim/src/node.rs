@@ -64,21 +64,28 @@ pub struct StepOutcome {
 /// Between *events* — governor sample points (every MSR/PCM access bumps the
 /// node's state epoch), workload phase boundaries (the demand changes), and
 /// power-limit transients (the RAPL walk mutates the frequency cap every
-/// tick until it converges) — the node's feedback state reaches a floating-
-/// point fixed point: DVFS trackers converge, the uncore slew clamps exactly
-/// onto its target, and `last_power` stops changing. From that point on,
-/// every tick adds *bit-identical* increments to the pure accumulators
-/// (energy, counters, traffic, time).
+/// tick until it converges) — the node's feedback state can reach a
+/// floating-point fixed point: the uncore slew clamps exactly onto its
+/// target, the DVFS trackers settle bitwise, and `last_power` stops
+/// changing. From that point on, every tick adds *bit-identical* increments
+/// to the pure accumulators (energy, counters, traffic, time). The core
+/// DVFS tracker settles last: it moves on every tick for tens of ticks
+/// after a utilisation change, so a span usually starts a couple of dozen
+/// reference ticks after its event, and a span shorter than that never
+/// freezes.
 ///
 /// `FastForward` detects the fixed point by comparing bitwise snapshots of
-/// the feedback state across two consecutive ticks. Once two snapshots
-/// match, it captures the per-tick accumulator increments (computed by the
-/// same expressions `step` uses) and *replays* them for subsequent ticks,
-/// skipping the model evaluation entirely — ~a dozen additions instead of
-/// eight `powf` calls and the full governor cascade. Replay is bit-for-bit
-/// identical to per-tick stepping by construction; any event (epoch bump,
-/// demand change, different `dt`) drops back to reference stepping until a
-/// new fixed point is reached.
+/// the feedback state across two consecutive ticks. A tick on which the
+/// first socket's core frequency or the first GPU's SM clock changed bits
+/// cannot match the previous snapshot (both values are in it), so the
+/// snapshot is not even written then; detection restarts on the next tick.
+/// Once two snapshots match, it captures the per-tick accumulator
+/// increments (computed by the same expressions `step` uses) and *replays*
+/// them for subsequent ticks, skipping the model evaluation entirely — ~a
+/// dozen additions instead of the power/bandwidth curves and the full
+/// governor cascade. Replay is bit-for-bit identical to per-tick stepping
+/// by construction; any event (epoch bump, demand change, different `dt`)
+/// drops back to reference stepping until a new fixed point is reached.
 ///
 /// The scratch buffers are allocated once and reused, so the hot loop stays
 /// allocation-free.
@@ -132,6 +139,63 @@ fn demand_bits_eq(a: &Demand, b: &Demand) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// A one-entry memo of a pure curve `f64 -> f64`, keyed on the exact bits
+/// of its input, never on a tolerance. A hit returns the bits that a miss
+/// computed for identical input bits, so a memoised curve is bit-for-bit
+/// the uncached one.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memo(Option<(u64, f64)>);
+
+impl Memo {
+    #[inline]
+    fn eval(&mut self, input: f64, curve: impl FnOnce(f64) -> f64) -> f64 {
+        let key = input.to_bits();
+        match self.0 {
+            Some((k, value)) if k == key => value,
+            _ => {
+                let value = curve(input);
+                self.0 = Some((key, value));
+                value
+            }
+        }
+    }
+}
+
+/// The node's three `powf` curves, one [`Memo`] each, shared by all of
+/// its sockets.
+///
+/// Between governor decisions the uncore clock settles on its target
+/// within a few ticks, and the sockets of a node run the same operating
+/// point, so the inputs repeat tick after tick and socket after socket. Sharing is sound because every
+/// socket is built from the node's one `cpu`/`uncore`/`mem` config: a curve
+/// depends on its input alone. Sockets whose inputs differ simply miss.
+/// The memo is a cache, not simulation state: it is outside the feedback
+/// snapshot, the state epoch and the ledger, and a cold memo steps exactly
+/// like a warm one.
+#[derive(Debug, Clone, Default)]
+struct Curves {
+    bw_cap: Memo,
+    uncore: Memo,
+    core: Memo,
+}
+
+impl Curves {
+    /// [`MemoryChannel::bw_cap_gbs`] at normalised uncore clock `norm`.
+    fn bw_cap_gbs(&mut self, s: &Socket, norm: f64) -> f64 {
+        self.bw_cap.eval(norm, |n| s.mem.bw_cap_gbs(n))
+    }
+
+    /// [`UncoreDomain::freq_term`] at normalised uncore clock `norm`.
+    fn uncore_term(&mut self, s: &Socket, norm: f64) -> f64 {
+        self.uncore.eval(norm, |n| s.uncore.freq_term(n))
+    }
+
+    /// [`CpuComplex::freq_term`] at core frequency `freq_ghz`.
+    fn core_term(&mut self, s: &Socket, freq_ghz: f64) -> f64 {
+        self.core.eval(freq_ghz, |f| s.cpu.freq_term(f))
+    }
+}
+
 /// The simulated heterogeneous node.
 #[derive(Debug, Clone)]
 pub struct Node {
@@ -172,6 +236,8 @@ pub struct Node {
     /// Recording never touches `state_epoch` or feedback state: telemetry
     /// is invisible to the simulation and to the fast path's frozen spans.
     telemetry: Option<Box<NodeTelemetry>>,
+    /// Memoised power/bandwidth curves (a cache, not state; see [`Curves`]).
+    curves: Curves,
 }
 
 impl Node {
@@ -210,6 +276,7 @@ impl Node {
             pcm_reads: 0,
             faults: None,
             telemetry: None,
+            curves: Curves::default(),
         }
     }
 
@@ -419,8 +486,8 @@ impl Node {
         let demand_per_socket = demand.mem_gbs / n_sockets;
         let mut delivered_total = 0.0;
         for socket in &mut self.sockets {
-            let norm = socket.uncore.norm_freq();
-            delivered_total += socket.mem.step(dt_s, demand_per_socket, norm);
+            let cap = self.curves.bw_cap_gbs(socket, socket.uncore.norm_freq());
+            delivered_total += socket.mem.step(dt_s, demand_per_socket, cap);
         }
 
         // 4. Progress under the roofline stall model, serially composed
@@ -472,8 +539,11 @@ impl Node {
         };
         for socket in &self.sockets {
             let norm = socket.uncore.norm_freq();
-            power.core_w += socket.cpu.power_w();
-            power.uncore_w += socket.uncore.power_w(socket.mem.activity(norm));
+            let core_term = self.curves.core_term(socket, socket.cpu.freq_ghz());
+            let activity = socket.mem.activity(self.curves.bw_cap_gbs(socket, norm));
+            let uncore_term = self.curves.uncore_term(socket, norm);
+            power.core_w += socket.cpu.power_w_with(core_term);
+            power.uncore_w += socket.uncore.power_w_with(activity, uncore_term);
             power.dram_w += socket.mem.dram_power_w();
         }
         for gpu in &self.gpus {
@@ -568,7 +638,14 @@ impl Node {
             ff.dt_us = dt_us;
             ff.demand = *demand;
         }
+        let trackers = self.tracker_bits();
         let out = self.step(dt_us, demand);
+        if self.tracker_bits() != trackers {
+            // A tracker moved, so this tick's snapshot cannot equal the
+            // previous one: skip writing and comparing it.
+            ff.prev_valid = false;
+            return out;
+        }
         self.write_feedback_snapshot(&mut ff.cur);
         if ff.prev_valid && ff.cur == ff.prev {
             self.capture_increments(dt_us, demand, out, ff);
@@ -596,6 +673,18 @@ impl Node {
             ticks += 1;
         }
         ticks
+    }
+
+    /// Bits of the two feedback values that settle last: the first socket's
+    /// core DVFS frequency and the first GPU's SM clock (0 for a node
+    /// without one). Both are in the feedback snapshot.
+    fn tracker_bits(&self) -> (u64, u64) {
+        (
+            self.sockets
+                .first()
+                .map_or(0, |s| s.cpu.freq_ghz().to_bits()),
+            self.gpus.first().map_or(0, |g| g.sm_clock_mhz().to_bits()),
+        )
     }
 
     /// Serialise the feedback state — everything `step` *reads* — as raw
@@ -1320,16 +1409,15 @@ mod tests {
         let run = |fast: bool| {
             let mut n = node();
             let mut ff = FastForward::new();
-            let mut do_ticks =
-                |n: &mut Node, demand: &Demand, ticks: usize, ff: &mut FastForward| {
-                    for _ in 0..ticks {
-                        if fast {
-                            n.step_fast(10_000, demand, ff);
-                        } else {
-                            n.step(10_000, demand);
-                        }
+            let do_ticks = |n: &mut Node, demand: &Demand, ticks: usize, ff: &mut FastForward| {
+                for _ in 0..ticks {
+                    if fast {
+                        n.step_fast(10_000, demand, ff);
+                    } else {
+                        n.step(10_000, demand);
                     }
-                };
+                }
+            };
             let busy = busy_demand();
             let memheavy = Demand::new(150.0, 0.7, 0.6, 0.9).with_cpu_frac(0.2);
             do_ticks(&mut n, &busy, 300, &mut ff);
@@ -1450,6 +1538,117 @@ mod tests {
             n.telemetry().unwrap().counters().fastpath_invalidations,
             before
         );
+    }
+
+    /// Inputs that a memo keyed on anything coarser than the exact bits
+    /// would confuse: signed zeros, the clamp bounds, their one-ULP
+    /// neighbours, and values beyond the bounds.
+    fn curve_inputs(bounds: [f64; 2]) -> Vec<f64> {
+        let mut inputs = vec![0.0, -0.0, f64::MIN_POSITIVE, 0.5, -1.0];
+        for b in bounds {
+            inputs.extend([b, b.next_up(), b.next_down(), 2.0 * b]);
+        }
+        inputs
+    }
+
+    #[test]
+    fn curve_memo_matches_uncached_curves_bit_for_bit() {
+        let n = node();
+        let s = &n.sockets()[0];
+        let core_max = s.cpu.config().core_freq_max_ghz;
+        type Memoised = fn(&mut Curves, &Socket, f64) -> f64;
+        type Uncached = fn(&Socket, f64) -> f64;
+        let curves: [(&str, Memoised, Uncached, [f64; 2]); 3] = [
+            (
+                "bw_cap",
+                Curves::bw_cap_gbs,
+                |s, x| s.mem.bw_cap_gbs(x),
+                [0.0, 1.0],
+            ),
+            (
+                "uncore",
+                Curves::uncore_term,
+                |s, x| s.uncore.freq_term(x),
+                [0.0, 1.0],
+            ),
+            (
+                "core",
+                Curves::core_term,
+                |s, x| s.cpu.freq_term(x),
+                [0.0, core_max],
+            ),
+        ];
+        for (name, memoised, uncached, bounds) in curves {
+            let specials = curve_inputs(bounds);
+            let mut rng = SmallRng::seed_from_u64(0x6d656d6f);
+            let mut memo = Curves::default();
+            let mut x = bounds[1];
+            for i in 0..4000 {
+                // Repeat the last input, step it by one ULP, jump to a
+                // special value or draw a fresh one.
+                x = match rng.gen_range(0..=3) {
+                    0 => x,
+                    1 if rng.gen_bool(0.5) => x.next_up(),
+                    1 => x.next_down(),
+                    2 => specials[rng.gen_range(0..=specials.len() - 1)],
+                    _ => rng.gen_range(-0.1..1.1) * bounds[1],
+                };
+                assert_eq!(
+                    memoised(&mut memo, s, x).to_bits(),
+                    uncached(s, x).to_bits(),
+                    "{name}: input {x:e} (step {i})"
+                );
+            }
+        }
+    }
+
+    /// The curve memo is shared by the sockets. With different uncore
+    /// limits on the two packages their bandwidth and uncore inputs differ
+    /// on every tick, and every tick's power must still equal the uncached
+    /// per-socket expressions.
+    #[test]
+    fn shared_curve_memo_serves_sockets_at_different_operating_points() {
+        let mut n = node();
+        let write = |n: &mut Node, limits: [f64; 2]| {
+            for (pkg, ghz) in (0..).zip(limits) {
+                let raw = UncoreRatioLimit::from_ghz(0.8, ghz).encode();
+                n.msr_write(MsrScope::Package(pkg), MSR_UNCORE_RATIO_LIMIT, raw)
+                    .unwrap();
+            }
+        };
+        let busy = busy_demand();
+        let memheavy = Demand::new(150.0, 0.7, 0.6, 0.9).with_cpu_frac(0.2);
+        let bits = |p: &PowerBreakdown| {
+            [p.core_w, p.uncore_w, p.dram_w, p.gpu_w, p.overhead_w].map(f64::to_bits)
+        };
+        write(&mut n, [0.8, 2.2]);
+        for tick in 0..600 {
+            if tick == 300 {
+                write(&mut n, [1.4, 1.8]);
+            }
+            let demand = if tick % 200 < 100 { &busy } else { &memheavy };
+            let out = n.step(10_000, demand);
+            let mut want = PowerBreakdown {
+                overhead_w: out.power.overhead_w,
+                ..PowerBreakdown::default()
+            };
+            for s in n.sockets() {
+                let cap = s.mem.bw_cap_gbs(s.uncore.norm_freq());
+                want.core_w += s.cpu.power_w();
+                want.uncore_w += s.uncore.power_w(s.mem.activity(cap));
+                want.dram_w += s.mem.dram_power_w();
+            }
+            for g in n.gpus() {
+                want.gpu_w += g.power_w();
+            }
+            let [a, b] = [&n.sockets()[0], &n.sockets()[1]];
+            assert_ne!(
+                a.uncore.freq_ghz().to_bits(),
+                b.uncore.freq_ghz().to_bits(),
+                "tick {tick}: sockets share an operating point"
+            );
+            assert_eq!(bits(&out.power), bits(&want), "tick {tick}");
+        }
     }
 
     #[test]

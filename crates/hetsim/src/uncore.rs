@@ -10,10 +10,9 @@
 //! avoid (§3.2).
 
 use crate::config::UncoreConfig;
-use serde::{Deserialize, Serialize};
 
 /// State of one socket's uncore domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UncoreDomain {
     cfg: UncoreConfig,
     /// Physical clock right now (GHz).
@@ -122,9 +121,22 @@ impl UncoreDomain {
     /// uncore wastes power on GPU-dominant workloads (Fig 2).
     #[must_use]
     pub fn power_w(&self, activity: f64) -> f64 {
+        self.power_w_with(activity, self.freq_term(self.norm_freq()))
+    }
+
+    /// The frequency term `norm^exp` of [`UncoreDomain::power_w`] at
+    /// normalised frequency `norm`: a pure function of its input and the
+    /// configuration, so the node may memoise it.
+    pub(crate) fn freq_term(&self, norm: f64) -> f64 {
+        norm.powf(self.cfg.power_exp)
+    }
+
+    /// [`UncoreDomain::power_w`] given the frequency term at the current
+    /// clock.
+    pub(crate) fn power_w_with(&self, activity: f64, freq_term: f64) -> f64 {
         let act = activity.clamp(0.0, 1.0);
         let dynamic = self.cfg.power_span_w
-            * self.norm_freq().powf(self.cfg.power_exp)
+            * freq_term
             * (self.cfg.dyn_static_frac + (1.0 - self.cfg.dyn_static_frac) * act);
         self.cfg.power_min_w + dynamic
     }

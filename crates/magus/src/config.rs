@@ -328,21 +328,31 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_values() {
-        let mut c = MagusConfig::default();
-        c.inc_threshold = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = MagusConfig::default();
-        c.high_freq_threshold = 2.5;
-        assert!(c.validate().is_err());
-        let mut c = MagusConfig::default();
-        c.window_len = 1;
-        assert!(c.validate().is_err());
-        let mut c = MagusConfig::default();
-        c.tune_window_len = 0;
-        assert!(c.validate().is_err());
-        let mut c = MagusConfig::default();
-        c.monitor_interval_us = 0;
-        assert!(c.validate().is_err());
+        let bad = [
+            MagusConfig {
+                inc_threshold: 0.0,
+                ..MagusConfig::default()
+            },
+            MagusConfig {
+                high_freq_threshold: 2.5,
+                ..MagusConfig::default()
+            },
+            MagusConfig {
+                window_len: 1,
+                ..MagusConfig::default()
+            },
+            MagusConfig {
+                tune_window_len: 0,
+                ..MagusConfig::default()
+            },
+            MagusConfig {
+                monitor_interval_us: 0,
+                ..MagusConfig::default()
+            },
+        ];
+        for c in bad {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 
     #[test]

@@ -285,8 +285,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid MagusConfig")]
     fn invalid_config_panics() {
-        let mut cfg = MagusConfig::default();
-        cfg.window_len = 0;
+        let cfg = MagusConfig {
+            window_len: 0,
+            ..MagusConfig::default()
+        };
         let _ = MagusCore::new(cfg);
     }
 

@@ -68,17 +68,26 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_values() {
-        let mut c = UpsConfig::default();
-        c.step_ghz = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = UpsConfig::default();
-        c.dram_delta_frac = 2.0;
-        assert!(c.validate().is_err());
-        let mut c = UpsConfig::default();
-        c.ipc_tolerance = -0.1;
-        assert!(c.validate().is_err());
-        let mut c = UpsConfig::default();
-        c.rest_interval_us = 0;
-        assert!(c.validate().is_err());
+        let bad = [
+            UpsConfig {
+                step_ghz: 0.0,
+                ..UpsConfig::default()
+            },
+            UpsConfig {
+                dram_delta_frac: 2.0,
+                ..UpsConfig::default()
+            },
+            UpsConfig {
+                ipc_tolerance: -0.1,
+                ..UpsConfig::default()
+            },
+            UpsConfig {
+                rest_interval_us: 0,
+                ..UpsConfig::default()
+            },
+        ];
+        for c in bad {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 }

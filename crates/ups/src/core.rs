@@ -184,8 +184,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid UpsConfig")]
     fn invalid_config_panics() {
-        let mut cfg = UpsConfig::default();
-        cfg.step_ghz = -1.0;
+        let cfg = UpsConfig {
+            step_ghz: -1.0,
+            ..UpsConfig::default()
+        };
         let _ = UpsCore::new(cfg, 0.8, 2.2);
     }
 

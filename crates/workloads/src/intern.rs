@@ -142,10 +142,10 @@ mod tests {
     fn synthesis_counter_tracks_interned_keys() {
         // Warm a key twice: the counter and table size must agree, and the
         // second call must not synthesize again.
-        app_trace(AppId::Gemm, Platform::IntelA100);
+        let _ = app_trace(AppId::Gemm, Platform::IntelA100);
         let count = synthesis_count();
         let interned = interned_trace_count() as u64;
-        app_trace(AppId::Gemm, Platform::IntelA100);
+        let _ = app_trace(AppId::Gemm, Platform::IntelA100);
         assert_eq!(synthesis_count(), count, "warm hit must not synthesize");
         assert_eq!(interned_trace_count() as u64, interned);
         assert_eq!(count, interned, "one synthesis per interned key");
