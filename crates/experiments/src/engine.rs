@@ -987,8 +987,9 @@ impl Engine {
     }
 
     /// All buffered decision events as JSON Lines, one event per line:
-    /// `{"trial": ..., "t_us": ..., "kind": ..., "fields": {...}}` — the
-    /// event's own serialization with the trial label prepended.
+    /// `{"trial":…,"t_us":…,"kind":…,"fields":{…}}`, the trial label and
+    /// then the event's [`Event::write_json`] bytes after its `{` (the
+    /// bytes its serde derive would write).
     ///
     /// The rendering is deterministic — trials sort by label, events keep
     /// simulation order, field maps are sorted — so two runs of the same
@@ -1147,7 +1148,7 @@ impl Engine {
     }
 }
 
-/// `trials` in export order, each paired with its events serialized once:
+/// `trials` in export order, each paired with its events written once:
 /// sorted by label, ties broken by the trial's events as one JSON array,
 /// so serial and parallel runs export identically.
 fn export_order(trials: &[TrialEvents]) -> Vec<(&TrialEvents, Vec<String>)> {
@@ -1157,7 +1158,11 @@ fn export_order(trials: &[TrialEvents]) -> Vec<(&TrialEvents, Vec<String>)> {
             let json = t
                 .events
                 .iter()
-                .map(|e| serde_json::to_string(e).expect("event serialises"))
+                .map(|e| {
+                    let mut json = String::new();
+                    e.write_json(&mut json);
+                    json
+                })
                 .collect();
             (t, json)
         })

@@ -275,8 +275,9 @@ fn run_built(spec: &FleetSpec, mut fleet: FleetSim) -> (FleetRun, FleetSim) {
 }
 
 /// Render every node's drained telemetry event stream as one JSONL blob —
-/// one line per event, `{"node":N,` prepended to the event's canonical
-/// serialization (empty for a fleet that was not armed). This byte stream
+/// one line per event, `{"node":N,` and then the event's
+/// [`Event::write_json`](magus_telemetry::Event::write_json) bytes after
+/// its `{` (empty for a fleet that was not armed). This byte stream
 /// is part of the bit-identity contract (identical across shard counts and
 /// stepping modes) and is exactly what the control-plane daemon streams
 /// to subscribers, so the CI system test can `diff` daemon output against
@@ -285,10 +286,14 @@ fn run_built(spec: &FleetSpec, mut fleet: FleetSim) -> (FleetRun, FleetSim) {
 pub fn fleet_telemetry_jsonl(fleet: &mut FleetSim) -> String {
     use std::fmt::Write;
     let mut out = String::new();
+    let mut json = String::new();
     for (node, events) in fleet.take_node_events().into_iter().enumerate() {
         for event in events {
-            let json = serde_json::to_string(&event).expect("event serializes");
-            writeln!(out, "{{\"node\":{node},{}", &json[1..]).expect("string write");
+            json.clear();
+            event.write_json(&mut json);
+            let _ = write!(out, "{{\"node\":{node},");
+            out.push_str(&json[1..]);
+            out.push('\n');
         }
     }
     out

@@ -1513,7 +1513,7 @@ mod tests {
         assert_eq!(rc.fastpath_replayed_ticks, 0);
         // Residency covers every socket-tick exactly once.
         assert_eq!(rc.residency_total_us(), 1300 * 10_000 * 2);
-        let kinds: Vec<&str> = rt.events().iter().map(|e| e.kind.as_str()).collect();
+        let kinds: Vec<&str> = rt.events().iter().map(|e| e.kind.as_ref()).collect();
         assert_eq!(kinds, ["uncore_limit_write", "uncore_limit_write"]);
     }
 

@@ -1,6 +1,7 @@
 //! `Serialize` and `Deserialize` for the standard types the workspace's
 //! serialized types contain, with upstream `serde_json`'s JSON mapping.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -93,6 +94,22 @@ impl<'de> Deserialize<'de> for String {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(s)
+    }
+}
+
+impl<T: Serialize + ToOwned + ?Sized> Serialize for Cow<'_, T> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(s)
+    }
+}
+
+/// Always owned: the value tree has nothing to borrow from.
+impl<'de, T: ToOwned + ?Sized> Deserialize<'de> for Cow<'_, T>
+where
+    T::Owned: Deserialize<'de>,
+{
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        T::Owned::deserialize(d).map(Cow::Owned)
     }
 }
 

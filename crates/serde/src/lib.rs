@@ -89,12 +89,13 @@ pub trait Deserializer<'de>: Sized {
     fn into_value(self) -> Result<Value, Self::Error>;
 }
 
-/// Support code for the derive macros and `serde_json`; not a public API.
+/// Support code for the derive macros, `serde_json` and the telemetry
+/// event writer; not a public API.
 #[doc(hidden)]
 pub mod __private {
     use std::fmt;
 
-    pub use crate::value::{write_compact, write_pretty};
+    pub use crate::value::{write_compact, write_pretty, write_str};
     use crate::{de, ser, Deserialize, Deserializer, Serialize, Serializer};
     pub use crate::{Map, Value};
 

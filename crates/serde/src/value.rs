@@ -162,27 +162,45 @@ impl From<f64> for Value {
     }
 }
 
-/// Append `s` as a JSON string literal.
-fn write_str(out: &mut String, s: &str) {
+/// Each byte's JSON escape: 0 for a byte written as it is, `u` for
+/// `\u00xx`, otherwise the character after the backslash.
+const ESCAPE: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
+    }
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[0x08] = b'b';
+    table[0x0c] = b'f';
+    table
+};
+
+/// Append `s` as a JSON string literal: `"`, `\` and the bytes below
+/// 0x20 escaped (the short form where JSON has one, lowercase `\u00xx`
+/// otherwise), every other byte as it is.
+pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
     let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x08 => "\\b",
-            0x0c => "\\f",
-            0..=0x1f => "",
-            _ => continue,
-        };
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPE[usize::from(b)];
+        if escape == 0 {
+            continue;
+        }
         out.push_str(&s[start..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escape);
+        out.push('\\');
+        out.push(char::from(escape));
+        if escape == b'u' {
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         }
         start = i + 1;
     }

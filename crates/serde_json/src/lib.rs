@@ -421,6 +421,40 @@ mod tests {
     }
 
     #[test]
+    fn strings_escape_exactly_and_read_back() {
+        for b in 0u8..=0x7f {
+            let s = char::from(b).to_string();
+            let escaped = match b {
+                b'"' => r#"\""#.to_string(),
+                b'\\' => r"\\".to_string(),
+                b'\n' => r"\n".to_string(),
+                b'\r' => r"\r".to_string(),
+                b'\t' => r"\t".to_string(),
+                0x08 => r"\b".to_string(),
+                0x0c => r"\f".to_string(),
+                0..=0x1f => format!(r"\u{b:04x}"),
+                // Everything else, `/` and DEL included, is literal.
+                _ => s.clone(),
+            };
+            let text = to_string(&s).unwrap();
+            assert_eq!(text, format!("\"{escaped}\""), "byte {b:#04x}");
+            assert_eq!(from_str::<String>(&text).unwrap(), s, "byte {b:#04x}");
+        }
+        for (s, text) in [
+            ("é", r#""é""#),
+            ("€", r#""€""#),
+            ("😀", r#""😀""#),
+            (
+                "a\"é\\\u{1f}€\n😀/\u{7f}",
+                "\"a\\\"é\\\\\\u001f€\\n😀/\u{7f}\"",
+            ),
+        ] {
+            assert_eq!(to_string(s).unwrap(), text, "{s:?}");
+            assert_eq!(from_str::<String>(text).unwrap(), s, "{s:?}");
+        }
+    }
+
+    #[test]
     fn nesting_is_limited_to_128_levels() {
         let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
         assert!(parse(nested(MAX_DEPTH)).is_ok());

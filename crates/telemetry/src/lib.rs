@@ -20,10 +20,12 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use serde::__private::write_str;
 use serde::{Deserialize, Serialize};
 
 /// Default cap on buffered events per [`EventLog`].
@@ -46,8 +48,31 @@ pub enum FieldValue {
     I64(i64),
     /// Floating-point reading (frequencies, throughputs).
     F64(f64),
-    /// Symbolic value (trend / action names).
-    Str(String),
+    /// Symbolic value (trend / action names): borrowed when built from a
+    /// literal, owned when read back from JSON.
+    Str(Cow<'static, str>),
+}
+
+impl FieldValue {
+    /// Append the value as `serde_json` writes it: integers as they are, a
+    /// finite float as the shortest text that reads back to the same bits
+    /// (`{:?}`), NaN and the infinities as `null`, a string escaped.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Self::U64(u) => {
+                let _ = write!(out, "{u}");
+            }
+            Self::I64(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Self::F64(x) if x.is_finite() => {
+                let _ = write!(out, "{x:?}");
+            }
+            Self::F64(_) => out.push_str("null"),
+            Self::Str(s) => write_str(out, s),
+        }
+    }
 }
 
 impl From<bool> for FieldValue {
@@ -74,15 +99,15 @@ impl From<f64> for FieldValue {
     }
 }
 
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        Self::Str(v.to_string())
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        Self::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
-        Self::Str(v)
+        Self::Str(Cow::Owned(v))
     }
 }
 
@@ -91,32 +116,58 @@ impl From<String> for FieldValue {
 /// `t_us` is **simulation time** — never wall clock — so identical runs
 /// emit identical events. Fields are a sorted map, which makes the JSON
 /// serialization canonical (key order never depends on insertion order).
+///
+/// The kind, the field names and string values are `Cow<'static, str>`:
+/// borrowed from the literals emitters pass to [`Event::new`] and
+/// [`Event::with`], so building an event allocates only its field map,
+/// and owned when an event is read back from JSON (the result cache).
+/// [`Event::write_json`] renders the JSONL form; the serde derive serves
+/// the documents that embed events (cache entries, `run --json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Simulation timestamp (µs since node construction).
     pub t_us: u64,
     /// Event kind (e.g. `magus_decision`, `uncore_limit_write`).
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// Event payload, sorted by field name.
-    pub fields: BTreeMap<String, FieldValue>,
+    pub fields: BTreeMap<Cow<'static, str>, FieldValue>,
 }
 
 impl Event {
     /// New event of `kind` at simulation time `t_us` with no fields.
     #[must_use]
-    pub fn new(t_us: u64, kind: &str) -> Self {
+    pub fn new(t_us: u64, kind: &'static str) -> Self {
         Self {
             t_us,
-            kind: kind.to_string(),
+            kind: Cow::Borrowed(kind),
             fields: BTreeMap::new(),
         }
     }
 
     /// Builder-style field append.
     #[must_use]
-    pub fn with(mut self, name: &str, value: impl Into<FieldValue>) -> Self {
-        self.fields.insert(name.to_string(), value.into());
+    pub fn with(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
+        self.fields.insert(Cow::Borrowed(name), value.into());
         self
+    }
+
+    /// Append the event as one compact JSON object: exactly the bytes
+    /// `serde_json::to_string(self)` gives (`{"t_us":…,"kind":…,"fields":{…}}`,
+    /// fields in name order), written straight from the event rather than
+    /// through a value tree. The JSONL renderers use it.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"t_us\":{},\"kind\":", self.t_us);
+        write_str(out, &self.kind);
+        out.push_str(",\"fields\":{");
+        for (i, (name, value)) in self.fields.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(out, name);
+            out.push(':');
+            value.write_json(out);
+        }
+        out.push_str("}}");
     }
 }
 
@@ -521,6 +572,106 @@ mod tests {
             back.fields.get("sample_mbs"),
             Some(&FieldValue::F64(12_345.5))
         );
+    }
+
+    /// splitmix64: a seeded stream of well-mixed words.
+    fn next_u64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A string with quotes, backslashes, every control byte, DEL and
+    /// multi-byte UTF-8 in reach.
+    fn random_string(state: &mut u64) -> String {
+        const ODD: [char; 8] = ['"', '\\', '/', '\u{7f}', 'é', '€', '😀', ' '];
+        let len = next_u64(state) % 12;
+        (0..len)
+            .map(|_| match next_u64(state) % 4 {
+                0 => char::from((next_u64(state) % 0x20) as u8),
+                1 => ODD[(next_u64(state) % 8) as usize],
+                _ => char::from(b'a' + (next_u64(state) % 26) as u8),
+            })
+            .collect()
+    }
+
+    fn random_value(state: &mut u64) -> FieldValue {
+        let bits = next_u64(state);
+        match next_u64(state) % 5 {
+            0 => FieldValue::Bool(bits & 1 == 1),
+            1 => FieldValue::U64(bits >> (bits % 64)),
+            2 => FieldValue::I64((bits as i64) >> (bits % 64)),
+            // Raw bit patterns: every exponent, subnormals, NaN, ±∞.
+            3 => FieldValue::F64(f64::from_bits(bits)),
+            _ => FieldValue::from(random_string(state)),
+        }
+    }
+
+    /// `write_json` appends exactly the derive's `serde_json` bytes.
+    fn assert_writer_matches_derive(event: &Event) {
+        const PREFIX: &str = "{\"node\":0,";
+        let mut out = String::from(PREFIX);
+        event.write_json(&mut out);
+        let derived = serde_json::to_string(event).expect("serialize");
+        assert_eq!(&out[PREFIX.len()..], derived, "{event:?}");
+    }
+
+    #[test]
+    fn event_writer_matches_the_serde_derive() {
+        let nasty: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/\u{7f}é€😀".chars())
+            .collect();
+        let mut owned = Event {
+            t_us: u64::MAX,
+            kind: Cow::Owned(format!("kind{nasty}")),
+            fields: BTreeMap::new(),
+        };
+        owned
+            .fields
+            .insert(Cow::Owned(nasty.clone()), FieldValue::from(nasty.clone()));
+        owned
+            .fields
+            .insert(Cow::Owned("plain".into()), FieldValue::from("static"));
+        let edges = Event::new(0, "edges")
+            .with("f_zero", 0.0)
+            .with("f_neg_zero", -0.0)
+            .with("f_subnormal", 5e-324)
+            .with("f_max", f64::MAX)
+            .with("f_1e16", 1e16)
+            .with("f_1e-7", 1e-7)
+            .with("f_nan", f64::NAN)
+            .with("f_inf", f64::INFINITY)
+            .with("f_neg_inf", f64::NEG_INFINITY)
+            .with("u_zero", 0u64)
+            .with("u_max", u64::MAX)
+            .with("i_min", i64::MIN)
+            .with("i_minus_one", -1i64)
+            .with("i_max", i64::MAX)
+            .with("flag", true);
+        for event in [Event::new(7, "empty"), owned, edges] {
+            assert_writer_matches_derive(&event);
+        }
+        let json = serde_json::to_string(&Event::new(1, "x").with("n", f64::NAN)).unwrap();
+        assert_eq!(json, r#"{"t_us":1,"kind":"x","fields":{"n":null}}"#);
+
+        for case in 0..2_000u64 {
+            let mut state = case;
+            let mut event = Event {
+                t_us: next_u64(&mut state),
+                kind: Cow::Owned(random_string(&mut state)),
+                fields: BTreeMap::new(),
+            };
+            for _ in 0..next_u64(&mut state) % 8 {
+                let value = random_value(&mut state);
+                event
+                    .fields
+                    .insert(Cow::Owned(random_string(&mut state)), value);
+            }
+            assert_writer_matches_derive(&event);
+        }
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! `telemetry-regression` job. Each test is a telemetry reader, so it arms
 //! the trials it inspects.
 
+use std::path::{Path, PathBuf};
+
 use magus_suite::experiments::drivers::{MagusDriver, RuntimeDriver, UpsDriver};
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
+use magus_suite::experiments::fleet::{run_fleet_with_telemetry, FleetSpec};
 use magus_suite::experiments::harness::{SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
+use magus_suite::hetsim::FaultPlan;
 use magus_suite::telemetry::Event;
+use magus_suite::workloads::io::load_traffic_spec;
 use magus_suite::workloads::AppId;
 
 fn events_json(r: &TrialResult) -> String {
@@ -31,7 +36,7 @@ fn repeated_trials_emit_byte_identical_event_streams() {
     let b = run();
     assert!(!a.events.is_empty());
     assert_eq!(events_json(&a), events_json(&b));
-    let kinds: Vec<&str> = a.events.iter().map(|e| e.kind.as_str()).collect();
+    let kinds: Vec<&str> = a.events.iter().map(|e| e.kind.as_ref()).collect();
     assert!(kinds.contains(&"magus_decision"), "{kinds:?}");
     assert!(kinds.contains(&"uncore_limit_write"), "{kinds:?}");
     assert_eq!(a.node_telemetry, b.node_telemetry);
@@ -202,4 +207,78 @@ fn write_telemetry_emits_parseable_jsonl_and_prometheus_text() {
         "{prom}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/telemetry")
+        .join(name)
+}
+
+/// Compare `actual` with the committed golden `name` byte for byte,
+/// naming the first line that differs.
+fn assert_matches_golden(name: &str, actual: &str) {
+    let golden = std::fs::read_to_string(fixture(name)).expect("golden fixture");
+    if actual == golden {
+        return;
+    }
+    // The first differing line, or the first line only one side has.
+    let line = golden
+        .lines()
+        .zip(actual.lines())
+        .position(|(want, got)| want != got)
+        .unwrap_or_else(|| golden.lines().count().min(actual.lines().count()));
+    let want = golden.lines().nth(line).unwrap_or("<end of file>");
+    let got = actual.lines().nth(line).unwrap_or("<end of file>");
+    panic!(
+        "{name}: {} bytes / {} lines rendered, golden has {} bytes / {} lines; \
+         first difference at line {}:\n golden: {want}\n actual: {got}",
+        actual.len(),
+        actual.lines().count(),
+        golden.len(),
+        golden.lines().count(),
+        line + 1,
+    );
+}
+
+/// Telemetry bytes stay what the committed goldens under
+/// `tests/fixtures/telemetry/` say, across versions, not just across two
+/// renderings by one build. They cover both line prefixes (`{"trial":…,`
+/// and `{"node":…,`), every fault event kind the plan fires,
+/// `magus_degraded` with its `reason` string, and `ups_decision`. With
+/// `P` = `faults.json` and `T` = `traffic.json` from that directory, the
+/// goldens are the `--telemetry` output of:
+///
+/// ```text
+/// magus --no-cache --faults P --telemetry srad_magus_faulted.jsonl run --app srad --runtime magus
+/// magus --no-cache --faults P --telemetry srad_ups_faulted.jsonl run --app srad --runtime ups
+/// magus fleet --nodes 2 --runtime magus --budget 10 --shards 2 --traffic T \
+///     --telemetry fleet_traffic.jsonl
+/// ```
+///
+/// A change that means to alter these bytes regenerates the fixtures with
+/// those commands and says why in its change notes.
+#[test]
+fn telemetry_jsonl_matches_the_committed_goldens() {
+    let plan: FaultPlan =
+        serde_json::from_str(&std::fs::read_to_string(fixture("faults.json")).unwrap())
+            .expect("fault plan");
+    for (governor, golden) in [
+        (GovernorSpec::magus_default(), "srad_magus_faulted.jsonl"),
+        (GovernorSpec::ups_default(), "srad_ups_faulted.jsonl"),
+    ] {
+        let engine = Engine::ephemeral().with_faults(plan).with_telemetry();
+        let _ = engine.run(&TrialSpec::new(SystemId::IntelA100, AppId::Srad, governor));
+        assert_matches_golden(golden, &engine.telemetry_jsonl());
+    }
+
+    let traffic = load_traffic_spec(&fixture("traffic.json")).expect("traffic spec");
+    let spec = FleetSpec {
+        max_s: 10.0,
+        shards: 2,
+        ..FleetSpec::new(GovernorSpec::magus_default(), 2)
+    }
+    .with_traffic(traffic);
+    let (_, jsonl) = run_fleet_with_telemetry(&spec);
+    assert_matches_golden("fleet_traffic.jsonl", &jsonl);
 }
