@@ -9,10 +9,11 @@
 
 use magus_hetsim::Simulation;
 use magus_hsmp::{transact, FabricPstateTable, HsmpMessage};
-use magus_pcm::{NodeThroughputProbe, ThroughputSource};
 use magus_runtime::{MagusConfig, MagusCore, Telemetry, UncoreLevel};
 
-use crate::drivers::{magus_decision_event, push_event, RuntimeDriver};
+use crate::drivers::{
+    magus_decision_event, push_event, sample_mbs, with_invocation_latency, RuntimeDriver,
+};
 
 /// MAGUS bound to an AMD node through the HSMP mailbox.
 #[derive(Debug)]
@@ -20,7 +21,6 @@ pub struct HsmpMagusDriver {
     core: MagusCore,
     table: FabricPstateTable,
     last_pstate: Option<u8>,
-    last_sample_mbs: f64,
     monitor_only: bool,
 }
 
@@ -33,7 +33,6 @@ impl HsmpMagusDriver {
             core: MagusCore::new(cfg),
             table,
             last_pstate: None,
-            last_sample_mbs: 0.0,
             monitor_only: false,
         }
     }
@@ -80,26 +79,26 @@ impl RuntimeDriver for HsmpMagusDriver {
     }
 
     fn on_decision(&mut self, sim: &mut Simulation) -> u64 {
-        let _ = sim.node_mut().ledger_mut().drain();
-        let sample = {
-            let mut probe = NodeThroughputProbe::new(sim.node_mut());
-            probe.sample_mbs().unwrap_or(self.last_sample_mbs)
-        };
-        self.last_sample_mbs = sample;
-        let action = self.core.on_sample(sample);
-        match action.target() {
-            Some(UncoreLevel::Upper) => self.set_pstate(sim, 0),
-            Some(UncoreLevel::Lower) => self.set_pstate(sim, (self.table.len() - 1) as u8),
-            None => {}
-        }
-        // Same decision-event taxonomy as the Intel driver; only the
-        // actuation path differs, and that is visible as `hsmp` here.
-        if let Some(rec) = self.core.last_record() {
-            push_event(sim, |t_us| {
-                magus_decision_event(t_us, rec).with("actuation", "hsmp")
-            });
-        }
-        sim.node_mut().ledger_mut().drain().latency_us.round() as u64
+        with_invocation_latency(sim, |sim| {
+            // The Intel driver's sample step: a dropout holds the previous
+            // decision.
+            let Some(sample) = sample_mbs(sim) else {
+                return;
+            };
+            let action = self.core.on_sample(sample);
+            match action.target() {
+                Some(UncoreLevel::Upper) => self.set_pstate(sim, 0),
+                Some(UncoreLevel::Lower) => self.set_pstate(sim, (self.table.len() - 1) as u8),
+                None => {}
+            }
+            // Same decision-event taxonomy as the Intel driver; only the
+            // actuation path differs, and that is visible as `hsmp` here.
+            if let Some(rec) = self.core.last_record() {
+                push_event(sim, |t_us| {
+                    magus_decision_event(t_us, rec).with("actuation", "hsmp")
+                });
+            }
+        })
     }
 
     fn rest_interval_us(&self) -> u64 {
@@ -204,6 +203,26 @@ mod tests {
             (min - 1.6).abs() < 1e-6,
             "fabric moved in monitor-only: {min}"
         );
+    }
+
+    #[test]
+    fn pcm_dropouts_hold_the_previous_decision() {
+        let plan = magus_hetsim::FaultPlan::builder()
+            .pcm_dropout_every(2)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::new(magus_hetsim::Node::new(magus_hsmp::amd_epyc_mi210()));
+        sim.node_mut().set_fault_plan(plan);
+        let mut driver = HsmpMagusDriver::with_defaults();
+        driver.attach(&mut sim);
+        for _ in 0..10 {
+            sim.step();
+        }
+        // One PCM read per decision: read 1 lands, read 2 drops out and
+        // never reaches the core.
+        driver.on_decision(&mut sim);
+        driver.on_decision(&mut sim);
+        assert_eq!(driver.telemetry().cycles, 1);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use magus_hetsim::governor::UncoreSetter;
 use magus_hetsim::Simulation;
 use magus_msr::MsrError;
-use magus_pcm::{NodeThroughputProbe, ThroughputSource};
 use magus_runtime::{DecisionRecord, MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
 use magus_telemetry::Event;
 use magus_ups::{UpsConfig, UpsCore, UpsSampler};
@@ -85,9 +84,29 @@ pub trait RuntimeDriver {
     }
 }
 
+/// One MAGUS sample: socket memory throughput over the PCM window, in
+/// MB/s (the scale of the paper's thresholds). An injected dropout (the
+/// node's `FaultPlan.pcm`) gives `None` and a `magus_degraded` event with
+/// `reason = "sample"`: the caller holds its previous decision rather than
+/// feed the detector a fabricated sample (DESIGN §8).
+pub(crate) fn sample_mbs(sim: &mut Simulation) -> Option<f64> {
+    match sim.node_mut().pcm_try_read_gbs() {
+        Ok(gbs) => Some(gbs * 1000.0),
+        Err(_) => {
+            push_event(sim, |t_us| {
+                Event::new(t_us, "magus_degraded").with("reason", "sample")
+            });
+            None
+        }
+    }
+}
+
 /// Measure an invocation's latency from the cost ledger: the latency of
 /// every monitoring access charged during `f`.
-fn with_invocation_latency(sim: &mut Simulation, f: impl FnOnce(&mut Simulation)) -> u64 {
+pub(crate) fn with_invocation_latency(
+    sim: &mut Simulation,
+    f: impl FnOnce(&mut Simulation),
+) -> u64 {
     // Drain whatever cost is pending so we only see this invocation's.
     let _ = sim.node_mut().ledger_mut().drain();
     f(sim);
@@ -259,21 +278,9 @@ impl RuntimeDriver for MagusDriver {
 
     fn on_decision(&mut self, sim: &mut Simulation) -> u64 {
         with_invocation_latency(sim, |sim| {
-            let sample = {
-                let mut probe = NodeThroughputProbe::new(sim.node_mut());
-                probe.sample_mbs()
-            };
-            let sample = match sample {
-                Ok(mbs) => mbs,
-                Err(_) => {
-                    // Injected PCM dropout: hold the previous decision —
-                    // don't feed the phase detector a fabricated sample.
-                    self.degraded += 1;
-                    push_event(sim, |t_us| {
-                        Event::new(t_us, "magus_degraded").with("reason", "sample")
-                    });
-                    return;
-                }
+            let Some(sample) = sample_mbs(sim) else {
+                self.degraded += 1;
+                return;
             };
             let action = self.core.on_sample(sample);
             self.apply(sim, action);
@@ -436,6 +443,42 @@ mod tests {
         }
         assert!((s.node().sockets()[0].uncore.freq_ghz() - 0.8).abs() < 1e-9);
         assert_eq!(d.name(), "fixed-0.8GHz");
+    }
+
+    #[test]
+    fn sample_mbs_reads_the_pcm_window_in_mbs() {
+        let mut s = sim();
+        let demand = magus_hetsim::Demand::new(20.0, 0.4, 0.2, 0.6);
+        for _ in 0..50 {
+            s.node_mut().step(10_000, &demand);
+        }
+        let mbs = sample_mbs(&mut s).expect("no fault plan, no dropout");
+        assert!((mbs - 20_000.0).abs() < 2_000.0, "mbs = {mbs}");
+        // One read, charged the whole 100 ms measurement window.
+        assert_eq!(s.node().ledger().reads(), 1);
+        assert!(s.node().ledger().pending().latency_us >= 100_000.0);
+    }
+
+    #[test]
+    fn a_dropped_sample_is_none_and_a_degraded_event() {
+        let plan = magus_hetsim::FaultPlan::builder()
+            .pcm_dropout_every(1)
+            .build()
+            .unwrap();
+        let mut s = sim();
+        s.node_mut().arm_telemetry();
+        s.node_mut().set_fault_plan(plan);
+        assert_eq!(sample_mbs(&mut s), None);
+        let events = s.node().telemetry().expect("armed").events();
+        let degraded: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == "magus_degraded")
+            .map(|e| e.fields.get("reason"))
+            .collect();
+        assert_eq!(
+            degraded,
+            [Some(&magus_telemetry::FieldValue::Str("sample".into()))]
+        );
     }
 
     #[test]

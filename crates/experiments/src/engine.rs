@@ -75,7 +75,11 @@ use crate::harness::{SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
 /// deadline/tenant-energy fields, so pre-traffic cache entries must miss.
 /// Traffic trials hash only the *generator parameters* (the spec's serde
 /// form); the synthesized trace is recomputed on demand and never hashed.
-pub const ENGINE_SALT: &str = concat!("magus-engine/v5/", env!("CARGO_PKG_VERSION"));
+///
+/// v6: on a PCM dropout the HSMP MAGUS driver holds its previous decision,
+/// as the Intel driver does, instead of feeding the detector its previous
+/// sample, so faulted HSMP trials change under an unchanged spec.
+pub const ENGINE_SALT: &str = concat!("magus-engine/v6/", env!("CARGO_PKG_VERSION"));
 
 /// The governor driving a trial — the single runtime selector shared by
 /// the CLI parser, the drivers, and every experiment path (one conversion

@@ -111,26 +111,6 @@ impl MsrFaults {
     }
 }
 
-/// Faults on the power meters (RAPL / NVML analogues in `magus-powermon`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[serde(default)]
-pub struct MeterFaults {
-    /// Quantize RAPL joule deltas to multiples of this step (0 = off);
-    /// models coarse energy-counter units.
-    pub rapl_quantum_j: f64,
-    /// Quantize NVML board-power readings to multiples of this step (0 =
-    /// off); models the driver's milliwatt→watt rounding.
-    pub gpu_power_quantum_w: f64,
-}
-
-impl MeterFaults {
-    /// True when no meter fault is configured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rapl_quantum_j == 0.0 && self.gpu_power_quantum_w == 0.0
-    }
-}
-
 /// Fleet-level node failures (consumed by `FleetSim`).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 #[serde(default)]
@@ -167,8 +147,6 @@ pub struct FaultPlan {
     pub pcm: PcmFaults,
     /// MSR actuation faults.
     pub msr: MsrFaults,
-    /// Power-meter faults.
-    pub meter: MeterFaults,
     /// Fleet-level node failures.
     pub fleet: FleetFaults,
 }
@@ -184,7 +162,7 @@ impl FaultPlan {
     /// to a node: runs are bit-identical to having no plan at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pcm.is_empty() && self.msr.is_empty() && self.meter.is_empty() && self.fleet.is_empty()
+        self.pcm.is_empty() && self.msr.is_empty() && self.fleet.is_empty()
     }
 
     /// Re-check the builder invariants on an already-constructed plan
@@ -215,8 +193,6 @@ impl FaultPlan {
         period("fleet.crash_every", self.fleet.crash_every)?;
         non_negative("pcm.extra_noise_rel", self.pcm.extra_noise_rel)?;
         non_negative("pcm.spike_magnitude_rel", self.pcm.spike_magnitude_rel)?;
-        non_negative("meter.rapl_quantum_j", self.meter.rapl_quantum_j)?;
-        non_negative("meter.gpu_power_quantum_w", self.meter.gpu_power_quantum_w)?;
         if self.pcm.spike_every.is_some() && self.pcm.spike_magnitude_rel == 0.0 {
             return Err(FaultPlanError::ZeroMagnitude {
                 field: "pcm.spike_magnitude_rel",
@@ -343,20 +319,6 @@ impl FaultPlanBuilder {
     #[must_use]
     pub fn actuation_delay_us(mut self, us: u64) -> Self {
         self.plan.msr.actuation_delay_us = us;
-        self
-    }
-
-    /// Quantize RAPL joule deltas to multiples of `quantum_j`.
-    #[must_use]
-    pub fn rapl_quantum_j(mut self, quantum_j: f64) -> Self {
-        self.plan.meter.rapl_quantum_j = quantum_j;
-        self
-    }
-
-    /// Quantize NVML board-power readings to multiples of `quantum_w`.
-    #[must_use]
-    pub fn gpu_power_quantum_w(mut self, quantum_w: f64) -> Self {
-        self.plan.meter.gpu_power_quantum_w = quantum_w;
         self
     }
 
@@ -521,8 +483,6 @@ mod tests {
             .pcm_spike(11, 0.4)
             .uncore_write_fail_every(3)
             .actuation_delay_us(25_000)
-            .rapl_quantum_j(0.25)
-            .gpu_power_quantum_w(1.0)
             .fleet_stall(4, 50_000)
             .fleet_crash(8, 2_000_000)
             .build()

@@ -369,7 +369,7 @@ impl FleetBuilder {
     }
 
     /// Arm fault injection for the whole fleet: every node gets the
-    /// node-level portion of the plan (sensor/actuator/meter faults, same
+    /// node-level portion of the plan (sensor/actuator faults, same
     /// seed on every node — deterministic), and the fleet loop gets the
     /// fleet-level schedules. Nodes are selected by 1-based *global* index:
     /// with `crash_every = Some(k)`, nodes k, 2k, ... crash at

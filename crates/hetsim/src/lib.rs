@@ -29,8 +29,8 @@
 //!
 //! Sensors and actuators can be made to misbehave on purpose: a seeded
 //! [`fault::FaultPlan`] injects PCM dropouts/stale reads/spikes, transient
-//! or delayed uncore MSR writes, meter quantization, and fleet-level node
-//! failures — deterministically, and at zero cost when no plan is attached.
+//! or delayed uncore MSR writes, and fleet-level node failures —
+//! deterministically, and at zero cost when no plan is attached.
 
 pub mod config;
 pub mod cpu;

@@ -223,9 +223,7 @@ pub struct Node {
     pcm_noise_rel: f64,
     /// Absolute 1-sigma noise floor on PCM readings (GB/s).
     pcm_noise_abs_gbs: f64,
-    /// When `Some(n)`, every `n`-th PCM read reports a dropout (0 GB/s) —
-    /// failure injection for runtime robustness tests.
-    pcm_dropout_every: Option<u64>,
+    /// PCM reads so far (drives the fault plan's `every`-N PCM schedules).
     pcm_reads: u64,
     /// Active fault-injection state ([`crate::fault::FaultPlan`]). `None`
     /// unless a non-empty plan was attached: the clean-run cost of the
@@ -272,7 +270,6 @@ impl Node {
             noise,
             pcm_noise_rel: 0.01,
             pcm_noise_abs_gbs: 0.15,
-            pcm_dropout_every: None,
             pcm_reads: 0,
             faults: None,
             telemetry: None,
@@ -355,12 +352,6 @@ impl Node {
     /// frozen spans.
     pub fn telemetry_mut(&mut self) -> Option<&mut NodeTelemetry> {
         self.telemetry.as_deref_mut()
-    }
-
-    /// Enable PCM dropout injection: every `n`-th read returns 0 GB/s.
-    /// Pass 0 to disable.
-    pub fn set_pcm_dropout_every(&mut self, n: u64) {
-        self.pcm_dropout_every = if n == 0 { None } else { Some(n) };
     }
 
     /// Attach a fault-injection plan. An empty plan detaches entirely
@@ -963,11 +954,6 @@ impl Node {
         let energy_uj = self.cfg.pcm_daemon_power_w * window_us as f64; // W·µs = µJ
         self.charge_monitoring(AccessCost::new(window_us as f64, energy_uj), false);
         self.pcm_reads += 1;
-        if let Some(n) = self.pcm_dropout_every {
-            if self.pcm_reads.is_multiple_of(n) {
-                return Ok(0.0);
-            }
-        }
         let since = self.time_us.saturating_sub(window_us);
         let mut sum = 0.0;
         let mut count = 0u64;
@@ -1182,20 +1168,6 @@ mod tests {
         }
         let reading = n.pcm_read_gbs();
         assert!((reading - 30.0).abs() < 3.0, "reading = {reading}");
-    }
-
-    #[test]
-    fn pcm_dropout_injection() {
-        let mut n = node();
-        let demand = Demand::new(30.0, 0.5, 0.2, 0.5);
-        for _ in 0..50 {
-            n.step(10_000, &demand);
-        }
-        n.set_pcm_dropout_every(2);
-        let first = n.pcm_read_gbs();
-        let second = n.pcm_read_gbs();
-        assert!(first > 0.0);
-        assert_eq!(second, 0.0);
     }
 
     #[test]

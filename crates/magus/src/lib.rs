@@ -16,29 +16,26 @@
 //!    maximum to protect performance instead of thrashing.
 //!
 //! [`mdfs::MagusCore`] composes the two into the paper's Algorithm 3
-//! (Memory-throughput-based Dynamic Frequency Scaling). The core is pure
-//! decision logic — feed it samples, get actions — so it is trivially
-//! testable and portable. [`daemon::MagusDaemon`] binds it to a
-//! [`ThroughputSource`](magus_pcm::ThroughputSource) and an
-//! [`actuate::UncoreActuator`] for deployment; the
-//! experiment harness drives the same core against the simulated node.
+//! (Memory-throughput-based Dynamic Frequency Scaling) over a
+//! [`window::SampleWindow`] of recent samples. The core is pure decision
+//! logic — feed it samples, get actions — so it is trivially testable and
+//! portable; the experiment harness's drivers sample the simulated node,
+//! feed the core and actuate its decisions.
 //!
 //! Default thresholds (paper §3.3): `inc_threshold = 200` MB/s·interval,
 //! `dec_threshold = 500` MB/s·interval, `high_freq_threshold = 0.4`,
 //! monitoring every 0.2 s with ~0.1 s per invocation.
 
-pub mod actuate;
 pub mod config;
-pub mod daemon;
 pub mod highfreq;
 pub mod mdfs;
 pub mod predict;
 pub mod telemetry;
+pub mod window;
 
-pub use actuate::{ActuateError, MsrUncoreActuator, UncoreActuator};
 pub use config::{ConfigError, MagusConfig, MagusConfigBuilder};
-pub use daemon::MagusDaemon;
 pub use highfreq::HighFreqDetector;
 pub use mdfs::{MagusAction, MagusCore, UncoreLevel};
 pub use predict::{predict_trend, Trend};
 pub use telemetry::{DecisionRecord, Telemetry};
+pub use window::SampleWindow;

@@ -20,13 +20,13 @@
 //! warm-up are therefore served at the idle frequency — the §6.3
 //! explanation for the low Jaccard scores of init-heavy applications.
 
-use magus_pcm::SampleWindow;
 use serde::{Deserialize, Serialize};
 
 use crate::config::MagusConfig;
 use crate::highfreq::HighFreqDetector;
 use crate::predict::{predict_trend, Trend};
 use crate::telemetry::{DecisionRecord, Telemetry};
+use crate::window::SampleWindow;
 
 /// Logical uncore level MAGUS drives between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -10,8 +10,9 @@
 //!   magnitude, 500; the comparison is against its negation.)
 //! * otherwise → hold, avoiding needless transitions ([`Trend::Stable`]).
 
-use magus_pcm::SampleWindow;
 use serde::{Deserialize, Serialize};
+
+use crate::window::SampleWindow;
 
 /// Outcome of one trend prediction (Algorithm 1's {1, −1, 0}).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -6,12 +6,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed-capacity FIFO window of throughput samples (MB/s).
 ///
 /// ```
-/// use magus_pcm::SampleWindow;
+/// use magus_runtime::SampleWindow;
 ///
 /// let mut w = SampleWindow::new(3);
 /// for v in [1_000.0, 5_000.0, 9_000.0] {
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// w.push(9_000.0); // evicts the oldest
 /// assert_eq!(w.oldest(), Some(5_000.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleWindow {
     capacity: usize,
     samples: VecDeque<f64>,

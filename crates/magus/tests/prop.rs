@@ -2,8 +2,9 @@
 //! `CASES` seeded cases, and every failure names the case seed that
 //! produced it.
 
-use magus_pcm::SampleWindow;
-use magus_runtime::{predict_trend, HighFreqDetector, MagusAction, MagusConfig, MagusCore, Trend};
+use magus_runtime::{
+    predict_trend, HighFreqDetector, MagusAction, MagusConfig, MagusCore, SampleWindow, Trend,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -66,9 +66,8 @@ impl core::ops::AddAssign for AccessCost {
 
 /// Running ledger of accesses and their aggregate cost.
 ///
-/// Every [`MsrDevice`](crate::device::MsrDevice) implementation keeps one of
-/// these; monitors drain it into the simulator (or a report) with
-/// [`CostLedger::drain`].
+/// The node simulator keeps one of these; the experiment drivers drain it
+/// per decision with [`CostLedger::drain`] to time each invocation.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CostLedger {
     reads: u64,

@@ -5,9 +5,7 @@
 //! crates for full documentation:
 //!
 //! * [`hetsim`] — the heterogeneous node simulator substrate.
-//! * [`msr`] — MSR encodings and device abstraction.
-//! * [`pcm`] — memory-throughput monitoring.
-//! * [`powermon`] — RAPL/NVML-style power monitoring.
+//! * [`msr`] — MSR encodings, scopes and access costs.
 //! * [`workloads`] — the evaluated application suite as phase traces.
 //! * [`runtime`] — the MAGUS uncore-scaling runtime itself.
 //! * [`ups`] — the UPScavenger baseline.
@@ -16,14 +14,11 @@
 //! * [`ctl`] — the fleet control plane: daemon, wire protocol, client.
 
 pub mod cli;
-pub mod shared;
 
 pub use magus_ctl as ctl;
 pub use magus_experiments as experiments;
 pub use magus_hetsim as hetsim;
 pub use magus_msr as msr;
-pub use magus_pcm as pcm;
-pub use magus_powermon as powermon;
 pub use magus_runtime as runtime;
 pub use magus_telemetry as telemetry;
 pub use magus_ups as ups;

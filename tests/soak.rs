@@ -7,46 +7,59 @@
 
 use magus_suite::experiments::drivers::{MagusDriver, RuntimeDriver};
 use magus_suite::hetsim::{Demand, Node, NodeConfig, Simulation};
-use magus_suite::msr::{MsrScope, RaplPowerUnit, MSR_PKG_ENERGY_STATUS};
-use magus_suite::powermon::RaplReader;
+use magus_suite::msr::regs::energy_counter_delta;
+use magus_suite::msr::{MsrScope, RaplPowerUnit, MSR_PKG_ENERGY_STATUS, MSR_RAPL_POWER_UNIT};
 use magus_suite::workloads::spec::{Segment, UtilSpec, WorkloadSpec};
 
 /// Drive the node until its package energy counter wraps (2^32 counts at
-/// 1/16384 J = 262144 J ≈ 26 simulated minutes at ~170 W) and verify the
-/// differentiated power stays sane across the boundary.
+/// 1/16384 J = 262144 J ≈ 26 simulated minutes at ~170 W) and verify that
+/// package power differenced from the counters modulo 2^32 — as
+/// `UpsSampler` does for DRAM — stays sane across the boundary.
 #[test]
 fn rapl_reader_survives_counter_wrap() {
     let mut node = Node::new(NodeConfig::intel_a100());
-    let mut rapl = RaplReader::new(&mut node).unwrap();
     let demand = Demand::new(20.0, 0.3, 0.4, 0.8);
     node.step(10_000, &demand);
-    rapl.sample(&mut node).unwrap();
+    let unit = RaplPowerUnit::decode(
+        node.msr_read(MsrScope::Package(0), MSR_RAPL_POWER_UNIT)
+            .unwrap(),
+    );
+    let sockets = node.config().sockets;
+    let read_counters = |node: &mut Node| -> Vec<u64> {
+        (0..sockets)
+            .map(|pkg| {
+                node.msr_read(MsrScope::Package(pkg), MSR_PKG_ENERGY_STATUS)
+                    .unwrap()
+            })
+            .collect()
+    };
 
-    let unit = RaplPowerUnit::default();
     let wrap_joules = unit.counts_to_joules(0xffff_ffff);
     let mut wrapped = false;
-    let mut prev_raw = node
-        .msr_read(MsrScope::Package(0), MSR_PKG_ENERGY_STATUS)
-        .unwrap();
+    let mut prev = read_counters(&mut node);
+    let mut prev_s = node.time_s();
 
     // Step in 30 s slabs, sampling power each slab, until past one wrap.
     for _slab in 0..150 {
         for _ in 0..3000 {
             node.step(10_000, &demand);
         }
-        let raw = node
-            .msr_read(MsrScope::Package(0), MSR_PKG_ENERGY_STATUS)
-            .unwrap();
-        if raw < prev_raw {
+        let now = read_counters(&mut node);
+        let now_s = node.time_s();
+        if now[0] < prev[0] {
             wrapped = true;
         }
-        prev_raw = raw;
-        let sample = rapl.sample(&mut node).unwrap().unwrap();
+        let joules: f64 = prev
+            .iter()
+            .zip(&now)
+            .map(|(&before, &after)| unit.counts_to_joules(energy_counter_delta(before, after)))
+            .sum();
+        let pkg_w = joules / (now_s - prev_s);
         assert!(
-            (60.0..260.0).contains(&sample.pkg_w),
-            "pkg power {} W went insane (wrapped = {wrapped})",
-            sample.pkg_w
+            (60.0..260.0).contains(&pkg_w),
+            "pkg power {pkg_w} W went insane (wrapped = {wrapped})"
         );
+        (prev, prev_s) = (now, now_s);
         if wrapped {
             break;
         }
