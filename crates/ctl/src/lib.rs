@@ -14,7 +14,7 @@
 //!
 //! Every frame leaves in one write and both ends set `TCP_NODELAY`, so a
 //! small request takes well under a millisecond on loopback instead of
-//! waiting ~40 ms for a delayed ACK (DESIGN §7). The protocol tests drive
+//! waiting ~40 ms for a delayed ACK (DESIGN §10). The protocol tests drive
 //! a real daemon on an ephemeral port and run in a few ms.
 //!
 //! The crate sticks to `std::net` + threads and the workspace's existing

@@ -130,10 +130,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
             max: MAX_FRAME_BYTES,
         });
     }
-    let mut payload = vec![0u8; len];
-    let got = read_exact_counted(r, &mut payload)?;
-    if got < len {
-        return Err(ProtoError::Truncated { expected: len, got });
+    // The buffer grows as bytes arrive: a bare header never reserves the
+    // length it announces.
+    let mut payload = Vec::new();
+    r.take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(ProtoError::Io)?;
+    if payload.len() < len {
+        return Err(ProtoError::Truncated {
+            expected: len,
+            got: payload.len(),
+        });
     }
     Ok(Some(payload))
 }

@@ -7,12 +7,12 @@
 //! misbehaving peer would produce them, and pin the reply latency a
 //! third-party client sees.
 
-use std::io::{BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use magus_ctl::proto::{self, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use magus_ctl::proto::{self, ProtoError, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use magus_ctl::{fleet_prometheus, serve_fleet, CtlClient, CtlError, ServeConfig, SubEvent};
 use magus_experiments::engine::GovernorSpec;
 use magus_experiments::fleet::fleet_app;
@@ -281,6 +281,41 @@ fn oversized_headers_are_refused_without_reading_the_payload() {
     let mut driver = CtlClient::connect(daemon.addr).expect("daemon still serves");
     driver.shutdown().expect("shutdown");
     daemon.join();
+}
+
+/// A reader over `bytes` that records the largest read it was asked for.
+struct Recording<'a> {
+    bytes: &'a [u8],
+    largest: usize,
+}
+
+impl Read for Recording<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.largest = self.largest.max(buf.len());
+        self.bytes.read(buf)
+    }
+}
+
+#[test]
+fn a_max_size_header_reserves_nothing_before_its_payload() {
+    let mut frame = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+    frame.extend([b'{'; 10]);
+    let mut reader = Recording {
+        bytes: &frame,
+        largest: 0,
+    };
+    match proto::read_frame(&mut reader) {
+        Err(ProtoError::Truncated { expected, got }) => {
+            assert_eq!((expected, got), (MAX_FRAME_BYTES, 10));
+        }
+        other => panic!("expected a truncated frame, got {other:?}"),
+    }
+    // A buffer reserved up front would have been handed to one read whole.
+    assert!(
+        reader.largest < 64 * 1024,
+        "read_frame asked for {} bytes at once",
+        reader.largest
+    );
 }
 
 #[test]

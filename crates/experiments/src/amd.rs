@@ -135,7 +135,7 @@ pub fn evaluate_amd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{TrialBuilder, TrialOpts};
+    use crate::harness::{SimPath, TrialBuilder, TrialOpts};
     use magus_workloads::{app_trace, AppId, Platform};
 
     fn amd_trace(app: AppId) -> std::sync::Arc<magus_hetsim::AppTrace> {
@@ -183,6 +183,53 @@ mod tests {
             "only {settled}/{} samples on P-state points",
             r.samples.len()
         );
+    }
+
+    #[test]
+    fn fast_and_reference_paths_agree_on_the_amd_preset() {
+        for app in [AppId::Bfs, AppId::Cfd, AppId::Srad] {
+            let run = |path| {
+                TrialBuilder::custom(magus_hsmp::amd_epyc_mi210())
+                    .trace(amd_trace(app))
+                    .opts(TrialOpts::recorded().with_path(path))
+                    .arm_telemetry()
+                    .run(&mut HsmpMagusDriver::with_defaults())
+            };
+            let fast = run(SimPath::Fast);
+            let reference = run(SimPath::Reference);
+            let name = app.name();
+            assert!(
+                !fast.samples.is_empty(),
+                "{name}: the trial records samples"
+            );
+            assert!(
+                fast.events.iter().any(|e| e.kind == "magus_decision"),
+                "{name}: an armed trial records decisions"
+            );
+            assert_eq!(fast.summary, reference.summary, "{name}");
+            assert_eq!(fast.samples, reference.samples, "{name}");
+            assert_eq!(fast.events, reference.events, "{name}");
+            assert_eq!(fast.invocations, reference.invocations, "{name}");
+            assert_eq!(
+                fast.mean_invocation_us.to_bits(),
+                reference.mean_invocation_us.to_bits(),
+                "{name}"
+            );
+            assert_eq!(fast.fault_counters, reference.fault_counters, "{name}");
+            // Only the fast path's own span counters may differ.
+            let (f, r) = (
+                fast.node_telemetry.expect("armed"),
+                reference.node_telemetry.expect("armed"),
+            );
+            assert_eq!(f.residency_us, r.residency_us, "{name}");
+            assert_eq!(f.uncore_msr_writes, r.uncore_msr_writes, "{name}");
+            assert_eq!(f.events_dropped, r.events_dropped, "{name}");
+            assert!(
+                f.fastpath_replayed_ticks > 0,
+                "{name}: the fast path replays"
+            );
+            assert_eq!(r.fastpath_replayed_ticks, 0, "{name}");
+        }
     }
 
     #[test]

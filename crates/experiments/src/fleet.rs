@@ -2,13 +2,14 @@
 //! across an N-node synthetic fleet.
 //!
 //! This is the experiments-layer adapter between [`RuntimeDriver`]s and
-//! [`magus_hetsim::fleet::FleetSim`]: every node gets its own driver
-//! instance (runtimes carry per-node feedback state) and one catalog
+//! [`magus_hetsim::fleet::FleetSim`]: every node gets one catalog
 //! application, assigned round-robin so any fleet size covers the whole
-//! catalog evenly. Traces come from the workload intern table in one bulk
-//! lookup ([`magus_workloads::app_traces`]), so a 100k-node fleet holds one
-//! `AppTrace` allocation per distinct application — and takes one lock
-//! round-trip, not one per node.
+//! catalog evenly, and every stepped node its own driver instance
+//! (runtimes carry per-node feedback state). Traces come from the workload
+//! intern table in one bulk lookup ([`magus_workloads::app_traces`]), so a
+//! 100k-node fleet holds one `AppTrace` allocation per distinct
+//! application — and takes one lock round-trip, not one per node — and
+//! steps each distinct trajectory once (see [`governor_run_opts`]).
 //!
 //! Each node's trajectory is bit-identical to running it alone through
 //! [`crate::harness::run_trial`] with the same governor (asserted by
@@ -21,7 +22,7 @@
 //! Zipf/diurnal/MMPP job queues superposed per node, deadlines and tenant
 //! shares attached as summary metadata), with `stagger_us` phasing traffic
 //! waves the same way it phases catalog waves — repeated tenant sets share
-//! one trace allocation.
+//! one trace allocation and one run.
 
 use magus_hetsim::fault::FaultPlan;
 use magus_hetsim::fleet::{
@@ -172,13 +173,14 @@ impl NodeDecider for DriverDecider {
     }
 }
 
-/// Run options giving every fleet node a fresh driver built from
+/// Run options giving every stepped fleet node a fresh driver built from
 /// `governor` (runtimes carry per-node feedback state, so instances are
-/// never shared), stepping on `path`.
+/// never shared), stepping on `path`. The driver never depends on the
+/// node index, so nodes repeating a trajectory share one run.
 #[must_use]
 pub fn governor_run_opts(governor: &GovernorSpec, path: SimPath) -> RunOpts {
     let governor = governor.clone();
-    RunOpts::new(move |_idx| {
+    RunOpts::uniform(move || {
         Box::new(DriverDecider {
             driver: governor.build_driver(),
         }) as Box<dyn NodeDecider>

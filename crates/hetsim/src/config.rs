@@ -7,6 +7,8 @@
 //! uncore, ≈120 W at min uncore, +21% runtime at min). `EXPERIMENTS.md`
 //! records the residuals.
 
+use std::hash::{Hash, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 /// Per-socket CPU core-complex parameters.
@@ -312,9 +314,118 @@ impl GpuConfig {
     }
 }
 
+/// A [`NodeConfig`] compared bit for bit: floats by their bits, so
+/// `-0.0 ≠ 0.0` and a NaN equals itself. Nodes built from two configs
+/// equal under this key step identically; the fleet builder interns its
+/// nodes' configs by it.
+#[derive(Debug, Clone)]
+pub(crate) struct ConfigBits(pub(crate) NodeConfig);
+
+impl PartialEq for ConfigBits {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.bits_eq(&other.0)
+    }
+}
+
+impl Eq for ConfigBits {}
+
+impl Hash for ConfigBits {
+    /// Hashes only the fields that tell the presets apart, which keeps a
+    /// lookup cheap; equal configs agree on them, and `eq` compares the
+    /// rest.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let NodeConfig {
+            name,
+            seed,
+            tick_us,
+            ..
+        } = &self.0;
+        (name, seed, tick_us).hash(state);
+    }
+}
+
+/// Bit-level equality for the config types.
+trait Bits {
+    fn bits_eq(&self, other: &Self) -> bool;
+}
+
+impl Bits for f64 {
+    fn bits_eq(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+macro_rules! bits_by_value {
+    ($($ty:ty),*) => {$(
+        impl Bits for $ty {
+            fn bits_eq(&self, other: &Self) -> bool {
+                self == other
+            }
+        }
+    )*};
+}
+
+bits_by_value!(bool, u32, u64, String);
+
+impl<T: Bits> Bits for Vec<T> {
+    fn bits_eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a.bits_eq(b))
+    }
+}
+
+/// Field-by-field [`Bits`] for a struct. The destructuring names every
+/// field, so a field added to the struct fails to compile until it is
+/// listed here too.
+macro_rules! bits_by_field {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Bits for $ty {
+            fn bits_eq(&self, other: &Self) -> bool {
+                let Self { $($field),* } = self;
+                true $(&& $field.bits_eq(&other.$field))*
+            }
+        }
+    )*};
+}
+
+bits_by_field! {
+    CpuConfig {
+        cores, core_freq_min_ghz, core_freq_base_ghz, core_freq_max_ghz, static_power_w,
+        dyn_power_max_w, dyn_freq_exp, dvfs_alpha, base_ipc, ipc_stall_coupling, tdp_w,
+    }
+    UncoreConfig {
+        freq_min_ghz, freq_max_ghz, power_min_w, power_span_w, power_exp, dyn_static_frac,
+        slew_ghz_per_s,
+    }
+    MemoryConfig { peak_bw_gbs, floor_frac, bw_exp, dram_base_w, dram_w_per_gbs }
+    GpuConfig { idle_power_w, max_power_w, sm_clock_min_mhz, sm_clock_max_mhz, clock_alpha }
+    TdpGovernorConfig { enabled, trigger_frac, ghz_per_watt }
+    NodeConfig {
+        name, sockets, cpu, uncore, mem, gpus, tdp_governor, tick_us, seed,
+        core_msr_read_energy_uj, core_msr_read_latency_us, pcm_window_us, pcm_daemon_power_w,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_bits_compare_every_field_by_its_bits() {
+        let a = ConfigBits(NodeConfig::intel_a100());
+        assert_eq!(a, a.clone());
+        let mut zero = a.clone();
+        zero.0.gpus[0].clock_alpha = 0.0;
+        let mut neg_zero = a.clone();
+        neg_zero.0.gpus[0].clock_alpha = -0.0;
+        assert_ne!(zero, neg_zero, "-0.0 and 0.0 differ by their bits");
+        let mut nan = a.clone();
+        nan.0.tdp_governor.trigger_frac = f64::NAN;
+        assert_eq!(nan, nan.clone(), "a NaN equals its own bits");
+        let mut seeded = a.clone();
+        seeded.0.seed += 1;
+        assert_ne!(a, seeded);
+        assert_ne!(a, ConfigBits(NodeConfig::intel_4a100()));
+    }
 
     #[test]
     fn presets_are_consistent() {

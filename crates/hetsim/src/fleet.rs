@@ -1,12 +1,26 @@
-//! Sharded, structure-of-arrays fleet simulation over lockstep shard clocks.
+//! Sharded, structure-of-arrays fleet simulation over lockstep shard clocks,
+//! stepping each distinct node trajectory once.
 //!
 //! The paper's target is cluster-wide power waste: MAGUS is meant to run on
 //! every node of a GPU-dominant fleet, and the interesting quantities
 //! (aggregate uncore energy, the distribution of per-node waste, fleet
 //! makespan) only exist across many nodes. [`FleetSim`] steps N independent
 //! nodes to completion; at the 100k-node scale the roadmap targets, the
-//! kernel is organized around four ideas:
+//! kernel is organized around five ideas:
 //!
+//! * **One run per trajectory.** Nodes added with [`FleetBuilder::node`] or
+//!   [`FleetBuilder::node_at`] carry a trajectory key: their config
+//!   (interned bit for bit by [`FleetBuilder`]), the address of their shared
+//!   trace, and whether the fleet fault plan crashes or stalls them. Under
+//!   a [`RunOpts::uniform`] decider factory, which never sees the node
+//!   index, two nodes with one key start in the same state and take the
+//!   same decisions, so they end in the same state. [`FleetSim::run`]
+//!   therefore steps only the lowest-index node of each key and gives
+//!   every twin a clone of its final `Simulation`. Start offsets, job
+//!   deadlines and tenant shares stay out of the key: they never reach a
+//!   node's own timeline, only the summary. Nodes added with
+//!   [`FleetBuilder::sim`], and runs whose factory takes the index
+//!   ([`RunOpts::new`], [`RunOpts::from_fn`]), never share.
 //! * **SoA decision state.** All per-node feedback state the per-round
 //!   control scan touches lives in flat lanes — `next_due_us`, `now_us`
 //!   (`Vec<u64>`), a `status` byte lane, and the start-offset lane —
@@ -22,25 +36,27 @@
 //!   is non-associative, and the summary fold order is part of the
 //!   bit-identity contract (the pre-SoA reference fold order asserted by
 //!   `tests/fleet.rs`).
-//! * **Shard-local clocks.** Nodes are partitioned into contiguous index
-//!   ranges, one per shard, each stepped on its own scoped thread. Fleet
-//!   nodes never interact, so each shard advances its own lockstep clock and
-//!   synchronizes with nothing: shard clocks only share *decision
-//!   boundaries* (each round's horizon is the min over that shard's
-//!   per-node decision deadlines). Splitting a node's timeline at foreign
-//!   nodes' event times never changes what it computes — the frozen span
-//!   state persists in its [`FastForward`] — so every node is bit-identical
-//!   to a solo run regardless of shard count, on both stepping paths, with
-//!   fault plans attached.
+//! * **Shard-local clocks.** The stepped nodes are partitioned into
+//!   contiguous runs of ascending index, one per shard, each stepped on its
+//!   own scoped thread. Fleet nodes never interact, so each shard advances
+//!   its own lockstep clock and synchronizes with nothing: shard clocks
+//!   only share *decision boundaries* (each round's horizon is the min over
+//!   that shard's per-node decision deadlines). Splitting a node's timeline
+//!   at foreign nodes' event times never changes what it computes — the
+//!   frozen span state persists in its [`FastForward`] — so every node is
+//!   bit-identical to a solo run regardless of shard count, on both
+//!   stepping paths, with fault plans attached.
 //! * **Start offsets.** Nodes added with [`FleetBuilder::node_at`] start
 //!   later on the fleet clock (a staggered fleet). Every node's lanes stay
 //!   in its own *local* clock; offsets apply only where local deadlines
 //!   meet the shard clock, so a staggered node is still bit-identical to a
 //!   solo run and only the fleet makespan sees the offset.
 //!
-//! Every active node steps live every round: MAGUS decides on every node
-//! every 0.2 s, so no two nodes can share a round's work without each
-//! still deciding on its own state (see DESIGN.md, "Fleet kernel").
+//! Sharing copies whole runs, never rounds. A twin is not stepped, decided
+//! or checked; it costs one clone when its representative finishes. The
+//! per-round dedup this kernel once had replayed rounds instead, so every
+//! follower still decided and was verified each round, which cost more
+//! than stepping it (DESIGN.md, "Fleet kernel").
 //!
 //! Construction goes through the validating [`FleetBuilder`]; execution is
 //! a single [`FleetSim::run`] taking [`RunOpts`] (stepping mode + a
@@ -48,12 +64,13 @@
 //! `magus_workloads::intern`), so a 100k-node fleet running the catalog
 //! holds one trace allocation per distinct workload, not per node.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::{panic, thread};
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::ConfigBits;
 use crate::fault::{FaultCounters, FaultPlan, FaultPlanError, FleetFaults};
 use crate::node::FastForward;
 use crate::sim::{RunSummary, Simulation};
@@ -84,8 +101,9 @@ impl Decision {
 
 /// Per-node decision logic for a fleet run.
 ///
-/// One decider is created per node (by the [`RunOpts`] factory) inside the
-/// node's shard task, so implementations need no `Send` bound of their own:
+/// One decider is created per stepped node (by the [`RunOpts`] factory)
+/// inside the node's shard task, so implementations need no `Send` bound of
+/// their own:
 /// they are created, used, and dropped on one thread. The contract mirrors
 /// the single-node trial loop exactly — [`NodeDecider::attach`] before the
 /// first tick, then [`NodeDecider::decide`] immediately at t=0 and again at
@@ -117,26 +135,44 @@ pub enum StepMode {
 pub type DeciderFactory = Arc<dyn Fn(usize) -> Box<dyn NodeDecider> + Send + Sync>;
 
 /// Options for one [`FleetSim::run`]: the stepping mode and the per-node
-/// decider factory. The factory is called with each node's *global* index
-/// from inside that node's shard task.
+/// decider factory. The factory is called with each stepped node's
+/// *global* index from inside that node's shard task.
 #[derive(Clone)]
 pub struct RunOpts {
     mode: StepMode,
     deciders: DeciderFactory,
+    /// The factory ignores the node index, so every node's decider starts
+    /// the same and nodes with one trajectory key share one run.
+    index_free: bool,
 }
 
 impl RunOpts {
     /// Run options with a per-node decider factory (fast path by default).
+    /// The factory may depend on the index, so every node steps.
     #[must_use]
     pub fn new(factory: impl Fn(usize) -> Box<dyn NodeDecider> + Send + Sync + 'static) -> Self {
         Self {
             mode: StepMode::default(),
             deciders: Arc::new(factory),
+            index_free: false,
+        }
+    }
+
+    /// Run options whose factory never sees the node index: every node
+    /// gets an identical decider, so [`FleetSim::run`] steps each distinct
+    /// trajectory once and copies its final state to the nodes that repeat
+    /// it (fast path by default).
+    #[must_use]
+    pub fn uniform(factory: impl Fn() -> Box<dyn NodeDecider> + Send + Sync + 'static) -> Self {
+        Self {
+            index_free: true,
+            ..Self::new(move |_| factory())
         }
     }
 
     /// Run options adapting one stateless closure as every node's decider:
-    /// `f(global_index, sim) -> Decision`.
+    /// `f(global_index, sim) -> Decision`. The closure sees the index, so
+    /// every node steps.
     #[must_use]
     pub fn from_fn(f: impl Fn(usize, &mut Simulation) -> Decision + Send + Sync + 'static) -> Self {
         type DecideFn = Arc<dyn Fn(usize, &mut Simulation) -> Decision + Send + Sync>;
@@ -161,10 +197,16 @@ impl RunOpts {
     /// No-op governor: one immediate decision per node, then never again.
     #[must_use]
     pub fn noop() -> Self {
-        Self::from_fn(|_, _| Decision {
-            latency_us: 0,
-            rest_us: u64::MAX,
-        })
+        struct Noop;
+        impl NodeDecider for Noop {
+            fn decide(&mut self, _sim: &mut Simulation) -> Decision {
+                Decision {
+                    latency_us: 0,
+                    rest_us: u64::MAX,
+                }
+            }
+        }
+        Self::uniform(|| Box::new(Noop))
     }
 
     /// Builder: select the stepping mode.
@@ -174,11 +216,14 @@ impl RunOpts {
         self
     }
 
-    /// No-op: every node steps live. Kept only so the benchmark probe
-    /// builds, until the next benchmark change drops it.
-    #[deprecated(note = "trajectory dedup is gone; this does nothing")]
+    /// Declare the factory index-free, as [`RunOpts::uniform`] does; the
+    /// key itself is unused. Kept only for the benchmark probe, whose
+    /// factory ignores the index, so that it times the sharing the CLI's
+    /// own run options get.
+    #[deprecated(note = "build index-free run options with RunOpts::uniform")]
     #[must_use]
-    pub fn with_decider_key(self, _key: u64) -> Self {
+    pub fn with_decider_key(mut self, _key: u64) -> Self {
+        self.index_free = true;
         self
     }
 
@@ -193,6 +238,7 @@ impl core::fmt::Debug for RunOpts {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RunOpts")
             .field("mode", &self.mode)
+            .field("index_free", &self.index_free)
             .finish_non_exhaustive()
     }
 }
@@ -274,6 +320,12 @@ pub struct FleetBuilder {
     /// Per-node tenant energy shares (traffic metadata; empty for
     /// non-traffic nodes).
     tenant_shares: Vec<Vec<TenantShare>>,
+    /// Per-node trajectory key of `node`/`node_at` nodes: (config class,
+    /// trace address). `None` for `.sim()` nodes, which never share.
+    keys: Vec<Option<(u32, usize)>>,
+    /// The config intern table: each distinct config, bit for bit, and its
+    /// class.
+    configs: HashMap<ConfigBits, u32>,
 }
 
 impl FleetBuilder {
@@ -288,12 +340,14 @@ impl FleetBuilder {
             offsets: Vec::new(),
             deadlines: Vec::new(),
             tenant_shares: Vec::new(),
+            keys: Vec::new(),
+            configs: HashMap::new(),
         }
     }
 
-    /// Partition the fleet into `shards` contiguous index ranges stepped in
-    /// parallel (clamped to the node count at run time). Results are
-    /// bit-identical for every shard count.
+    /// Partition the stepped nodes into `shards` contiguous runs stepped in
+    /// parallel (clamped to the stepped-node count at run time). Results
+    /// are bit-identical for every shard count.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -314,20 +368,36 @@ impl FleetBuilder {
     /// trajectory — clock, decisions, telemetry, summary — is in local
     /// time and bit-identical to a solo run, while the fleet makespan
     /// counts `start offset + runtime`.
+    ///
+    /// Nodes whose configs are equal bit for bit and whose traces are one
+    /// allocation share a trajectory key: under [`RunOpts::uniform`] the
+    /// fleet steps the first of them and copies its result to the others.
     #[must_use]
     pub fn node_at(
-        self,
+        mut self,
         config: NodeConfig,
         trace: impl Into<Arc<AppTrace>>,
         start_offset_us: u64,
     ) -> Self {
-        let mut sim = Simulation::new(Node::new(config));
-        sim.load(trace.into());
-        self.push(sim, start_offset_us)
+        let trace = trace.into();
+        let config = ConfigBits(config);
+        let class = match self.configs.get(&config) {
+            Some(&class) => class,
+            None => {
+                let class = self.configs.len() as u32;
+                self.configs.insert(config.clone(), class);
+                class
+            }
+        };
+        let key = (class, Arc::as_ptr(&trace).addr());
+        let mut sim = Simulation::new(Node::new(config.0));
+        sim.load(trace);
+        self.push(sim, start_offset_us, Some(key))
     }
 
     /// Append one node with empty traffic metadata.
-    fn push(mut self, sim: Simulation, start_offset_us: u64) -> Self {
+    fn push(mut self, sim: Simulation, start_offset_us: u64, key: Option<(u32, usize)>) -> Self {
+        self.keys.push(key);
         self.offsets.push(start_offset_us);
         self.deadlines.push(Vec::new());
         self.tenant_shares.push(Vec::new());
@@ -354,15 +424,24 @@ impl FleetBuilder {
     }
 
     /// Add a pre-built simulation (custom recorder, pre-programmed power
-    /// limit, ...) with a zero start offset. It must still be at t=0.
+    /// limit, ...) with a zero start offset. It must still be at t=0. Its
+    /// state is opaque to the fleet, so it never shares a run.
     #[must_use]
     pub fn sim(self, sim: Simulation) -> Self {
-        self.push(sim, 0)
+        self.sim_at(sim, 0)
     }
 
-    /// No-op: every node steps live. Kept only so the benchmark probe
-    /// builds, until the next benchmark change drops it.
-    #[deprecated(note = "trajectory dedup is gone; this does nothing")]
+    /// [`FleetBuilder::sim`] starting `start_offset_us` microseconds into
+    /// the fleet run, as [`FleetBuilder::node_at`] staggers a node.
+    #[must_use]
+    pub fn sim_at(self, sim: Simulation, start_offset_us: u64) -> Self {
+        self.push(sim, start_offset_us, None)
+    }
+
+    /// No-op: sharing depends only on the run's decider factory (see
+    /// [`RunOpts::uniform`]). Kept only so the benchmark probe builds,
+    /// until the next benchmark change drops it.
+    #[deprecated(note = "sharing needs no switch; this does nothing")]
     #[must_use]
     pub fn dedup(self, _on: bool) -> Self {
         self
@@ -433,10 +512,10 @@ impl FleetBuilder {
         Ok(FleetSim {
             sims,
             start_offset_us: self.offsets,
-            ff: (0..n).map(|_| FastForward::new()).collect(),
-            next_due_us: vec![0; n], // first decision immediately
-            now_us: vec![0; n],
+            rep: representatives(&self.keys, fleet_faults),
             status: vec![ACTIVE; n],
+            decisions: vec![0; n],
+            node_steps: vec![0; n],
             budget_us,
             shards: self.shards,
             fleet_faults,
@@ -445,6 +524,29 @@ impl FleetBuilder {
             tenant_shares: self.tenant_shares,
         })
     }
+}
+
+/// Each node's representative: the lowest-index node with its trajectory
+/// key, or the node itself for a `.sim()` node. The key is the (config
+/// class, trace address) pair `FleetBuilder` recorded plus the node's fleet
+/// crash and stall membership, which hangs on its global index.
+fn representatives(keys: &[Option<(u32, usize)>], faults: Option<FleetFaults>) -> Vec<usize> {
+    let mut first = HashMap::new();
+    keys.iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let Some((config, trace)) = *key else {
+                return i;
+            };
+            let faulted = faults.map(|f| {
+                (
+                    fault_scheduled(i, f.crash_every),
+                    fault_scheduled(i, f.stall_every),
+                )
+            });
+            *first.entry((config, trace, faulted)).or_insert(i)
+        })
+        .collect()
 }
 
 /// Node status lane values.
@@ -458,13 +560,15 @@ const CRASHED: u8 = 2;
 /// stalls are properties of a shard's *clock*, not of any node's
 /// trajectory, so they live here rather than in [`FleetSummary`] — the
 /// summary must be bit-identical across shard counts, and these are not.
+/// A shard steps a contiguous run of the fleet's stepped nodes; the twins
+/// of those nodes are counted as its nodes but never stepped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// First global node index in this shard's contiguous range.
+    /// Global index of the first node this shard steps.
     pub base: usize,
-    /// Nodes in this shard.
+    /// Nodes this shard's runs cover: the nodes it steps and their twins.
     pub nodes: usize,
     /// Lockstep rounds executed (one shared shard horizon per round).
     pub rounds: u64,
@@ -473,23 +577,24 @@ pub struct ShardStats {
     /// shard caught up. High stall counts mean the shard clock is being
     /// dominated by a few busy nodes.
     pub stalls: u64,
-    /// Runtime decisions fired by this shard's nodes.
+    /// Runtime decisions this shard fired. Twins copy theirs, so only
+    /// [`FleetSummary::decisions`] counts every node's.
     pub decisions: u64,
-    /// Simulator ticks advanced by this shard's nodes.
+    /// Simulator ticks this shard advanced (twins' ticks are copied, as
+    /// for `decisions`).
     pub node_steps: u64,
-    /// Always `nodes`. Kept only so the benchmark probe builds, until the
-    /// next benchmark change drops it.
+    /// Trajectories stepped: one per node this shard steps.
     #[serde(default)]
     pub classes: u64,
-    /// Active node-rounds stepped. Kept only so the benchmark probe
-    /// builds, until the next benchmark change drops it.
+    /// Node-rounds stepped: active stepped nodes, summed over rounds.
     #[serde(default)]
     pub rep_node_rounds: u64,
-    /// Always 0. Kept only so the benchmark probe builds, until the next
-    /// benchmark change drops it.
+    /// Node-rounds copied: each stepped node's active rounds times its
+    /// twin count.
     #[serde(default)]
     pub replayed_node_rounds: u64,
-    /// Always 0. Kept only so the benchmark probe builds, until the next
+    /// Always 0: a node's twins are fixed when the fleet is built and never
+    /// leave it. Kept only so the benchmark probe builds, until the next
     /// benchmark change drops it.
     #[serde(default)]
     pub class_evictions: u64,
@@ -649,22 +754,68 @@ fn fault_scheduled(idx: usize, every: Option<u64>) -> bool {
     every.is_some_and(|k| (idx as u64 + 1).is_multiple_of(k))
 }
 
-/// One shard's mutable window over the fleet lanes: a contiguous range of
-/// nodes starting at global index `base`, plus the shared run parameters.
+/// One shard's share of the stepped nodes: per-node lanes, one entry per
+/// node in ascending global index, plus the shared run parameters. The
+/// shard owns the lanes while it runs; [`FleetSim::run`] copies the
+/// outcome lanes (`status`, `decisions`, `node_steps`) back.
 struct ShardView<'a> {
     shard: usize,
-    base: usize,
     budget_us: u64,
     fleet_faults: Option<FleetFaults>,
-    /// Per-node start offset (µs) on the fleet clock. Lanes stay in each
-    /// node's *local* time; offsets apply only where local deadlines meet
-    /// the shard clock (pass 2 adds them, pass 3 subtracts them).
-    offsets: &'a [u64],
-    sims: &'a mut [Simulation],
-    ff: &'a mut [FastForward],
-    next_due_us: &'a mut [u64],
-    now_us: &'a mut [u64],
-    status: &'a mut [u8],
+    /// Global node index.
+    idx: Vec<usize>,
+    /// Twins that take the node's final state.
+    twins: Vec<u64>,
+    /// Start offset (µs) on the fleet clock. Lanes stay in each node's
+    /// *local* time; offsets apply only where local deadlines meet the
+    /// shard clock (pass 2 adds them, pass 3 subtracts them).
+    offsets: Vec<u64>,
+    sims: Vec<&'a mut Simulation>,
+    /// Macro-stepping carry-over (frozen-span state).
+    ff: Vec<FastForward>,
+    /// Next decision deadline (µs); `u64::MAX` = no more decisions.
+    next_due_us: Vec<u64>,
+    /// The node's clock (µs), mirrored from its simulation after every
+    /// macro-step so the control scans never touch the `Simulation`s.
+    now_us: Vec<u64>,
+    /// [`ACTIVE`] / [`RETIRED`] / [`CRASHED`].
+    status: Vec<u8>,
+    decisions: Vec<u64>,
+    node_steps: Vec<u64>,
+}
+
+impl<'a> ShardView<'a> {
+    fn new(shard: usize, budget_us: u64, fleet_faults: Option<FleetFaults>) -> Self {
+        Self {
+            shard,
+            budget_us,
+            fleet_faults,
+            idx: Vec::new(),
+            twins: Vec::new(),
+            offsets: Vec::new(),
+            sims: Vec::new(),
+            ff: Vec::new(),
+            next_due_us: Vec::new(),
+            now_us: Vec::new(),
+            status: Vec::new(),
+            decisions: Vec::new(),
+            node_steps: Vec::new(),
+        }
+    }
+
+    /// Add global node `idx`, due for its first decision immediately.
+    fn push(&mut self, idx: usize, sim: &'a mut Simulation, offset_us: u64, twins: u64) {
+        self.idx.push(idx);
+        self.twins.push(twins);
+        self.offsets.push(offset_us);
+        self.now_us.push(sim.node().time_us());
+        self.sims.push(sim);
+        self.ff.push(FastForward::new());
+        self.next_due_us.push(0);
+        self.status.push(ACTIVE);
+        self.decisions.push(0);
+        self.node_steps.push(0);
+    }
 }
 
 /// Step one shard's nodes to completion under its own lockstep clock.
@@ -678,8 +829,8 @@ fn run_shard(v: &mut ShardView<'_>, opts: &RunOpts) -> ShardStats {
     let n = v.sims.len();
     let mut stats = ShardStats {
         shard: v.shard,
-        base: v.base,
-        nodes: n,
+        base: v.idx[0],
+        nodes: n + v.twins.iter().sum::<u64>() as usize,
         classes: n as u64,
         ..ShardStats::default()
     };
@@ -687,7 +838,7 @@ fn run_shard(v: &mut ShardView<'_>, opts: &RunOpts) -> ShardStats {
     // node-index order, exactly as the solo harness attaches its driver
     // after fault plan / power cap programming.
     let mut deciders: Vec<Box<dyn NodeDecider>> =
-        (0..n).map(|i| (opts.deciders)(v.base + i)).collect();
+        v.idx.iter().map(|&idx| (opts.deciders)(idx)).collect();
     for (decider, sim) in deciders.iter_mut().zip(v.sims.iter_mut()) {
         decider.attach(sim);
     }
@@ -700,7 +851,7 @@ fn run_shard(v: &mut ShardView<'_>, opts: &RunOpts) -> ShardStats {
             }
             let now = v.now_us[i];
             if let Some(ff) = v.fleet_faults {
-                if fault_scheduled(v.base + i, ff.crash_every) && now >= ff.crash_at_us {
+                if fault_scheduled(v.idx[i], ff.crash_every) && now >= ff.crash_at_us {
                     // Injected node crash: retire it mid-run.
                     v.status[i] = CRASHED;
                     continue;
@@ -711,14 +862,14 @@ fn run_shard(v: &mut ShardView<'_>, opts: &RunOpts) -> ShardStats {
                 continue;
             }
             if now >= v.next_due_us[i] {
-                let d = decider.decide(&mut v.sims[i]);
-                stats.decisions += 1;
+                let d = decider.decide(v.sims[i]);
+                v.decisions[i] += 1;
                 // Re-read the clock: the decide hook owns the simulation
                 // while it runs, exactly like the solo loop.
                 v.now_us[i] = v.sims[i].node().time_us();
                 let mut due = d.next_due(v.now_us[i]);
                 if let Some(ff) = v.fleet_faults {
-                    if fault_scheduled(v.base + i, ff.stall_every) {
+                    if fault_scheduled(v.idx[i], ff.stall_every) {
                         // Injected stall: the runtime daemon hangs for
                         // stall_us after every decision it fires.
                         due = due.saturating_add(ff.stall_us);
@@ -735,7 +886,7 @@ fn run_shard(v: &mut ShardView<'_>, opts: &RunOpts) -> ShardStats {
         // crash land on the same tick under every shard partition.
         let budget = v.budget_us;
         let crash_at = |i: usize| match v.fleet_faults {
-            Some(ff) if fault_scheduled(v.base + i, ff.crash_every) => ff.crash_at_us,
+            Some(ff) if fault_scheduled(v.idx[i], ff.crash_every) => ff.crash_at_us,
             _ => u64::MAX,
         };
         let Some(horizon) = (0..n)
@@ -763,49 +914,54 @@ fn run_shard(v: &mut ShardView<'_>, opts: &RunOpts) -> ShardStats {
             // leaves a zero-tick goal: the node idles (stalls) until the
             // shard clock reaches its phase.
             let goal = horizon.saturating_sub(v.offsets[i]);
+            let sim = &mut *v.sims[i];
             match opts.mode {
-                StepMode::Fast => v.sims[i].advance_until(goal, &mut v.ff[i]),
+                StepMode::Fast => sim.advance_until(goal, &mut v.ff[i]),
                 StepMode::Reference => {
-                    while !v.sims[i].done() && v.sims[i].node().time_us() < goal {
-                        v.sims[i].step();
+                    while !sim.done() && sim.node().time_us() < goal {
+                        sim.step();
                     }
                 }
             }
-            let after = v.sims[i].node().time_us();
+            let after = sim.node().time_us();
             v.now_us[i] = after;
             if after == before {
                 // Already at/past the horizon: this node idled while the
                 // shard caught up.
                 stats.stalls += 1;
             }
-            let tick = v.sims[i].node().config().tick_us;
-            stats.node_steps += (after - before) / tick;
+            v.node_steps[i] += (after - before) / sim.node().config().tick_us;
             stats.rep_node_rounds += 1;
+            stats.replayed_node_rounds += v.twins[i];
         }
     }
+    stats.decisions = v.decisions.iter().sum();
+    stats.node_steps = v.node_steps.iter().sum();
     stats
 }
 
 /// N independent nodes stepped to completion across sharded lockstep
-/// clocks. Build with [`FleetBuilder`]; run with [`FleetSim::run`].
+/// clocks, each distinct trajectory once. Build with [`FleetBuilder`]; run
+/// with [`FleetSim::run`].
 #[derive(Debug)]
 pub struct FleetSim {
     sims: Vec<Simulation>,
     /// Per-node start offset (µs) on the fleet clock; see
     /// [`FleetBuilder::node_at`].
     start_offset_us: Vec<u64>,
-    // --- per-node decision state, structure-of-arrays lanes ---
-    /// Macro-stepping carry-over (frozen-span state) per node.
-    ff: Vec<FastForward>,
-    /// Next decision deadline per node (µs); `u64::MAX` = no more decisions.
-    next_due_us: Vec<u64>,
-    /// Each node's clock (µs), mirrored from its simulation after every
-    /// macro-step so the control scans never touch the `Simulation` structs.
-    now_us: Vec<u64>,
+    /// Each node's representative: the lowest-index node with its
+    /// trajectory key (the node itself when it has none or is first).
+    rep: Vec<usize>,
+    // --- per-node outcome of the most recent run ---
     /// Node status lane ([`ACTIVE`] / [`RETIRED`] / [`CRASHED`]).
     status: Vec<u8>,
+    /// Runtime decisions fired on the node.
+    decisions: Vec<u64>,
+    /// Simulator ticks the node advanced.
+    node_steps: Vec<u64>,
     budget_us: u64,
-    /// Requested shard count (clamped to the node count at run time).
+    /// Requested shard count (clamped to the stepped-node count at run
+    /// time).
     shards: usize,
     /// Fleet-level fault schedules (node stall/crash); `None` = clean run,
     /// zero cost.
@@ -875,59 +1031,51 @@ impl FleetSim {
     }
 
     /// Run every node to completion (or its budget), creating one decider
-    /// per node and firing it exactly as the single-node trial loop would:
-    /// immediately at start, then at each `now + latency + rest` deadline.
+    /// per stepped node and firing it exactly as the single-node trial loop
+    /// would: immediately at start, then at each `now + latency + rest`
+    /// deadline.
     ///
     /// Each node's trajectory is bit-identical to running it alone with the
     /// same decision schedule — for every shard count and both stepping
-    /// modes. Shards step disjoint contiguous node ranges, one scoped
-    /// thread each; their clocks never synchronize with each other, only
-    /// with their own nodes' decision boundaries. A panic in a shard
+    /// modes. With an index-free factory ([`RunOpts::uniform`]) only the
+    /// lowest-index node of each trajectory key steps, and every twin then
+    /// takes a clone of its final `Simulation` (telemetry and fault
+    /// counters included) and outcome: the twin would have computed exactly
+    /// that. Shards step disjoint contiguous runs of the stepped nodes, one
+    /// scoped thread each; their clocks never synchronize with each other,
+    /// only with their own nodes' decision boundaries. A panic in a shard
     /// resumes on the caller.
     pub fn run(&mut self, opts: &RunOpts) -> FleetSummary {
         let n = self.sims.len();
         self.shard_stats.clear();
-        if n > 0 {
-            let shards = self.shards.clamp(1, n);
-            let budget_us = self.budget_us;
-            let fleet_faults = self.fleet_faults;
-            // Carve each lane into per-shard contiguous windows. Remainder
-            // nodes spread one-per-shard from the front, so no shard is
-            // empty and sizes differ by at most one.
-            let mut views = Vec::with_capacity(shards);
-            let mut offsets = self.start_offset_us.as_slice();
-            let (mut sims, mut ff, mut due, mut now, mut status) = (
-                self.sims.as_mut_slice(),
-                self.ff.as_mut_slice(),
-                self.next_due_us.as_mut_slice(),
-                self.now_us.as_mut_slice(),
-                self.status.as_mut_slice(),
-            );
-            let mut base = 0;
-            for shard in 0..shards {
-                let take = n / shards + usize::from(shard < n % shards);
-                let (o0, o1) = offsets.split_at(take);
-                let (s0, s1) = sims.split_at_mut(take);
-                let (f0, f1) = ff.split_at_mut(take);
-                let (d0, d1) = due.split_at_mut(take);
-                let (n0, n1) = now.split_at_mut(take);
-                let (st0, st1) = status.split_at_mut(take);
-                offsets = o1;
-                (sims, ff, due, now, status) = (s1, f1, d1, n1, st1);
-                views.push(ShardView {
-                    shard,
-                    base,
-                    budget_us,
-                    fleet_faults,
-                    offsets: o0,
-                    sims: s0,
-                    ff: f0,
-                    next_due_us: d0,
-                    now_us: n0,
-                    status: st0,
-                });
-                base += take;
+        let rep_of = |i: usize| if opts.index_free { self.rep[i] } else { i };
+        let mut twins = vec![0u64; n];
+        for i in 0..n {
+            if rep_of(i) != i {
+                twins[rep_of(i)] += 1;
             }
+        }
+        let stepped = n - twins.iter().sum::<u64>() as usize;
+        if stepped > 0 {
+            let shards = self.shards.clamp(1, stepped);
+            // Deal the stepped nodes to shards in ascending index order.
+            // Remainder nodes spread one-per-shard from the front, so no
+            // shard is empty and sizes differ by at most one.
+            let mut nodes = self
+                .sims
+                .iter_mut()
+                .enumerate()
+                .filter(|&(i, _)| rep_of(i) == i);
+            let mut views: Vec<ShardView<'_>> = (0..shards)
+                .map(|shard| {
+                    let mut v = ShardView::new(shard, self.budget_us, self.fleet_faults);
+                    let take = stepped / shards + usize::from(shard < stepped % shards);
+                    for (i, sim) in nodes.by_ref().take(take) {
+                        v.push(i, sim, self.start_offset_us[i], twins[i]);
+                    }
+                    v
+                })
+                .collect();
             self.shard_stats = if shards == 1 {
                 views.iter_mut().map(|v| run_shard(v, opts)).collect()
             } else {
@@ -942,6 +1090,24 @@ impl FleetSim {
                         .collect()
                 })
             };
+            for v in &views {
+                for (k, &i) in v.idx.iter().enumerate() {
+                    self.status[i] = v.status[k];
+                    self.decisions[i] = v.decisions[k];
+                    self.node_steps[i] = v.node_steps[k];
+                }
+            }
+        }
+        // Twins follow their representative, which always has the lower
+        // index and so is final by the time the twin is reached.
+        for i in 0..n {
+            let r = rep_of(i);
+            if r != i {
+                self.sims[i] = self.sims[r].clone();
+                self.status[i] = self.status[r];
+                self.decisions[i] = self.decisions[r];
+                self.node_steps[i] = self.node_steps[r];
+            }
         }
         self.summarize()
     }
@@ -1013,8 +1179,8 @@ impl FleetSim {
             total_j,
             uncore_power_w: Distribution::from_values(&uncore_w),
             makespan_s,
-            decisions: self.shard_stats.iter().map(|s| s.decisions).sum(),
-            node_steps: self.shard_stats.iter().map(|s| s.node_steps).sum(),
+            decisions: self.decisions.iter().sum(),
+            node_steps: self.node_steps.iter().sum(),
             node_progress_s: self.sims.iter().map(Simulation::progress_s).collect(),
             crashed: self.status.iter().filter(|&&s| s == CRASHED).count(),
             node_fault_counters,
@@ -1213,7 +1379,8 @@ mod tests {
         assert!(stats[0].stalls > 0, "coarse node never stalled");
         assert_eq!(stats[0].decisions, s.decisions);
         assert_eq!(stats[0].node_steps, s.node_steps);
-        // Every node steps live: one trajectory per node, nothing replayed.
+        // The factory sees the index, so every node steps: one trajectory
+        // per node, nothing copied.
         assert_eq!(stats[0].classes, 2);
         assert!(stats[0].rep_node_rounds >= stats[0].rounds);
         assert_eq!(stats[0].replayed_node_rounds, 0);
@@ -1221,12 +1388,19 @@ mod tests {
         assert_eq!(s.node_progress_s.len(), 2);
         assert!(s.node_progress_s.iter().all(|&p| p > 0.0));
 
-        // A homogeneous single-shard fleet shares every clock edge and
-        // never stalls.
+        // A homogeneous fleet under an index-free factory steps one node
+        // and copies its rounds to the other two; a single trajectory never
+        // stalls.
         let shared: Arc<AppTrace> = Arc::new(trace(100.0, 5.0));
         let mut fleet = fleet_of(3, 2.0, &shared).build().unwrap();
-        fleet.run(&RunOpts::noop());
-        assert_eq!(fleet.shard_stats()[0].stalls, 0);
+        let s = fleet.run(&RunOpts::noop());
+        let stats = fleet.shard_stats()[0];
+        assert_eq!(stats.stalls, 0);
+        assert_eq!((stats.nodes, stats.classes), (3, 1));
+        assert!(stats.rep_node_rounds > 0);
+        assert_eq!(stats.replayed_node_rounds, 2 * stats.rep_node_rounds);
+        assert_eq!((stats.decisions, s.decisions), (1, 3));
+        assert_eq!(s.node_steps, 3 * stats.node_steps);
     }
 
     #[test]

@@ -9,12 +9,17 @@
 //! `RunSummary` is asserted `==` (exact, including every f64) against an
 //! isolated `run_trial` of the same app under the same governor.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use magus_suite::experiments::engine::GovernorSpec;
 use magus_suite::experiments::fleet::{
     build_fleet, fleet_app, fleet_sweep, governor_run_opts, run_fleet, run_fleet_keeping, FleetSpec,
 };
 use magus_suite::experiments::harness::{run_trial, SimPath, SystemId, TrialOpts};
-use magus_suite::hetsim::{FaultPlan, FleetSim};
+use magus_suite::hetsim::{
+    AppTrace, Decision, FaultPlan, FleetSim, Node, NodeConfig, RunOpts, ShardStats, Simulation,
+};
 use magus_suite::workloads::{app_trace, Platform};
 
 fn governors() -> [GovernorSpec; 3] {
@@ -325,4 +330,129 @@ fn staggered_nodes_equal_solo_runs() {
             );
         }
     }
+}
+
+/// One (config, trace, start offset) list for the sharing tests: three
+/// catalog apps on two config variants, staggered in three phases, so
+/// most nodes repeat an earlier node's config and interned trace.
+fn twin_list(nodes: usize) -> Vec<(NodeConfig, Arc<AppTrace>, u64)> {
+    (0..nodes)
+        .map(|i| {
+            let mut config = SystemId::IntelA100.node_config();
+            if i % 5 == 4 {
+                config.seed ^= 1;
+            }
+            let trace = app_trace(fleet_app(i % 3), Platform::IntelA100);
+            (config, trace, (i as u64 % 3) * 400_000)
+        })
+        .collect()
+}
+
+/// Sum one counter over a run's shard rows.
+fn stat_sum(fleet: &FleetSim, f: fn(&ShardStats) -> u64) -> u64 {
+    fleet.shard_stats().iter().map(f).sum()
+}
+
+/// Nodes that repeat a trajectory share one run, and sharing is
+/// invisible: the fleet built with `node_at` (which shares) and the same
+/// fleet built from `.sim()` nodes (which never share) give byte-equal
+/// summaries and armed telemetry for every shard count on both paths. The
+/// fleet crash/stall schedules split nodes that would otherwise share, so
+/// the shared fleet steps exactly one run per distinct (config, trace,
+/// crash, stall) key.
+#[test]
+fn shared_trajectories_equal_unshared_runs_bit_for_bit() {
+    const NODES: usize = 20;
+    let plan = FaultPlan::builder()
+        .seed(3)
+        .pcm_dropout_every(7)
+        .fleet_stall(3, 250_000)
+        .fleet_crash(4, 2_000_000)
+        .build()
+        .expect("sharing plan is valid");
+    let list = twin_list(NODES);
+    let key = |i: usize| {
+        let (crash, stall) = ((i + 1).is_multiple_of(4), (i + 1).is_multiple_of(3));
+        (i % 5 == 4, i % 3, crash, stall)
+    };
+    let keys: BTreeSet<_> = (0..NODES).map(key).collect();
+    let unfaulted: BTreeSet<_> = (0..NODES).map(|i| (key(i).0, key(i).1)).collect();
+    assert!(
+        keys.len() > unfaulted.len() && keys.len() < NODES,
+        "the plan must split some twins and leave others"
+    );
+    let build = |shared: bool, shards: usize| {
+        let mut b = FleetSim::builder(45.0).shards(shards).fault_plan(&plan);
+        for (config, trace, offset) in &list {
+            b = if shared {
+                b.node_at(config.clone(), Arc::clone(trace), *offset)
+            } else {
+                let mut sim = Simulation::new(Node::new(config.clone()));
+                sim.load(Arc::clone(trace));
+                b.sim_at(sim, *offset)
+            };
+        }
+        let mut fleet = b.build().expect("sharing fleet is valid");
+        fleet.arm_telemetry();
+        fleet
+    };
+    let mut baseline = None;
+    for path in [SimPath::Fast, SimPath::Reference] {
+        let opts = governor_run_opts(&GovernorSpec::magus_default(), path);
+        for shards in [1, 2, 7] {
+            let mut outputs = Vec::new();
+            for shared in [true, false] {
+                let mut fleet = build(shared, shards);
+                let summary = fleet.run(&opts);
+                let stepped = if shared { keys.len() } else { NODES };
+                let what = format!("shared={shared} shards={shards} path={path:?}");
+                assert_eq!(stat_sum(&fleet, |s| s.classes), stepped as u64, "{what}");
+                assert_eq!(stat_sum(&fleet, |s| s.nodes as u64), NODES as u64, "{what}");
+                assert_eq!(
+                    stat_sum(&fleet, |s| s.replayed_node_rounds) > 0,
+                    shared,
+                    "{what}"
+                );
+                assert!(summary.crashed > 0, "{what}: the crash schedule fires");
+                let jsonl = telemetry_jsonl(&mut fleet);
+                assert!(!jsonl.is_empty(), "{what}: an armed fleet records events");
+                let json = serde_json::to_string(&summary).expect("summary serializes");
+                outputs.push((what, json, jsonl));
+            }
+            let reference = baseline.get_or_insert_with(|| outputs[0].clone());
+            for (what, json, jsonl) in &outputs {
+                assert!(json == &reference.1, "{what}: summary diverged");
+                assert!(jsonl == &reference.2, "{what}: telemetry diverged");
+            }
+        }
+    }
+}
+
+/// A decider factory that sees the node index may treat identical nodes
+/// differently, so every node steps on its own.
+#[test]
+fn index_dependent_deciders_step_every_node() {
+    const NODES: usize = 6;
+    let trace = app_trace(fleet_app(0), Platform::IntelA100);
+    let mut b = FleetSim::builder(20.0).shards(2);
+    for _ in 0..NODES {
+        b = b.node(SystemId::IntelA100.node_config(), Arc::clone(&trace));
+    }
+    let mut fleet = b.build().expect("twin fleet is valid");
+    // Odd nodes read PCM at every decision, which charges its monitoring
+    // energy; even nodes never do.
+    let summary = fleet.run(&RunOpts::from_fn(|i, sim| {
+        if i % 2 == 1 {
+            let _ = sim.node_mut().pcm_try_read_gbs();
+        }
+        Decision {
+            latency_us: 0,
+            rest_us: 200_000,
+        }
+    }));
+    assert_eq!(stat_sum(&fleet, |s| s.classes), NODES as u64);
+    assert_eq!(stat_sum(&fleet, |s| s.replayed_node_rounds), 0);
+    assert_ne!(summary.nodes[0], summary.nodes[1]);
+    assert_eq!(summary.nodes[0], summary.nodes[2]);
+    assert_eq!(summary.nodes[1], summary.nodes[3]);
 }

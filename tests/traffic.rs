@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
 use magus_suite::experiments::fleet::{run_fleet, FleetSpec};
 use magus_suite::experiments::harness::{SimPath, SystemId};
+use magus_suite::hetsim::FaultPlan;
 use magus_suite::workloads::{Platform, TrafficSpec, TrafficSpecError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -199,5 +200,51 @@ fn traffic_fleet_is_bit_identical_across_scheduling_and_paths() {
             (nodes as u64) * 2 * 2,
             "case {case}: every node superposes 2 tenants × 2 jobs"
         );
+    }
+}
+
+/// A traffic fleet under a fault plan: 12 nodes over 3 repeated tenant
+/// sets, with PCM dropouts and fleet stall/crash schedules keyed on the
+/// global node index, so the schedules decide which repeated nodes share
+/// a run. One summary for 1 and 3 shards on both stepping paths.
+#[test]
+fn faulted_traffic_fleet_is_bit_identical_across_shards_and_paths() {
+    let traffic = TrafficSpec::builder()
+        .seed(9)
+        .tenants(6)
+        .colocate(2)
+        .jobs_per_tenant(2)
+        .mean_gap_s(2.0)
+        .build()
+        .expect("traffic spec is valid");
+    assert_eq!(traffic.distinct_profiles(), 3);
+    let plan = FaultPlan::builder()
+        .seed(5)
+        .pcm_dropout_every(6)
+        .fleet_stall(3, 300_000)
+        .fleet_crash(4, 1_000_000)
+        .build()
+        .expect("fault plan is valid");
+    let base = FleetSpec {
+        max_s: 120.0,
+        faults: Some(plan),
+        ..FleetSpec::new(GovernorSpec::magus_default(), 12)
+    }
+    .with_traffic(traffic);
+    let reference = run_fleet(&base).summary;
+    assert!(reference.crashed >= 1, "the crash schedule must fire");
+    assert!(
+        reference.node_fault_counters.iter().any(|c| c.total() > 0),
+        "MAGUS reads PCM, so the dropout schedule must fire"
+    );
+    for path in [SimPath::Fast, SimPath::Reference] {
+        for shards in [1, 3] {
+            let run = run_fleet(&FleetSpec {
+                shards,
+                path,
+                ..base.clone()
+            });
+            assert_eq!(run.summary, reference, "shards={shards} path={path:?}");
+        }
     }
 }
