@@ -20,6 +20,7 @@ use magus_suite::experiments::harness::{run_trial, SimPath, SystemId, TrialOpts}
 use magus_suite::hetsim::{
     AppTrace, Decision, FaultPlan, FleetSim, Node, NodeConfig, RunOpts, ShardStats, Simulation,
 };
+use magus_suite::runtime::MagusConfig;
 use magus_suite::workloads::{app_trace, Platform};
 
 fn governors() -> [GovernorSpec; 3] {
@@ -327,6 +328,83 @@ fn staggered_nodes_equal_solo_runs() {
             assert_eq!(
                 node, &solo.summary,
                 "case seed {seed}: staggered node {i} diverged from its isolated trial"
+            );
+        }
+    }
+}
+
+/// Cases for the governor-and-testbed trial == fleet-node loop below.
+const GOVERNOR_CASES: u64 = 10;
+
+/// Case `k`'s governor, kind `k % 5`: the stock default, a fixed uncore
+/// frequency drawn inside `system`'s uncore range, UPS, paper-default
+/// MAGUS, and MAGUS with drawn thresholds and interval.
+fn drawn_governor(k: u64, case: &mut Case, system: SystemId) -> GovernorSpec {
+    match k % 5 {
+        0 => GovernorSpec::Default,
+        1 => {
+            let range = system.node_config().uncore;
+            let frac = case.range(0, 1001) as f64 / 1000.0;
+            GovernorSpec::Fixed {
+                ghz: range.freq_min_ghz + (range.freq_max_ghz - range.freq_min_ghz) * frac,
+            }
+        }
+        2 => GovernorSpec::ups_default(),
+        3 => GovernorSpec::magus_default(),
+        _ => GovernorSpec::Magus {
+            cfg: MagusConfig::builder()
+                .inc_threshold(case.range(50, 600) as f64)
+                .dec_threshold(case.range(100, 900) as f64)
+                .high_freq_threshold(case.range(1, 101) as f64 / 100.0)
+                .monitor_interval_us(case.range(100_000, 400_001))
+                .build()
+                .expect("drawn MAGUS thresholds are valid"),
+        },
+    }
+}
+
+/// Whatever the governor (every kind, drawn thresholds included), testbed,
+/// stepping path, fleet size, and shard count, every `run_fleet` node
+/// equals `run_trial` of the same app bit for bit.
+#[test]
+fn governors_and_testbeds_match_isolated_trials() {
+    const SYSTEMS: [SystemId; 3] = [
+        SystemId::IntelA100,
+        SystemId::Intel4A100,
+        SystemId::IntelMax1550,
+    ];
+    for seed in 0..GOVERNOR_CASES {
+        let mut case = Case(seed);
+        let system = SYSTEMS[case.range(0, 3) as usize];
+        let governor = drawn_governor(seed, &mut case, system);
+        let path = case.path();
+        let nodes = case.range(1, 7) as usize;
+        let shards = case.range(1, 4) as usize;
+        let run = run_fleet(&FleetSpec {
+            system,
+            max_s: 45.0,
+            shards,
+            path,
+            ..FleetSpec::new(governor.clone(), nodes)
+        });
+        for (i, node) in run.summary.nodes.iter().enumerate() {
+            let solo = run_trial(
+                system,
+                fleet_app(i),
+                governor.build_driver().as_mut(),
+                TrialOpts {
+                    max_s: 45.0,
+                    path,
+                    ..TrialOpts::default()
+                },
+            );
+            assert_eq!(
+                node,
+                &solo.summary,
+                "case seed {seed}: node {i} ({}) under {governor:?} on {} ({path:?}, \
+                 {nodes} nodes, {shards} shards) diverged from its isolated trial",
+                fleet_app(i).name(),
+                system.name()
             );
         }
     }
