@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use magus_experiments::engine::GovernorSpec;
 use magus_experiments::fleet::governor_run_opts;
-use magus_experiments::harness::{SimPath, SystemId};
+use magus_experiments::harness::{StepMode, SystemId};
 use magus_hetsim::fleet::{FleetSim, FleetSummary};
 use magus_hetsim::roster::{FleetRoster, RosterBuildOpts};
 use magus_workloads::app_trace;
@@ -64,7 +64,7 @@ pub struct ServeConfig {
     /// Shard count for the fleet kernel.
     pub shards: usize,
     /// Stepping path.
-    pub path: SimPath,
+    pub path: StepMode,
 }
 
 impl Default for ServeConfig {
@@ -76,7 +76,7 @@ impl Default for ServeConfig {
             governor: GovernorSpec::Default,
             budget_s: 600.0,
             shards: 1,
-            path: SimPath::Fast,
+            path: StepMode::Fast,
         }
     }
 }

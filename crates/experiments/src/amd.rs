@@ -135,7 +135,7 @@ pub fn evaluate_amd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{SimPath, TrialBuilder, TrialOpts};
+    use crate::harness::{StepMode, TrialBuilder, TrialOpts};
     use magus_workloads::{app_trace, AppId, Platform};
 
     fn amd_trace(app: AppId) -> std::sync::Arc<magus_hetsim::AppTrace> {
@@ -195,8 +195,8 @@ mod tests {
                     .arm_telemetry()
                     .run(&mut HsmpMagusDriver::with_defaults())
             };
-            let fast = run(SimPath::Fast);
-            let reference = run(SimPath::Reference);
+            let fast = run(StepMode::Fast);
+            let reference = run(StepMode::Reference);
             let name = app.name();
             assert!(
                 !fast.samples.is_empty(),

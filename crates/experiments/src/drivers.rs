@@ -8,8 +8,10 @@
 //! later, reproducing the 0.3 s (MAGUS) vs 0.5 s (UPS) decision periods of
 //! §6.5.
 
+use std::ops::DerefMut;
+
 use magus_hetsim::governor::UncoreSetter;
-use magus_hetsim::Simulation;
+use magus_hetsim::{Decision, NodeDecider, Simulation};
 use magus_msr::MsrError;
 use magus_runtime::{DecisionRecord, MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
 use magus_telemetry::Event;
@@ -81,6 +83,29 @@ pub trait RuntimeDriver {
     /// `None` for runtimes without an Algorithm 2 detector.
     fn high_freq_fraction(&self) -> Option<f64> {
         None
+    }
+}
+
+/// A [`RuntimeDriver`] as the [`NodeDecider`] that `magus_hetsim::run_node`
+/// fires: attach, then one `on_decision` + `rest_interval_us` pair per
+/// deadline. `D` is a trial's borrowed driver or a fleet node's boxed one.
+pub(crate) struct DriverDecider<D>(pub(crate) D);
+
+impl<D> NodeDecider for DriverDecider<D>
+where
+    D: DerefMut,
+    D::Target: RuntimeDriver,
+{
+    fn attach(&mut self, sim: &mut Simulation) {
+        self.0.attach(sim);
+    }
+
+    fn decide(&mut self, sim: &mut Simulation) -> Decision {
+        let latency_us = self.0.on_decision(sim);
+        Decision {
+            latency_us,
+            rest_us: self.0.rest_interval_us(),
+        }
     }
 }
 

@@ -61,7 +61,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::amd::HsmpMagusDriver;
 use crate::drivers::{FixedUncoreDriver, MagusDriver, NoopDriver, RuntimeDriver, UpsDriver};
-use crate::harness::{SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
+use crate::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 
 /// Code-version salt mixed into every spec hash. Bump the suffix whenever
 /// a change alters simulation results without changing any [`TrialSpec`]
@@ -662,7 +662,7 @@ pub struct Engine {
     /// Worker count `--jobs` pinned; `None` runs one worker per CPU.
     jobs: Option<usize>,
     /// Stepping path forced onto every spec (`--sim-path`).
-    sim_path: Option<SimPath>,
+    sim_path: Option<StepMode>,
     /// Fault plan for every spec without one of its own (`--faults`).
     faults: Option<FaultPlan>,
     /// A telemetry sink will read every trial's events
@@ -755,7 +755,7 @@ impl Engine {
     /// The path is part of the spec hash, so this selects cache entries
     /// exactly as building each spec on `path` would.
     #[must_use]
-    pub fn with_sim_path(mut self, path: SimPath) -> Self {
+    pub fn with_sim_path(mut self, path: StepMode) -> Self {
         self.sim_path = Some(path);
         self
     }
@@ -799,6 +799,12 @@ impl Engine {
     #[must_use]
     pub fn cache_dir(&self) -> Option<&Path> {
         self.cache_dir.as_deref()
+    }
+
+    /// The fault plan for specs without one (`--faults`), if any.
+    #[must_use]
+    pub fn faults(&self) -> Option<&FaultPlan> {
+        self.faults.as_ref()
     }
 
     /// Run one trial: apply the engine's stepping path and fault plan to
@@ -1259,7 +1265,7 @@ mod tests {
             },
             TrialSpec {
                 opts: TrialOpts {
-                    path: crate::harness::SimPath::Reference,
+                    path: crate::harness::StepMode::Reference,
                     ..TrialOpts::default()
                 },
                 ..base.clone()

@@ -1,7 +1,7 @@
 //! Fleet sweep driver: the full workload catalog under each governor
 //! across an N-node synthetic fleet.
 //!
-//! This is the experiments-layer adapter between [`RuntimeDriver`]s and
+//! This is the experiments-layer adapter between runtime drivers and
 //! [`magus_hetsim::fleet::FleetSim`]: every node gets one catalog
 //! application, assigned round-robin so any fleet size covers the whole
 //! catalog evenly, and every stepped node its own driver instance
@@ -11,11 +11,12 @@
 //! application — and takes one lock round-trip, not one per node — and
 //! steps each distinct trajectory once (see [`governor_run_opts`]).
 //!
-//! Each node's trajectory is bit-identical to running it alone through
-//! [`crate::harness::run_trial`] with the same governor (asserted by
-//! `tests/fleet.rs`), for every shard count and on both stepping paths:
-//! shard clocks only change where macro-stepping spans split, never what
-//! they compute.
+//! Each stepped node runs from start to finish through
+//! [`magus_hetsim::run_node`], the decision loop behind
+//! [`crate::harness::run_trial`], with the same driver adapter. So every
+//! node is bit-identical to running it alone with the same governor
+//! (asserted by `tests/fleet.rs`), for every shard count and on both
+//! stepping paths.
 //!
 //! A [`FleetSpec`] can instead carry a [`TrafficSpec`]: nodes then run the
 //! slots of a multi-tenant traffic expansion (colocated tenants'
@@ -25,17 +26,14 @@
 //! one trace allocation and one run.
 
 use magus_hetsim::fault::FaultPlan;
-use magus_hetsim::fleet::{
-    Decision, FleetSim, FleetSummary, NodeDecider, RunOpts, ShardStats, StepMode,
-};
-use magus_hetsim::Simulation;
+use magus_hetsim::fleet::{FleetSim, FleetSummary, NodeDecider, RunOpts, ShardStats, StepMode};
 use magus_hetsim::{JobDeadline, TenantShare};
 use magus_workloads::{app_traces, AppId, Platform, TrafficSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::drivers::RuntimeDriver;
+use crate::drivers::DriverDecider;
 use crate::engine::GovernorSpec;
-use crate::harness::{SimPath, SystemId};
+use crate::harness::SystemId;
 
 /// One fleet run, fully specified.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,7 +52,7 @@ pub struct FleetSpec {
     pub shards: usize,
     /// Stepping path every node uses.
     #[serde(default)]
-    pub path: SimPath,
+    pub path: StepMode,
     /// Fault plan attached to every node (fleet-level schedules select
     /// nodes by global index). `None` runs clean.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -92,7 +90,7 @@ impl FleetSpec {
             nodes,
             max_s: 600.0,
             shards: 1,
-            path: SimPath::Fast,
+            path: StepMode::Fast,
             faults: None,
             stagger_us: 0,
             traffic: None,
@@ -107,7 +105,7 @@ impl FleetSpec {
         self
     }
 
-    /// Builder: shard the fleet across `shards` lockstep clocks.
+    /// Builder: spread the fleet's stepped nodes over `shards` threads.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -130,8 +128,8 @@ pub struct FleetRun {
     /// Per-node summaries + fleet aggregates (bit-identical across shard
     /// counts).
     pub summary: FleetSummary,
-    /// Per-shard lockstep counters (shard-count dependent, so they live
-    /// outside the summary).
+    /// Per-shard counters (shard-count dependent, so they live outside
+    /// the summary).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub shard_stats: Vec<ShardStats>,
 }
@@ -143,54 +141,22 @@ pub fn fleet_app(idx: usize) -> AppId {
     apps[idx % apps.len()]
 }
 
-/// The [`StepMode`] equivalent of a harness [`SimPath`].
-#[must_use]
-pub fn step_mode(path: SimPath) -> StepMode {
-    match path {
-        SimPath::Reference => StepMode::Reference,
-        SimPath::Fast => StepMode::Fast,
-    }
-}
-
-/// A [`RuntimeDriver`] adapted to the fleet kernel's [`NodeDecider`]
-/// contract: attach on node start, then one `on_decision` +
-/// `rest_interval_us` pair per deadline — exactly the solo trial loop.
-struct DriverDecider {
-    driver: Box<dyn RuntimeDriver>,
-}
-
-impl NodeDecider for DriverDecider {
-    fn attach(&mut self, sim: &mut Simulation) {
-        self.driver.attach(sim);
-    }
-
-    fn decide(&mut self, sim: &mut Simulation) -> Decision {
-        let latency_us = self.driver.on_decision(sim);
-        Decision {
-            latency_us,
-            rest_us: self.driver.rest_interval_us(),
-        }
-    }
-}
-
 /// Run options giving every stepped fleet node a fresh driver built from
 /// `governor` (runtimes carry per-node feedback state, so instances are
 /// never shared), stepping on `path`. The driver never depends on the
 /// node index, so nodes repeating a trajectory share one run.
 #[must_use]
-pub fn governor_run_opts(governor: &GovernorSpec, path: SimPath) -> RunOpts {
+pub fn governor_run_opts(governor: &GovernorSpec, path: StepMode) -> RunOpts {
     let governor = governor.clone();
     RunOpts::uniform(move || {
-        Box::new(DriverDecider {
-            driver: governor.build_driver(),
-        }) as Box<dyn NodeDecider>
+        Box::new(DriverDecider(governor.build_driver())) as Box<dyn NodeDecider>
     })
-    .with_mode(step_mode(path))
+    .with_mode(path)
 }
 
 /// Execute one fleet run: build N nodes (round-robin catalog apps on
-/// bulk-interned traces), give each a fresh driver, and advance the fleet
-/// across `spec.shards` lockstep clocks to completion.
+/// bulk-interned traces), give each a fresh driver, and run the fleet
+/// across `spec.shards` threads to completion.
 ///
 /// # Panics
 ///
@@ -399,7 +365,7 @@ mod tests {
         let legacy = r#"{"system":"IntelA100","governor":"Default","nodes":2,"max_s":60.0}"#;
         let spec: FleetSpec = serde_json::from_str(legacy).unwrap();
         assert_eq!(spec.shards, 1);
-        assert_eq!(spec.path, SimPath::Fast);
+        assert_eq!(spec.path, StepMode::Fast);
         assert!(spec.faults.is_none());
         assert_eq!(spec.stagger_us, 0, "legacy specs start every node at 0");
         assert!(spec.traffic.is_none(), "legacy specs keep the catalog");

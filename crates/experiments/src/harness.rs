@@ -2,15 +2,16 @@
 
 use std::sync::Arc;
 
+pub use magus_hetsim::StepMode;
 use magus_hetsim::{
-    secs_to_us, AppTrace, FastForward, FaultCounters, FaultPlan, Node, NodeConfig, RunSummary,
-    Simulation, TraceRecorder, TraceSample,
+    run_node, secs_to_us, AppTrace, FaultCounters, FaultPlan, Node, NodeConfig, NodeFaults,
+    RunSummary, Simulation, TraceRecorder, TraceSample,
 };
 use magus_telemetry::{Event, NodeCounters};
 use magus_workloads::{app_trace, AppId, Platform};
 use serde::{Deserialize, Serialize};
 
-use crate::drivers::RuntimeDriver;
+use crate::drivers::{DriverDecider, RuntimeDriver};
 
 /// The paper's three testbeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,23 +56,6 @@ impl SystemId {
     }
 }
 
-/// Which simulation stepping path a trial uses.
-///
-/// Both paths produce bit-identical results (enforced by the differential
-/// tests in `tests/fastpath.rs`); `Fast` macro-steps frozen inter-event
-/// spans and is an order of magnitude quicker on steady workloads. The
-/// reference path remains available for differential testing and as the
-/// ground truth the fast path is audited against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum SimPath {
-    /// Per-tick reference stepping (`Simulation::step`).
-    Reference,
-    /// Event-horizon macro-stepping (`Simulation::advance_until`).
-    #[default]
-    Fast,
-}
-
 /// Trial options.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrialOpts {
@@ -81,7 +65,7 @@ pub struct TrialOpts {
     pub max_s: f64,
     /// Stepping path (fast by default; reference for differential audits).
     #[serde(default)]
-    pub path: SimPath,
+    pub path: StepMode,
 }
 
 impl Default for TrialOpts {
@@ -89,7 +73,7 @@ impl Default for TrialOpts {
         Self {
             record_interval_us: 0,
             max_s: 600.0,
-            path: SimPath::Fast,
+            path: StepMode::Fast,
         }
     }
 }
@@ -106,7 +90,7 @@ impl TrialOpts {
 
     /// Builder: select the stepping path.
     #[must_use]
-    pub fn with_path(mut self, path: SimPath) -> Self {
+    pub fn with_path(mut self, path: StepMode) -> Self {
         self.path = path;
         self
     }
@@ -240,7 +224,7 @@ impl TrialBuilder {
 
     /// Select the stepping path (shorthand for editing [`TrialOpts::path`]).
     #[must_use]
-    pub fn path(mut self, path: SimPath) -> Self {
+    pub fn path(mut self, path: StepMode) -> Self {
         self.opts.path = path;
         self
     }
@@ -332,64 +316,17 @@ fn execute(
     if let Some(w) = power_cap_w {
         sim.node_mut().set_power_limit_w(w).expect("program PL1");
     }
-    driver.attach(&mut sim);
+    // The one decision loop fleet nodes also run, without fleet faults.
+    let run = run_node(
+        &mut sim,
+        &mut DriverDecider(&mut *driver),
+        opts.path,
+        secs_to_us(opts.max_s),
+        NodeFaults::default(),
+    );
 
-    let start_us = sim.node().time_us();
-    let budget_us = secs_to_us(opts.max_s);
-    let mut next_due_us = start_us; // first decision immediately
-    let mut invocations = 0u64;
-    let mut total_invocation_us = 0u64;
-
-    match opts.path {
-        SimPath::Reference => {
-            while !sim.done() && sim.node().time_us() - start_us < budget_us {
-                if sim.node().time_us() >= next_due_us {
-                    let latency = driver.on_decision(&mut sim);
-                    invocations += 1;
-                    total_invocation_us += latency;
-                    let rest = driver.rest_interval_us();
-                    next_due_us = if rest == u64::MAX {
-                        u64::MAX
-                    } else {
-                        sim.node().time_us() + latency + rest
-                    };
-                }
-                sim.step();
-            }
-        }
-        SimPath::Fast => {
-            // Identical event schedule to the reference loop: decisions can
-            // only become due at the instants computed below, and the node's
-            // feedback state between them evolves under constant demand, so
-            // macro-stepping each inter-decision span with `advance_until`
-            // visits exactly the tick sequence the reference loop does — it
-            // merely replays the frozen interior ticks instead of
-            // re-deriving them.
-            let mut ff = FastForward::new();
-            while !sim.done() && sim.node().time_us() - start_us < budget_us {
-                if sim.node().time_us() >= next_due_us {
-                    let latency = driver.on_decision(&mut sim);
-                    invocations += 1;
-                    total_invocation_us += latency;
-                    let rest = driver.rest_interval_us();
-                    next_due_us = if rest == u64::MAX {
-                        u64::MAX
-                    } else {
-                        sim.node().time_us() + latency + rest
-                    };
-                }
-                // Always make at least one tick of progress (mirrors the
-                // reference loop's unconditional `sim.step()`), even if a
-                // zero-rest driver leaves `next_due_us` at the current time.
-                let horizon = next_due_us
-                    .min(start_us.saturating_add(budget_us))
-                    .max(sim.node().time_us() + 1);
-                sim.advance_until(horizon, &mut ff);
-            }
-        }
-    }
-
-    let summary = sim.summary(start_us);
+    // A fresh simulation starts at t = 0.
+    let summary = sim.summary(0);
     let fault_counters = sim.node().fault_counters();
     let samples = sim.recorder_mut().take_samples();
     let (events, node_telemetry) = match sim.node_mut().telemetry_mut() {
@@ -400,11 +337,11 @@ fn execute(
         runtime: driver.name().to_string(),
         summary,
         samples,
-        invocations,
-        mean_invocation_us: if invocations == 0 {
+        invocations: run.decisions,
+        mean_invocation_us: if run.decisions == 0 {
             0.0
         } else {
-            total_invocation_us as f64 / invocations as f64
+            run.latency_us as f64 / run.decisions as f64
         },
         events,
         node_telemetry,
@@ -538,9 +475,9 @@ mod tests {
     #[test]
     fn fast_path_trial_matches_reference_exactly() {
         let run =
-            |path: SimPath| armed_magus_trial(AppId::Bfs, TrialOpts::recorded().with_path(path));
-        let r = run(SimPath::Reference);
-        let f = run(SimPath::Fast);
+            |path: StepMode| armed_magus_trial(AppId::Bfs, TrialOpts::recorded().with_path(path));
+        let r = run(StepMode::Reference);
+        let f = run(StepMode::Fast);
         assert_eq!(r.summary, f.summary);
         assert_eq!(r.samples, f.samples);
         assert_eq!(r.invocations, f.invocations);
@@ -639,9 +576,9 @@ mod tests {
         // deserializing and pick up the fast path.
         let legacy = r#"{"record_interval_us":0,"max_s":600.0}"#;
         let opts: TrialOpts = serde_json::from_str(legacy).unwrap();
-        assert_eq!(opts.path, SimPath::Fast);
+        assert_eq!(opts.path, StepMode::Fast);
         let json =
-            serde_json::to_string(&TrialOpts::default().with_path(SimPath::Reference)).unwrap();
+            serde_json::to_string(&TrialOpts::default().with_path(StepMode::Reference)).unwrap();
         assert!(json.contains("\"reference\""), "{json}");
     }
 

@@ -23,8 +23,8 @@
 //! * [`figures`] — one function per table/figure, producing the data
 //!   `magus figure <name>` prints.
 //! * [`fleet`] — the fleet sweep: the catalog under each governor across
-//!   an N-node lockstep fleet (`magus_hetsim::fleet`), with per-node
-//!   drivers adapted to the fleet's decision callback.
+//!   an N-node fleet (`magus_hetsim::fleet`), each node's driver running
+//!   through the same decision loop as a trial.
 //! * [`opts`] — the [`EngineOpts`] parser behind the CLI's global engine
 //!   switches (`--jobs`, `--no-cache`, `--serial`, `--sim-path`,
 //!   `--telemetry`, `--faults`), and the one call that turns them into an
@@ -78,7 +78,7 @@ pub use fleet::{
     build_fleet, fleet_sweep, fleet_telemetry_jsonl, governor_run_opts, run_fleet,
     run_fleet_keeping, run_fleet_with_telemetry, FleetRun, FleetSpec,
 };
-pub use harness::{run_trial, SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
+pub use harness::{run_trial, StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 pub use metrics::{burst_jaccard, Comparison};
 pub use opts::EngineOpts;
 pub use pareto::{pareto_frontier, ParetoPoint};

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use magus_hetsim::FaultPlan;
 
 use crate::engine::Engine;
-use crate::harness::SimPath;
+use crate::harness::StepMode;
 
 /// Global engine options, valid on every `magus` command.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -37,7 +37,7 @@ pub struct EngineOpts {
     /// one stepping path. CI's telemetry-regression job runs the suite
     /// under both and diffs the event streams (the JSONL and its `.prom`
     /// sibling must match byte-for-byte).
-    pub sim_path: Option<SimPath>,
+    pub sim_path: Option<StepMode>,
     /// `--faults <plan.json>`: load a [`FaultPlan`] and inject it into
     /// every trial of the command that carries no plan of its own. The
     /// plan is validated on load and becomes part of each spec's content
@@ -106,8 +106,8 @@ impl EngineOpts {
         let telemetry = take_flag(args, "--telemetry").map(PathBuf::from);
         let sim_path = take_flag(args, "--sim-path")
             .map(|v| match v.to_ascii_lowercase().as_str() {
-                "fast" => Ok(SimPath::Fast),
-                "reference" | "ref" => Ok(SimPath::Reference),
+                "fast" => Ok(StepMode::Fast),
+                "reference" | "ref" => Ok(StepMode::Reference),
                 other => Err(format!(
                     "unknown --sim-path '{other}' (expected fast or reference)"
                 )),
@@ -199,7 +199,7 @@ mod tests {
                 serial: true,
                 jobs: Some(0),
                 telemetry: Some(PathBuf::from("out/t.jsonl")),
-                sim_path: Some(SimPath::Reference),
+                sim_path: Some(StepMode::Reference),
                 faults: Some(PathBuf::from("plan.json")),
             }
         );
@@ -228,7 +228,7 @@ mod tests {
     fn sim_path_accepts_the_ref_alias() {
         let mut args = v(&["--sim-path", "ref"]);
         let opts = EngineOpts::take_from_args(&mut args).unwrap();
-        assert_eq!(opts.sim_path, Some(SimPath::Reference));
+        assert_eq!(opts.sim_path, Some(StepMode::Reference));
     }
 
     #[test]
@@ -280,7 +280,7 @@ mod tests {
 
         let plain = TrialSpec::new(SystemId::IntelA100, AppId::Bfs, GovernorSpec::Default);
         let on_reference = TrialSpec {
-            opts: plain.opts.with_path(SimPath::Reference),
+            opts: plain.opts.with_path(StepMode::Reference),
             ..plain.clone()
         };
         // (case, engine, spec handed to the engine, spec built explicitly)

@@ -5,7 +5,7 @@
 //!
 //! 1. An exhaustive sweep of the entire workload catalog × every governor
 //!    × every testbed, comparing `RunSummary`, recorded samples, and
-//!    invocation counts between `SimPath::Reference` and `SimPath::Fast`.
+//!    invocation counts between `StepMode::Reference` and `StepMode::Fast`.
 //! 2. A seeded property loop over randomized phase traces with governor
 //!    and MSR writes injected at arbitrary instants, driving the two paths
 //!    through the same event script.
@@ -19,7 +19,7 @@
 
 use magus_experiments::{
     run_trial, Engine, FixedUncoreDriver, GovernorSpec, MagusDriver, NoopDriver, RuntimeDriver,
-    SimPath, SystemId, TrialOpts, TrialResult, TrialSpec, UpsDriver,
+    StepMode, SystemId, TrialOpts, TrialResult, TrialSpec, UpsDriver,
 };
 use magus_hetsim::governor::set_fixed_uncore;
 use magus_hetsim::workload::PhaseKind;
@@ -51,7 +51,7 @@ fn make_driver(which: usize) -> Box<dyn RuntimeDriver> {
 
 const GOVERNOR_NAMES: [&str; 4] = ["default", "fixed-uncore", "MAGUS", "UPS"];
 
-fn run_path(system: SystemId, app: AppId, which: usize, path: SimPath) -> TrialResult {
+fn run_path(system: SystemId, app: AppId, which: usize, path: StepMode) -> TrialResult {
     let mut driver = make_driver(which);
     let opts = TrialOpts {
         record_interval_us: 100_000,
@@ -67,8 +67,8 @@ fn fast_path_matches_reference_on_full_catalog() {
         for &app in AppId::all() {
             for (which, governor) in GOVERNOR_NAMES.iter().enumerate() {
                 let ctx = format!("{} / {app:?} / {governor}", system.name());
-                let r = run_path(system, app, which, SimPath::Reference);
-                let f = run_path(system, app, which, SimPath::Fast);
+                let r = run_path(system, app, which, StepMode::Reference);
+                let f = run_path(system, app, which, StepMode::Fast);
                 assert_eq!(r.summary, f.summary, "summary diverged: {ctx}");
                 assert_eq!(r.samples, f.samples, "samples diverged: {ctx}");
                 assert_eq!(r.invocations, f.invocations, "invocations diverged: {ctx}");
@@ -256,7 +256,7 @@ fn fast_path_replays_most_ticks_of_the_fig4a_suite() {
         })
         .collect();
     let engine = Engine::ephemeral()
-        .with_sim_path(SimPath::Fast)
+        .with_sim_path(StepMode::Fast)
         .with_telemetry();
     let (mut replayed, mut ticks) = (0, 0);
     for outcome in engine.run_suite(&specs) {

@@ -1,5 +1,5 @@
-//! Sharded, structure-of-arrays fleet simulation over lockstep shard clocks,
-//! stepping each distinct node trajectory once.
+//! Sharded fleet simulation that steps each distinct node trajectory once,
+//! and [`run_node`], the one decision loop every trial and fleet node runs.
 //!
 //! The paper's target is cluster-wide power waste: MAGUS is meant to run on
 //! every node of a GPU-dominant fleet, and the interesting quantities
@@ -8,6 +8,12 @@
 //! nodes to completion; at the 100k-node scale the roadmap targets, the
 //! kernel is organized around five ideas:
 //!
+//! * **One decision loop.** [`run_node`] is the runtime schedule of the
+//!   paper's Algorithm 3: attach the decider, decide at once, then again at
+//!   every `now + latency + rest` deadline, stepping the node on the chosen
+//!   [`StepMode`] in between. The single-node trial harness calls it, and so
+//!   does every stepped fleet node, from its start to its finish; a fleet
+//!   node is a trial by construction.
 //! * **One run per trajectory.** Nodes added with [`FleetBuilder::node`] or
 //!   [`FleetBuilder::node_at`] carry a trajectory key: their config
 //!   (interned bit for bit by [`FleetBuilder`]), the address of their shared
@@ -21,42 +27,28 @@
 //!   node's own timeline, only the summary. Nodes added with
 //!   [`FleetBuilder::sim`], and runs whose factory takes the index
 //!   ([`RunOpts::new`], [`RunOpts::from_fn`]), never share.
-//! * **SoA decision state.** All per-node feedback state the per-round
-//!   control scan touches lives in flat lanes — `next_due_us`, `now_us`
-//!   (`Vec<u64>`), a `status` byte lane, and the start-offset lane —
-//!   so the per-round scans stream over dense arrays instead of hopping
-//!   through N `Simulation` structs. The only per-node indirection left on
-//!   the hot path is the macro-step itself ([`Simulation::advance_until`]),
-//!   which is where the actual physics lives.
-//! * **Order-free scans, ordered sums.** The per-round horizon is a plain
-//!   `min` over the active nodes' next events and the makespan a `max` over
-//!   finish times; min and max are order-free, so neither depends on the
-//!   shard partition. Reductions that are *not* reorder-safe — the fleet's
-//!   f64 energy sums — deliberately stay in node-index order: f64 addition
-//!   is non-associative, and the summary fold order is part of the
-//!   bit-identity contract (the pre-SoA reference fold order asserted by
-//!   `tests/fleet.rs`).
-//! * **Shard-local clocks.** The stepped nodes are partitioned into
-//!   contiguous runs of ascending index, one per shard, each stepped on its
-//!   own scoped thread. Fleet nodes never interact, so each shard advances
-//!   its own lockstep clock and synchronizes with nothing: shard clocks
-//!   only share *decision boundaries* (each round's horizon is the min over
-//!   that shard's per-node decision deadlines). Splitting a node's timeline
-//!   at foreign nodes' event times never changes what it computes — the
-//!   frozen span state persists in its [`FastForward`] — so every node is
-//!   bit-identical to a solo run regardless of shard count, on both
-//!   stepping paths, with fault plans attached.
+//! * **Shards are runs of nodes, not clocks.** The stepped nodes are
+//!   partitioned into contiguous runs of ascending index, one per shard,
+//!   each on its own scoped thread, which runs its nodes one after another.
+//!   Fleet nodes never interact, so no node waits for another and the
+//!   partition cannot change what any node computes.
+//! * **Ordered sums.** The makespan is an order-free `max` over finish
+//!   times. Reductions that are *not* reorder-safe — the fleet's f64 energy
+//!   sums — stay in node-index order: f64 addition is non-associative, and
+//!   the summary fold order is part of the bit-identity contract (asserted
+//!   by `tests/fleet.rs`).
 //! * **Start offsets.** Nodes added with [`FleetBuilder::node_at`] start
-//!   later on the fleet clock (a staggered fleet). Every node's lanes stay
-//!   in its own *local* clock; offsets apply only where local deadlines
-//!   meet the shard clock, so a staggered node is still bit-identical to a
-//!   solo run and only the fleet makespan sees the offset.
+//!   later on the fleet clock (a staggered fleet). A node runs on its own
+//!   *local* clock, exactly as alone; only the fleet makespan sees its
+//!   offset.
 //!
 //! Sharing copies whole runs, never rounds. A twin is not stepped, decided
 //! or checked; it costs one clone when its representative finishes. The
 //! per-round dedup this kernel once had replayed rounds instead, so every
 //! follower still decided and was verified each round, which cost more
-//! than stepping it (DESIGN.md, "Fleet kernel").
+//! than stepping it (DESIGN.md, "Fleet kernel"). With twins copying whole
+//! runs, a lockstep shard clock has nothing left to synchronize: it would
+//! only cut each node's spans at its neighbours' deadlines.
 //!
 //! Construction goes through the validating [`FleetBuilder`]; execution is
 //! a single [`FleetSim::run`] taking [`RunOpts`] (stepping mode + a
@@ -78,8 +70,8 @@ use crate::workload::AppTrace;
 use crate::{Node, NodeConfig};
 
 /// One runtime decision's scheduling outcome, as reported by a
-/// [`NodeDecider`] (the fleet equivalent of `RuntimeDriver::on_decision` +
-/// `rest_interval_us`).
+/// [`NodeDecider`] (what `RuntimeDriver::on_decision` and
+/// `rest_interval_us` report together).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Time the decision itself consumed (µs); added to the deadline.
@@ -99,15 +91,14 @@ impl Decision {
     }
 }
 
-/// Per-node decision logic for a fleet run.
+/// Per-node decision logic, as [`run_node`] fires it.
 ///
-/// One decider is created per stepped node (by the [`RunOpts`] factory)
-/// inside the node's shard task, so implementations need no `Send` bound of
-/// their own:
-/// they are created, used, and dropped on one thread. The contract mirrors
-/// the single-node trial loop exactly — [`NodeDecider::attach`] before the
-/// first tick, then [`NodeDecider::decide`] immediately at t=0 and again at
-/// each `now + latency + rest` deadline.
+/// [`NodeDecider::attach`] runs before the first tick, then
+/// [`NodeDecider::decide`] immediately and again at each
+/// `now + latency + rest` deadline. In a fleet, one decider is created per
+/// stepped node (by the [`RunOpts`] factory) inside the node's shard task,
+/// so implementations need no `Send` bound of their own: they are created,
+/// used, and dropped on one thread.
 pub trait NodeDecider {
     /// One-time hook before the node starts stepping (attach a driver,
     /// program a power cap, ...). Default: nothing.
@@ -117,10 +108,10 @@ pub trait NodeDecider {
     fn decide(&mut self, sim: &mut Simulation) -> Decision;
 }
 
-/// Which stepping path fleet nodes use (the fleet-level mirror of the
-/// harness's `SimPath`). Both are bit-identical; `Fast` macro-steps frozen
-/// inter-event spans, `Reference` steps tick by tick for differential
-/// audits.
+/// Which stepping path [`run_node`] takes between decisions, for trials
+/// and fleet nodes alike. Both are bit-identical; `Fast` macro-steps frozen
+/// inter-event spans, and `Reference` steps tick by tick: it is the ground
+/// truth the fast path is audited against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum StepMode {
@@ -129,6 +120,115 @@ pub enum StepMode {
     /// Event-horizon macro-stepping (`Simulation::advance_until`).
     #[default]
     Fast,
+}
+
+/// One node's share of a fleet fault plan, on the node's own clock. The
+/// default is a clean node, as every trial is.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeFaults {
+    /// The node crashes once its clock reaches this instant (µs).
+    pub crash_at_us: Option<u64>,
+    /// Added to every decision deadline (µs): a hung runtime daemon.
+    pub stall_us: u64,
+}
+
+impl NodeFaults {
+    /// Global node `idx`'s share of the fleet schedules `faults`.
+    fn of(idx: usize, faults: Option<FleetFaults>) -> Self {
+        let Some(f) = faults else {
+            return Self::default();
+        };
+        Self {
+            crash_at_us: fault_scheduled(idx, f.crash_every).then_some(f.crash_at_us),
+            stall_us: if fault_scheduled(idx, f.stall_every) {
+                f.stall_us
+            } else {
+                0
+            },
+        }
+    }
+}
+
+/// What one [`run_node`] did, apart from the state it left in the
+/// simulation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeRun {
+    /// Runtime decisions fired.
+    pub decisions: u64,
+    /// Their summed latency (µs).
+    pub latency_us: u64,
+    /// Simulator ticks stepped.
+    pub ticks: u64,
+    /// Macro-steps taken: one per stretch stepped between two events.
+    pub macro_steps: u64,
+    /// The node's crash instant ended the run.
+    pub crashed: bool,
+}
+
+/// Run `sim` from its current instant to the end of its run under
+/// `decider`: the one decision loop behind every trial and fleet node.
+///
+/// The decider attaches and decides at once, then again at every
+/// `now + latency + rest` deadline, plus `faults.stall_us`. Between
+/// deadlines the node steps on `mode` to its next event: the deadline, the
+/// end of `budget_us`, or `faults.crash_at_us`, and always at least one
+/// tick. The run ends when the application completes, the budget is spent,
+/// or the clock reaches the crash instant. The crash is checked first, so
+/// a node that finishes on the crash tick counts as crashed.
+///
+/// Both modes visit the same ticks and decide at the same instants; `Fast`
+/// macro-steps each stretch ([`Simulation::advance_until`]), which replays
+/// frozen spans instead of re-deriving them.
+pub fn run_node(
+    sim: &mut Simulation,
+    decider: &mut dyn NodeDecider,
+    mode: StepMode,
+    budget_us: u64,
+    faults: NodeFaults,
+) -> NodeRun {
+    decider.attach(sim);
+    let tick_us = sim.node().config().tick_us;
+    let end_us = sim.node().time_us().saturating_add(budget_us);
+    let crash_at_us = faults.crash_at_us.unwrap_or(u64::MAX);
+    let mut due_us = sim.node().time_us();
+    let mut ff = FastForward::new();
+    let mut run = NodeRun::default();
+    loop {
+        let now_us = sim.node().time_us();
+        if now_us >= crash_at_us {
+            run.crashed = true;
+            break;
+        }
+        if sim.done() || now_us >= end_us {
+            break;
+        }
+        if now_us >= due_us {
+            let d = decider.decide(sim);
+            run.decisions += 1;
+            run.latency_us += d.latency_us;
+            // Re-read the clock: the decide hook owns the simulation while
+            // it runs.
+            due_us = d
+                .next_due(sim.node().time_us())
+                .saturating_add(faults.stall_us);
+        }
+        let before_us = sim.node().time_us();
+        let goal_us = due_us
+            .min(end_us)
+            .min(crash_at_us)
+            .max(before_us.saturating_add(1));
+        match mode {
+            StepMode::Fast => sim.advance_until(goal_us, &mut ff),
+            StepMode::Reference => {
+                while !sim.done() && sim.node().time_us() < goal_us {
+                    sim.step();
+                }
+            }
+        }
+        run.ticks += (sim.node().time_us() - before_us) / tick_us;
+        run.macro_steps += 1;
+    }
+    run
 }
 
 /// Factory producing one boxed [`NodeDecider`] per global node index.
@@ -263,8 +363,8 @@ pub enum FleetBuildError {
     /// The attached fault plan fails [`FaultPlan::validate`].
     InvalidFaultPlan(FaultPlanError),
     /// A node's start offset plus the per-node budget does not fit in the
-    /// µs clock (`u64`), so its shard-clock targets would saturate into the
-    /// retired-lane sentinel.
+    /// µs clock (`u64`), so its finish time on the fleet clock could
+    /// overflow.
     StartOffsetOverflow {
         /// Node index within the builder.
         index: usize,
@@ -489,9 +589,9 @@ impl FleetBuilder {
         }
         let budget_us = crate::secs_to_us(self.budget_s);
         for (index, &offset_us) in self.offsets.iter().enumerate() {
-            // Shard-clock targets are `local target + offset` with local
-            // targets up to the budget; `u64::MAX` itself is the retired
-            // sentinel, so the sum must stay strictly below it.
+            // A node finishes on the fleet clock at `offset + runtime`, with
+            // the runtime at most the budget; keep that strictly below
+            // `u64::MAX`.
             match offset_us.checked_add(budget_us) {
                 Some(end) if end < u64::MAX => {}
                 _ => return Err(FleetBuildError::StartOffsetOverflow { index, offset_us }),
@@ -508,14 +608,11 @@ impl FleetBuilder {
                 fleet_faults = (!plan.fleet.is_empty()).then_some(plan.fleet);
             }
         }
-        let n = sims.len();
         Ok(FleetSim {
+            runs: vec![NodeRun::default(); sims.len()],
             sims,
             start_offset_us: self.offsets,
             rep: representatives(&self.keys, fleet_faults),
-            status: vec![ACTIVE; n],
-            decisions: vec![0; n],
-            node_steps: vec![0; n],
             budget_us,
             shards: self.shards,
             fleet_faults,
@@ -549,19 +646,11 @@ fn representatives(keys: &[Option<(u32, usize)>], faults: Option<FleetFaults>) -
         .collect()
 }
 
-/// Node status lane values.
-const ACTIVE: u8 = 0;
-/// Finished its trace or exhausted its budget.
-const RETIRED: u8 = 1;
-/// Retired by an injected crash fault.
-const CRASHED: u8 = 2;
-
-/// Per-shard lockstep counters from one [`FleetSim::run`]. Rounds and
-/// stalls are properties of a shard's *clock*, not of any node's
-/// trajectory, so they live here rather than in [`FleetSummary`] — the
-/// summary must be bit-identical across shard counts, and these are not.
-/// A shard steps a contiguous run of the fleet's stepped nodes; the twins
-/// of those nodes are counted as its nodes but never stepped.
+/// Per-shard counters from one [`FleetSim::run`]. They depend on how the
+/// stepped nodes are partitioned, so they live here rather than in
+/// [`FleetSummary`], which must be bit-identical across shard counts. A
+/// shard steps a contiguous run of the fleet's stepped nodes; the twins of
+/// those nodes are counted as its nodes but never stepped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shard index.
@@ -570,13 +659,8 @@ pub struct ShardStats {
     pub base: usize,
     /// Nodes this shard's runs cover: the nodes it steps and their twins.
     pub nodes: usize,
-    /// Lockstep rounds executed (one shared shard horizon per round).
+    /// Macro-steps the shard's stepped nodes took ([`NodeRun::macro_steps`]).
     pub rounds: u64,
-    /// Node-rounds where an active node was already at or past the shard
-    /// horizon and advanced zero ticks — it idled while the rest of the
-    /// shard caught up. High stall counts mean the shard clock is being
-    /// dominated by a few busy nodes.
-    pub stalls: u64,
     /// Runtime decisions this shard fired. Twins copy theirs, so only
     /// [`FleetSummary::decisions`] counts every node's.
     pub decisions: u64,
@@ -586,11 +670,11 @@ pub struct ShardStats {
     /// Trajectories stepped: one per node this shard steps.
     #[serde(default)]
     pub classes: u64,
-    /// Node-rounds stepped: active stepped nodes, summed over rounds.
+    /// Macro-steps stepped: the same count as `rounds`.
     #[serde(default)]
     pub rep_node_rounds: u64,
-    /// Node-rounds copied: each stepped node's active rounds times its
-    /// twin count.
+    /// Macro-steps copied: each stepped node's macro-steps times its twin
+    /// count.
     #[serde(default)]
     pub replayed_node_rounds: u64,
     /// Always 0: a node's twins are fixed when the fleet is built and never
@@ -754,195 +838,9 @@ fn fault_scheduled(idx: usize, every: Option<u64>) -> bool {
     every.is_some_and(|k| (idx as u64 + 1).is_multiple_of(k))
 }
 
-/// One shard's share of the stepped nodes: per-node lanes, one entry per
-/// node in ascending global index, plus the shared run parameters. The
-/// shard owns the lanes while it runs; [`FleetSim::run`] copies the
-/// outcome lanes (`status`, `decisions`, `node_steps`) back.
-struct ShardView<'a> {
-    shard: usize,
-    budget_us: u64,
-    fleet_faults: Option<FleetFaults>,
-    /// Global node index.
-    idx: Vec<usize>,
-    /// Twins that take the node's final state.
-    twins: Vec<u64>,
-    /// Start offset (µs) on the fleet clock. Lanes stay in each node's
-    /// *local* time; offsets apply only where local deadlines meet the
-    /// shard clock (pass 2 adds them, pass 3 subtracts them).
-    offsets: Vec<u64>,
-    sims: Vec<&'a mut Simulation>,
-    /// Macro-stepping carry-over (frozen-span state).
-    ff: Vec<FastForward>,
-    /// Next decision deadline (µs); `u64::MAX` = no more decisions.
-    next_due_us: Vec<u64>,
-    /// The node's clock (µs), mirrored from its simulation after every
-    /// macro-step so the control scans never touch the `Simulation`s.
-    now_us: Vec<u64>,
-    /// [`ACTIVE`] / [`RETIRED`] / [`CRASHED`].
-    status: Vec<u8>,
-    decisions: Vec<u64>,
-    node_steps: Vec<u64>,
-}
-
-impl<'a> ShardView<'a> {
-    fn new(shard: usize, budget_us: u64, fleet_faults: Option<FleetFaults>) -> Self {
-        Self {
-            shard,
-            budget_us,
-            fleet_faults,
-            idx: Vec::new(),
-            twins: Vec::new(),
-            offsets: Vec::new(),
-            sims: Vec::new(),
-            ff: Vec::new(),
-            next_due_us: Vec::new(),
-            now_us: Vec::new(),
-            status: Vec::new(),
-            decisions: Vec::new(),
-            node_steps: Vec::new(),
-        }
-    }
-
-    /// Add global node `idx`, due for its first decision immediately.
-    fn push(&mut self, idx: usize, sim: &'a mut Simulation, offset_us: u64, twins: u64) {
-        self.idx.push(idx);
-        self.twins.push(twins);
-        self.offsets.push(offset_us);
-        self.now_us.push(sim.node().time_us());
-        self.sims.push(sim);
-        self.ff.push(FastForward::new());
-        self.next_due_us.push(0);
-        self.status.push(ACTIVE);
-        self.decisions.push(0);
-        self.node_steps.push(0);
-    }
-}
-
-/// Step one shard's nodes to completion under its own lockstep clock.
-/// Bit-identity argument: every per-node quantity depends only on that
-/// node's own decision deadlines and the budget; the shard horizon merely
-/// splits macro-spans, and [`Simulation::advance_until`] is split-invariant.
-/// Start offsets preserve it too: lanes are node-local, offsets only
-/// translate where a local deadline lands on the shard clock, and a
-/// translated horizon split is still just a split.
-fn run_shard(v: &mut ShardView<'_>, opts: &RunOpts) -> ShardStats {
-    let n = v.sims.len();
-    let mut stats = ShardStats {
-        shard: v.shard,
-        base: v.idx[0],
-        nodes: n + v.twins.iter().sum::<u64>() as usize,
-        classes: n as u64,
-        ..ShardStats::default()
-    };
-    // Deciders are created and attached inside the shard task, in global
-    // node-index order, exactly as the solo harness attaches its driver
-    // after fault plan / power cap programming.
-    let mut deciders: Vec<Box<dyn NodeDecider>> =
-        v.idx.iter().map(|&idx| (opts.deciders)(idx)).collect();
-    for (decider, sim) in deciders.iter_mut().zip(v.sims.iter_mut()) {
-        decider.attach(sim);
-    }
-    loop {
-        // Pass 1 (branchy): retire finished/budget-exhausted nodes, crash
-        // fault-scheduled ones, fire the decisions that are due.
-        for (i, decider) in deciders.iter_mut().enumerate() {
-            if v.status[i] != ACTIVE {
-                continue;
-            }
-            let now = v.now_us[i];
-            if let Some(ff) = v.fleet_faults {
-                if fault_scheduled(v.idx[i], ff.crash_every) && now >= ff.crash_at_us {
-                    // Injected node crash: retire it mid-run.
-                    v.status[i] = CRASHED;
-                    continue;
-                }
-            }
-            if v.sims[i].done() || now >= v.budget_us {
-                v.status[i] = RETIRED;
-                continue;
-            }
-            if now >= v.next_due_us[i] {
-                let d = decider.decide(v.sims[i]);
-                v.decisions[i] += 1;
-                // Re-read the clock: the decide hook owns the simulation
-                // while it runs, exactly like the solo loop.
-                v.now_us[i] = v.sims[i].node().time_us();
-                let mut due = d.next_due(v.now_us[i]);
-                if let Some(ff) = v.fleet_faults {
-                    if fault_scheduled(v.idx[i], ff.stall_every) {
-                        // Injected stall: the runtime daemon hangs for
-                        // stall_us after every decision it fires.
-                        due = due.saturating_add(ff.stall_us);
-                    }
-                }
-                v.next_due_us[i] = due;
-            }
-        }
-        // Pass 2 (dense): each active node's next event on the *shard*
-        // clock — its local decision deadline, its scheduled crash or the
-        // budget, but always at least one tick of progress (exactly the
-        // single-node fast-path horizon rule), translated by its start
-        // offset — and the min. Stopping at the crash instant makes the
-        // crash land on the same tick under every shard partition.
-        let budget = v.budget_us;
-        let crash_at = |i: usize| match v.fleet_faults {
-            Some(ff) if fault_scheduled(v.idx[i], ff.crash_every) => ff.crash_at_us,
-            _ => u64::MAX,
-        };
-        let Some(horizon) = (0..n)
-            .filter(|&i| v.status[i] == ACTIVE)
-            .map(|i| {
-                v.next_due_us[i]
-                    .min(budget)
-                    .min(crash_at(i))
-                    .max(v.now_us[i].saturating_add(1))
-                    .saturating_add(v.offsets[i])
-            })
-            .min()
-        else {
-            break; // no active nodes left in this shard
-        };
-        stats.rounds += 1;
-        // Pass 3: advance every active node to the shard horizon.
-        for i in 0..n {
-            if v.status[i] != ACTIVE {
-                continue;
-            }
-            let before = v.now_us[i];
-            // The shard horizon is on the fleet clock; this node steps on
-            // its own. A horizon at or before the node's start offset
-            // leaves a zero-tick goal: the node idles (stalls) until the
-            // shard clock reaches its phase.
-            let goal = horizon.saturating_sub(v.offsets[i]);
-            let sim = &mut *v.sims[i];
-            match opts.mode {
-                StepMode::Fast => sim.advance_until(goal, &mut v.ff[i]),
-                StepMode::Reference => {
-                    while !sim.done() && sim.node().time_us() < goal {
-                        sim.step();
-                    }
-                }
-            }
-            let after = sim.node().time_us();
-            v.now_us[i] = after;
-            if after == before {
-                // Already at/past the horizon: this node idled while the
-                // shard caught up.
-                stats.stalls += 1;
-            }
-            v.node_steps[i] += (after - before) / sim.node().config().tick_us;
-            stats.rep_node_rounds += 1;
-            stats.replayed_node_rounds += v.twins[i];
-        }
-    }
-    stats.decisions = v.decisions.iter().sum();
-    stats.node_steps = v.node_steps.iter().sum();
-    stats
-}
-
-/// N independent nodes stepped to completion across sharded lockstep
-/// clocks, each distinct trajectory once. Build with [`FleetBuilder`]; run
-/// with [`FleetSim::run`].
+/// N independent nodes stepped to completion across shards, each distinct
+/// trajectory once. Build with [`FleetBuilder`]; run with
+/// [`FleetSim::run`].
 #[derive(Debug)]
 pub struct FleetSim {
     sims: Vec<Simulation>,
@@ -952,13 +850,8 @@ pub struct FleetSim {
     /// Each node's representative: the lowest-index node with its
     /// trajectory key (the node itself when it has none or is first).
     rep: Vec<usize>,
-    // --- per-node outcome of the most recent run ---
-    /// Node status lane ([`ACTIVE`] / [`RETIRED`] / [`CRASHED`]).
-    status: Vec<u8>,
-    /// Runtime decisions fired on the node.
-    decisions: Vec<u64>,
-    /// Simulator ticks the node advanced.
-    node_steps: Vec<u64>,
+    /// Each node's outcome from the most recent run.
+    runs: Vec<NodeRun>,
     budget_us: u64,
     /// Requested shard count (clamped to the stepped-node count at run
     /// time).
@@ -999,8 +892,8 @@ impl FleetSim {
         &self.sims[idx]
     }
 
-    /// Per-shard lockstep counters from the most recent [`FleetSim::run`]
-    /// (empty before the first run).
+    /// Per-shard counters from the most recent [`FleetSim::run`] (empty
+    /// before the first run).
     #[must_use]
     pub fn shard_stats(&self) -> &[ShardStats] {
         &self.shard_stats
@@ -1030,10 +923,9 @@ impl FleetSim {
             .collect()
     }
 
-    /// Run every node to completion (or its budget), creating one decider
-    /// per stepped node and firing it exactly as the single-node trial loop
-    /// would: immediately at start, then at each `now + latency + rest`
-    /// deadline.
+    /// Run every node to completion (or its budget, or its crash): one
+    /// decider per stepped node, fired by [`run_node`] exactly as in a
+    /// single-node trial.
     ///
     /// Each node's trajectory is bit-identical to running it alone with the
     /// same decision schedule — for every shard count and both stepping
@@ -1041,13 +933,11 @@ impl FleetSim {
     /// lowest-index node of each trajectory key steps, and every twin then
     /// takes a clone of its final `Simulation` (telemetry and fault
     /// counters included) and outcome: the twin would have computed exactly
-    /// that. Shards step disjoint contiguous runs of the stepped nodes, one
-    /// scoped thread each; their clocks never synchronize with each other,
-    /// only with their own nodes' decision boundaries. A panic in a shard
-    /// resumes on the caller.
+    /// that. Shards run disjoint contiguous runs of the stepped nodes, one
+    /// scoped thread each, node after node. A panic in a shard resumes on
+    /// the caller.
     pub fn run(&mut self, opts: &RunOpts) -> FleetSummary {
         let n = self.sims.len();
-        self.shard_stats.clear();
         let rep_of = |i: usize| if opts.index_free { self.rep[i] } else { i };
         let mut twins = vec![0u64; n];
         for i in 0..n {
@@ -1055,67 +945,76 @@ impl FleetSim {
                 twins[rep_of(i)] += 1;
             }
         }
+        // The builder rejects empty fleets, and node 0 always steps.
         let stepped = n - twins.iter().sum::<u64>() as usize;
-        if stepped > 0 {
-            let shards = self.shards.clamp(1, stepped);
-            // Deal the stepped nodes to shards in ascending index order.
-            // Remainder nodes spread one-per-shard from the front, so no
-            // shard is empty and sizes differ by at most one.
-            let mut nodes = self
-                .sims
-                .iter_mut()
-                .enumerate()
-                .filter(|&(i, _)| rep_of(i) == i);
-            let mut views: Vec<ShardView<'_>> = (0..shards)
-                .map(|shard| {
-                    let mut v = ShardView::new(shard, self.budget_us, self.fleet_faults);
-                    let take = stepped / shards + usize::from(shard < stepped % shards);
-                    for (i, sim) in nodes.by_ref().take(take) {
-                        v.push(i, sim, self.start_offset_us[i], twins[i]);
-                    }
-                    v
-                })
-                .collect();
-            self.shard_stats = if shards == 1 {
-                views.iter_mut().map(|v| run_shard(v, opts)).collect()
-            } else {
-                thread::scope(|scope| {
-                    let handles: Vec<_> = views
-                        .iter_mut()
-                        .map(|v| scope.spawn(move || run_shard(v, opts)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
-                        .collect()
-                })
+        let shards = self.shards.clamp(1, stepped);
+        // Deal the stepped nodes to shards in ascending index order.
+        // Remainder nodes spread one-per-shard from the front, so no shard
+        // is empty and sizes differ by at most one.
+        let mut nodes = self
+            .sims
+            .iter_mut()
+            .zip(&mut self.runs)
+            .enumerate()
+            .filter(|&(i, _)| rep_of(i) == i);
+        let parts: Vec<Vec<_>> = (0..shards)
+            .map(|shard| {
+                let take = stepped / shards + usize::from(shard < stepped % shards);
+                nodes.by_ref().take(take).collect()
+            })
+            .collect();
+        let (budget_us, faults, twins) = (self.budget_us, self.fleet_faults, &twins);
+        let run_shard = |shard: usize, part: Vec<(usize, (&mut Simulation, &mut NodeRun))>| {
+            let mut stats = ShardStats {
+                shard,
+                base: part[0].0,
+                nodes: part.iter().map(|&(i, _)| 1 + twins[i] as usize).sum(),
+                classes: part.len() as u64,
+                ..ShardStats::default()
             };
-            for v in &views {
-                for (k, &i) in v.idx.iter().enumerate() {
-                    self.status[i] = v.status[k];
-                    self.decisions[i] = v.decisions[k];
-                    self.node_steps[i] = v.node_steps[k];
-                }
+            for (idx, (sim, run)) in part {
+                let mut decider = (opts.deciders)(idx);
+                let faults = NodeFaults::of(idx, faults);
+                *run = run_node(sim, decider.as_mut(), opts.mode, budget_us, faults);
+                stats.rounds += run.macro_steps;
+                stats.rep_node_rounds += run.macro_steps;
+                stats.replayed_node_rounds += run.macro_steps * twins[idx];
+                stats.decisions += run.decisions;
+                stats.node_steps += run.ticks;
             }
-        }
+            stats
+        };
+        self.shard_stats = if shards == 1 {
+            parts.into_iter().map(|part| run_shard(0, part)).collect()
+        } else {
+            thread::scope(|scope| {
+                let handles: Vec<_> = parts
+                    .into_iter()
+                    .enumerate()
+                    .map(|(shard, part)| scope.spawn(move || run_shard(shard, part)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
         // Twins follow their representative, which always has the lower
         // index and so is final by the time the twin is reached.
         for i in 0..n {
             let r = rep_of(i);
             if r != i {
                 self.sims[i] = self.sims[r].clone();
-                self.status[i] = self.status[r];
-                self.decisions[i] = self.decisions[r];
-                self.node_steps[i] = self.node_steps[r];
+                self.runs[i] = self.runs[r];
             }
         }
         self.summarize()
     }
 
     /// Build the fleet summary from the current node states. The f64
-    /// energy sums fold in node-index order (the pre-SoA reference order —
-    /// f64 addition is non-associative, and this order is part of the
-    /// bit-identity contract); the makespan is an order-free max. Makespan
+    /// energy sums fold in node-index order (f64 addition is
+    /// non-associative, and this order is part of the bit-identity
+    /// contract); the makespan is an order-free max. Makespan
     /// counts each node's finish time on the *fleet* clock: start offset
     /// plus runtime (adding a zero offset is bit-exact for the non-negative
     /// runtimes, so zero-offset fleets are unchanged).
@@ -1179,10 +1078,10 @@ impl FleetSim {
             total_j,
             uncore_power_w: Distribution::from_values(&uncore_w),
             makespan_s,
-            decisions: self.decisions.iter().sum(),
-            node_steps: self.node_steps.iter().sum(),
+            decisions: self.runs.iter().map(|r| r.decisions).sum(),
+            node_steps: self.runs.iter().map(|r| r.ticks).sum(),
             node_progress_s: self.sims.iter().map(Simulation::progress_s).collect(),
-            crashed: self.status.iter().filter(|&&s| s == CRASHED).count(),
+            crashed: self.runs.iter().filter(|r| r.crashed).count(),
             node_fault_counters,
             nodes,
         }
@@ -1229,7 +1128,7 @@ mod tests {
         assert_eq!(summary.completed, 4);
         for n in &summary.nodes {
             // Same workload, same hardware, no runtime: bit-identical to
-            // the single-node run (the shard clock must not perturb it).
+            // the single-node run.
             assert_eq!(n, &solo);
         }
         assert_eq!(summary.decisions, 4);
@@ -1356,11 +1255,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_count_rounds_and_stalls() {
+    fn shard_stats_count_rounds() {
         // A coarse-tick node paired with a fine-tick, fast-deciding node:
-        // the coarse node overshoots the shard horizon, so later horizons
-        // driven by the fine node's deadlines land behind it and it idles
-        // (stalls) while the shard catches up.
+        // each runs its own schedule, and the shard sums their counts.
         let mut coarse = NodeConfig::intel_a100();
         coarse.tick_us = 70_000;
         let mut fleet = FleetSim::builder(2.0)
@@ -1376,7 +1273,6 @@ mod tests {
         let stats = fleet.shard_stats();
         assert_eq!(stats.len(), 1);
         assert!(stats[0].rounds > 0);
-        assert!(stats[0].stalls > 0, "coarse node never stalled");
         assert_eq!(stats[0].decisions, s.decisions);
         assert_eq!(stats[0].node_steps, s.node_steps);
         // The factory sees the index, so every node steps: one trajectory
@@ -1389,13 +1285,11 @@ mod tests {
         assert!(s.node_progress_s.iter().all(|&p| p > 0.0));
 
         // A homogeneous fleet under an index-free factory steps one node
-        // and copies its rounds to the other two; a single trajectory never
-        // stalls.
+        // and copies its rounds to the other two.
         let shared: Arc<AppTrace> = Arc::new(trace(100.0, 5.0));
         let mut fleet = fleet_of(3, 2.0, &shared).build().unwrap();
         let s = fleet.run(&RunOpts::noop());
         let stats = fleet.shard_stats()[0];
-        assert_eq!(stats.stalls, 0);
         assert_eq!((stats.nodes, stats.classes), (3, 1));
         assert!(stats.rep_node_rounds > 0);
         assert_eq!(stats.replayed_node_rounds, 2 * stats.rep_node_rounds);
@@ -1536,8 +1430,8 @@ mod tests {
 
     #[test]
     fn staggered_nodes_match_solo_and_extend_makespan() {
-        // The first node carries the largest offset, so every other node
-        // idles on the shard clock until the horizon reaches its phase.
+        // The first node carries the largest offset; offsets reach only
+        // the makespan.
         const STAGGER_US: [u64; 5] = [1_500_000, 0, 750_000, 250_000, 250_000];
         let shared: Arc<AppTrace> = Arc::new(trace(2.0, 5.0));
         let opts = RunOpts::from_fn(|_, _| Decision {

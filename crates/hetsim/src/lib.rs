@@ -53,8 +53,9 @@ pub use config::{CpuConfig, GpuConfig, MemoryConfig, NodeConfig, UncoreConfig};
 pub use demand::{Demand, GpuUtilVec};
 pub use fault::{FaultCounters, FaultPlan, FaultPlanBuilder, FaultPlanError, InjectedFault};
 pub use fleet::{
-    deadline_missed, Decision, Distribution, FleetBuildError, FleetBuilder, FleetSim, FleetSummary,
-    JobDeadline, NodeDecider, RunOpts, ShardStats, StepMode, TenantShare,
+    deadline_missed, run_node, Decision, Distribution, FleetBuildError, FleetBuilder, FleetSim,
+    FleetSummary, JobDeadline, NodeDecider, NodeFaults, NodeRun, RunOpts, ShardStats, StepMode,
+    TenantShare,
 };
 pub use node::{FastForward, Node};
 pub use power::PowerBreakdown;

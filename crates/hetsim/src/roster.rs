@@ -69,7 +69,7 @@ impl std::error::Error for RosterError {}
 pub struct RosterBuildOpts {
     /// Per-node simulated-time budget (s).
     pub budget_s: f64,
-    /// Shard count for the lockstep kernel.
+    /// Shard count for the fleet kernel.
     pub shards: usize,
 }
 

@@ -138,11 +138,14 @@ fn main() -> ExitCode {
             summary,
             traffic,
         } => {
+            // The plan `--faults` named, loaded and validated once, with
+            // the engine.
             let spec = FleetSpec {
                 system,
                 max_s: budget_s,
                 shards,
                 path,
+                faults: engine.faults().copied(),
                 ..FleetSpec::new(governor, nodes)
             };
             match fleet(

@@ -348,6 +348,13 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
             Command::Figure { name }
         }
         "serve" => {
+            // The daemon's epochs run clean; refuse a plan rather than
+            // ignore it.
+            if engine.faults.is_some() {
+                return Err(ParseError(
+                    "serve takes no --faults plan (run a faulted fleet with `magus fleet`)".into(),
+                ));
+            }
             let addr = take_flag(&mut rest, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
             let http = if take_switch(&mut rest, "--no-http") {
                 None
@@ -529,11 +536,11 @@ ENGINE:    --no-cache (always simulate), --serial (one trial at a time),
            Lines to <file> and a Prometheus metrics snapshot to the .prom
            sibling, <file>.prom),
            --faults <plan.json> (inject a deterministic fault plan into
-           every trial without a plan of its own; validated on load,
-           hashed into each trial's cache key — see DESIGN.md
-           \"Fault injection\"). Trials are cached under results/cache (or
-           $MAGUS_CACHE_DIR) by spec hash; each command writes a run
-           manifest next to it.
+           every trial without a plan of its own, and into every `fleet`
+           node; validated on load, hashed into each trial's cache key —
+           see DESIGN.md \"Fault injection\"; `serve` refuses it).
+           Trials are cached under results/cache (or $MAGUS_CACHE_DIR)
+           by spec hash; each command writes a run manifest next to it.
 SYSTEMS:   intel-a100 (default), intel-4a100, intel-max1550
 APPS:      run `magus list`"
 }
@@ -541,7 +548,7 @@ APPS:      run `magus list`"
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magus_experiments::harness::SimPath;
+    use magus_experiments::harness::StepMode;
     use std::path::PathBuf;
 
     fn v(args: &[&str]) -> Vec<String> {
@@ -985,6 +992,13 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_a_fault_plan() {
+        let err = parse(&v(&["--faults", "plan.json", "serve"])).unwrap_err();
+        assert!(err.to_string().contains("--faults"), "{err}");
+        assert!(parse(&v(&["--faults", "plan.json", "fleet", "--nodes", "4"])).is_ok());
+    }
+
+    #[test]
     fn telemetry_and_sim_path_flags_parse_anywhere() {
         let inv = parse(&v(&[
             "--telemetry",
@@ -995,7 +1009,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(inv.engine.telemetry, Some(PathBuf::from("out/t.jsonl")));
-        assert_eq!(inv.engine.sim_path, Some(SimPath::Reference));
+        assert_eq!(inv.engine.sim_path, Some(StepMode::Reference));
         assert_eq!(
             inv.command,
             Command::Suite {
@@ -1003,7 +1017,7 @@ mod tests {
             }
         );
         let inv = parse(&v(&["suite", "--sim-path", "fast"])).unwrap();
-        assert_eq!(inv.engine.sim_path, Some(SimPath::Fast));
+        assert_eq!(inv.engine.sim_path, Some(StepMode::Fast));
         assert!(parse(&v(&["suite", "--sim-path", "warp"])).is_err());
         let inv = parse(&v(&["suite"])).unwrap();
         assert_eq!(inv.engine.telemetry, None);

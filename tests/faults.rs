@@ -6,11 +6,17 @@
 //! 2. A seeded plan produces one deterministic fault schedule: identical
 //!    across repeated runs, across serial vs parallel engine scheduling,
 //!    and across the two stepping paths.
+//! 3. The `magus` binary applies a `--faults` plan to `fleet` and refuses
+//!    it on `serve`.
+
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+use std::{env, fs};
 
 use magus_suite::experiments::drivers::MagusDriver;
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialBrief, TrialOutcome, TrialSpec};
-use magus_suite::experiments::harness::{SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
-use magus_suite::hetsim::FaultPlan;
+use magus_suite::experiments::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
+use magus_suite::hetsim::{FaultPlan, FleetSummary};
 use magus_suite::workloads::AppId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +31,7 @@ fn fingerprint(r: &TrialResult) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-fn faulted_magus_trial(path: SimPath, faults: Option<&FaultPlan>) -> TrialResult {
+fn faulted_magus_trial(path: StepMode, faults: Option<&FaultPlan>) -> TrialResult {
     let mut driver = MagusDriver::with_defaults();
     let mut trial = TrialBuilder::on(SystemId::IntelA100)
         .app(AppId::Srad)
@@ -41,7 +47,7 @@ fn faulted_magus_trial(path: SimPath, faults: Option<&FaultPlan>) -> TrialResult
 #[test]
 fn empty_fault_plan_is_bit_identical_on_both_paths() {
     let empty = FaultPlan::default();
-    for path in [SimPath::Fast, SimPath::Reference] {
+    for path in [StepMode::Fast, StepMode::Reference] {
         let clean = faulted_magus_trial(path, None);
         let faulted = faulted_magus_trial(path, Some(&empty));
         assert_eq!(
@@ -70,9 +76,9 @@ fn stress_plan() -> FaultPlan {
 #[test]
 fn faulted_trials_reproduce_across_runs_and_paths() {
     let plan = stress_plan();
-    let fast_a = faulted_magus_trial(SimPath::Fast, Some(&plan));
-    let fast_b = faulted_magus_trial(SimPath::Fast, Some(&plan));
-    let reference = faulted_magus_trial(SimPath::Reference, Some(&plan));
+    let fast_a = faulted_magus_trial(StepMode::Fast, Some(&plan));
+    let fast_b = faulted_magus_trial(StepMode::Fast, Some(&plan));
+    let reference = faulted_magus_trial(StepMode::Reference, Some(&plan));
     assert!(
         fast_a.fault_counters.total() > 0,
         "stress plan must actually inject: {:?}",
@@ -195,4 +201,71 @@ fn seed_only_plans_are_empty() {
         );
         assert_eq!(spec.clone().with_faults(plan), spec, "case {case}");
     }
+}
+
+/// `magus --faults <plan> fleet` injects the plan into every node (PCM
+/// dropouts and the fleet crash schedule both fire), and `serve`, whose
+/// epochs run clean, exits with an error naming `--faults`.
+#[test]
+fn magus_fleet_applies_the_faults_flag_and_serve_refuses_it() {
+    let dir = env::temp_dir().join(format!("magus-fleet-faults-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("temp dir");
+    let plan = dir.join("plan.json");
+    fs::write(
+        &plan,
+        r#"{"seed": 5, "pcm": {"dropout_every": 3},
+            "fleet": {"crash_every": 4, "crash_at_us": 2000000}}"#,
+    )
+    .expect("write plan");
+    let summary = dir.join("summary.json");
+    let magus = env!("CARGO_BIN_EXE_magus");
+    let fleet = Command::new(magus)
+        .arg("--no-cache")
+        .arg("--faults")
+        .arg(&plan)
+        .args([
+            "fleet",
+            "--nodes",
+            "4",
+            "--runtime",
+            "magus",
+            "--budget",
+            "5",
+        ])
+        .arg("--summary")
+        .arg(&summary)
+        .output()
+        .expect("run magus fleet");
+    assert!(fleet.status.success(), "{fleet:?}");
+    let summary: FleetSummary =
+        serde_json::from_str(&fs::read_to_string(&summary).expect("summary written"))
+            .expect("summary parses");
+    assert!(summary.crashed >= 1, "crash_every=4 hits node 4 of 4");
+    assert!(
+        !summary.node_fault_counters.is_empty(),
+        "MAGUS reads PCM, so the dropout schedule must fire"
+    );
+
+    let mut serve = Command::new(magus)
+        .arg("--faults")
+        .arg(&plan)
+        .args(["serve", "--addr", "127.0.0.1:0", "--no-http"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn magus serve");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while serve.try_wait().expect("poll serve").is_none() {
+        if Instant::now() > deadline {
+            let _ = serve.kill();
+            let _ = serve.wait();
+            panic!("serve --faults kept running instead of refusing the plan");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = serve.wait_with_output().expect("serve output");
+    assert!(!out.status.success(), "serve accepted --faults");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--faults"), "{stderr}");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,13 @@
-//! Fleet integration tests: lockstep multi-node stepping must be
-//! bit-identical per node to the single-node harness, and the
-//! acceptance-scale sweep (256 nodes × catalog × three governors) must
-//! complete with self-consistent aggregates.
+//! Fleet integration tests: every fleet node must be bit-identical to the
+//! single-node harness, and the acceptance-scale sweep (256 nodes ×
+//! catalog × three governors) must complete with self-consistent
+//! aggregates.
 //!
-//! The shard-local lockstep clocks only change where each node's
-//! macro-stepping spans split, never what they compute — so every fleet
-//! node's
-//! `RunSummary` is asserted `==` (exact, including every f64) against an
-//! isolated `run_trial` of the same app under the same governor.
+//! A trial and each stepped fleet node run through the same decision loop
+//! (`magus_hetsim::run_node`), whatever the shard count, so every fleet
+//! node's `RunSummary` is asserted `==` (exact, including every f64)
+//! against an isolated `run_trial` of the same app under the same
+//! governor.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use magus_suite::experiments::engine::GovernorSpec;
 use magus_suite::experiments::fleet::{
     build_fleet, fleet_app, fleet_sweep, governor_run_opts, run_fleet, run_fleet_keeping, FleetSpec,
 };
-use magus_suite::experiments::harness::{run_trial, SimPath, SystemId, TrialOpts};
+use magus_suite::experiments::harness::{run_trial, StepMode, SystemId, TrialOpts};
 use magus_suite::hetsim::{
     AppTrace, Decision, FaultPlan, FleetSim, Node, NodeConfig, RunOpts, ShardStats, Simulation,
 };
@@ -147,7 +147,7 @@ fn sharded_fleet_is_bit_identical_across_shard_counts_paths_and_faults() {
 
     let mut baseline_fleet = catalog_fleet(nodes, 600.0, Some(&plan), 1);
     baseline_fleet.arm_telemetry();
-    let baseline = baseline_fleet.run(&opts_for(SimPath::Fast));
+    let baseline = baseline_fleet.run(&opts_for(StepMode::Fast));
     assert_eq!(armed_nodes(&baseline_fleet), nodes);
     let baseline_jsonl = telemetry_jsonl(&mut baseline_fleet);
     assert!(!baseline_jsonl.is_empty(), "an armed fleet records events");
@@ -159,7 +159,7 @@ fn sharded_fleet_is_bit_identical_across_shard_counts_paths_and_faults() {
     assert_eq!(baseline.completed, nodes - 1);
 
     for shards in [1usize, 2, 7, 64] {
-        for path in [SimPath::Fast, SimPath::Reference] {
+        for path in [StepMode::Fast, StepMode::Reference] {
             let mut fleet = catalog_fleet(nodes, 600.0, Some(&plan), shards);
             fleet.arm_telemetry();
             let summary = fleet.run(&opts_for(path));
@@ -227,11 +227,11 @@ impl Case {
         }
     }
 
-    fn path(&mut self) -> SimPath {
+    fn path(&mut self) -> StepMode {
         if self.coin() {
-            SimPath::Reference
+            StepMode::Reference
         } else {
-            SimPath::Fast
+            StepMode::Fast
         }
     }
 }
@@ -475,7 +475,7 @@ fn shared_trajectories_equal_unshared_runs_bit_for_bit() {
         fleet
     };
     let mut baseline = None;
-    for path in [SimPath::Fast, SimPath::Reference] {
+    for path in [StepMode::Fast, StepMode::Reference] {
         let opts = governor_run_opts(&GovernorSpec::magus_default(), path);
         for shards in [1, 2, 7] {
             let mut outputs = Vec::new();

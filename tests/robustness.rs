@@ -2,13 +2,16 @@
 //! runtime must survive flaky counters and misbehaving register access
 //! without crashing or destroying the application's performance.
 
+use std::panic::{self, AssertUnwindSafe};
+
 use magus_suite::experiments::drivers::{MagusDriver, NoopDriver, RuntimeDriver};
+use magus_suite::experiments::fleet::FleetSpec;
 use magus_suite::experiments::harness::{run_trial, SystemId, TrialOpts};
 use magus_suite::experiments::metrics::Comparison;
 use magus_suite::hetsim::{FaultPlan, Node, NodeConfig, Simulation};
 use magus_suite::msr::{MsrScope, MSR_UNCORE_RATIO_LIMIT};
 use magus_suite::telemetry::FieldValue;
-use magus_suite::workloads::{app_trace, AppId, Platform};
+use magus_suite::workloads::{app_trace, AppId, Platform, TrafficSpec};
 
 /// PCM dropouts (reads that fail) during a MAGUS run must not crash the
 /// runtime and must keep performance loss within the paper band.
@@ -119,4 +122,76 @@ fn truncated_runs_remain_consistent() {
     }
     assert!(sim.node().energy().total_j() > e1);
     assert!(sim.progress_s() > 0.0);
+}
+
+/// The committed JSON inputs the mutation loop below starts from: a fault
+/// plan, a traffic spec and a fleet spec.
+const JSON_FIXTURES: [&str; 3] = [
+    include_str!("fixtures/telemetry/faults.json"),
+    include_str!("fixtures/telemetry/traffic.json"),
+    include_str!("../crates/experiments/tests/fixtures/fleet_spec_sharing_switches.json"),
+];
+
+/// Bytes each position of a fixture is replaced by, one at a time.
+const REPLACEMENTS: &[u8] = b"\"{}[],:-9e.\\n \x00\xff";
+
+/// Every mutation of `fixture`: each truncation, each single-byte
+/// replacement by one of [`REPLACEMENTS`], and a 400-digit number inserted
+/// before each byte.
+fn mutations(fixture: &[u8]) -> Vec<Vec<u8>> {
+    let long_number = vec![b'9'; 400];
+    let mut out: Vec<Vec<u8>> = (0..fixture.len()).map(|n| fixture[..n].to_vec()).collect();
+    for i in 0..fixture.len() {
+        for &b in REPLACEMENTS {
+            let mut m = fixture.to_vec();
+            m[i] = b;
+            out.push(m);
+        }
+    }
+    for i in 0..fixture.len() {
+        let mut m = fixture[..i].to_vec();
+        m.extend_from_slice(&long_number);
+        m.extend_from_slice(&fixture[i..]);
+        out.push(m);
+    }
+    out
+}
+
+/// Decode `input` as every JSON input type and validate what decodes. Any
+/// outcome is fine except a panic.
+fn decode_all(input: &[u8]) {
+    if let Ok(plan) = serde_json::from_slice::<FaultPlan>(input) {
+        let _ = plan.validate();
+    }
+    if let Ok(traffic) = serde_json::from_slice::<TrafficSpec>(input) {
+        let _ = traffic.validate();
+    }
+    let _ = serde_json::from_slice::<FleetSpec>(input);
+}
+
+/// Truncated, byte-flipped and number-bloated fault plans, traffic specs
+/// and fleet specs decode to `Ok` or `Err` and validate without a panic.
+#[test]
+fn mutated_json_inputs_never_panic() {
+    assert_eq!(REPLACEMENTS.len(), 16);
+    // The unmutated fixtures decode as their own types, so the mutations
+    // start from valid inputs.
+    let [faults, traffic, fleet] = JSON_FIXTURES;
+    serde_json::from_str::<FaultPlan>(faults).expect("fault plan fixture decodes");
+    serde_json::from_str::<TrafficSpec>(traffic).expect("traffic fixture decodes");
+    serde_json::from_str::<FleetSpec>(fleet).expect("fleet spec fixture decodes");
+    let mut inputs = 0;
+    for (f, fixture) in JSON_FIXTURES.iter().enumerate() {
+        for (m, input) in mutations(fixture.as_bytes()).iter().enumerate() {
+            inputs += 1;
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| decode_all(input)));
+            assert!(
+                outcome.is_ok(),
+                "fixture {f}, mutation {m} panicked on input {:?}",
+                String::from_utf8_lossy(input)
+            );
+        }
+    }
+    let bytes: usize = JSON_FIXTURES.iter().map(|f| f.len()).sum();
+    assert_eq!(inputs, bytes * (1 + REPLACEMENTS.len() + 1));
 }

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use magus_suite::experiments::drivers::{MagusDriver, RuntimeDriver, UpsDriver};
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
 use magus_suite::experiments::fleet::{run_fleet_with_telemetry, FleetSpec};
-use magus_suite::experiments::harness::{SimPath, SystemId, TrialBuilder, TrialOpts, TrialResult};
+use magus_suite::experiments::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 use magus_suite::hetsim::FaultPlan;
 use magus_suite::telemetry::Event;
 use magus_suite::workloads::io::load_traffic_spec;
@@ -45,15 +45,15 @@ fn repeated_trials_emit_byte_identical_event_streams() {
 #[test]
 fn fast_and_reference_paths_emit_identical_events() {
     for governor in ["magus", "ups"] {
-        let run = |path: SimPath| {
+        let run = |path: StepMode| {
             let opts = TrialOpts::default().with_path(path);
             match governor {
                 "magus" => armed_trial(&mut MagusDriver::with_defaults(), opts),
                 _ => armed_trial(&mut UpsDriver::with_defaults(), opts),
             }
         };
-        let fast = run(SimPath::Fast);
-        let reference = run(SimPath::Reference);
+        let fast = run(StepMode::Fast);
+        let reference = run(StepMode::Reference);
         assert!(!fast.events.is_empty(), "{governor}: no events");
         assert_eq!(
             events_json(&fast),

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
 use magus_suite::experiments::fleet::{run_fleet, FleetSpec};
-use magus_suite::experiments::harness::{SimPath, SystemId};
+use magus_suite::experiments::harness::{StepMode, SystemId};
 use magus_suite::hetsim::FaultPlan;
 use magus_suite::workloads::{Platform, TrafficSpec, TrafficSpecError};
 use rand::rngs::SmallRng;
@@ -188,9 +188,9 @@ fn traffic_fleet_is_bit_identical_across_scheduling_and_paths() {
         let sharded = run_fleet(&FleetSpec {
             shards,
             path: if use_reference {
-                SimPath::Reference
+                StepMode::Reference
             } else {
-                SimPath::Fast
+                StepMode::Fast
             },
             ..base
         });
@@ -237,7 +237,7 @@ fn faulted_traffic_fleet_is_bit_identical_across_shards_and_paths() {
         reference.node_fault_counters.iter().any(|c| c.total() > 0),
         "MAGUS reads PCM, so the dropout schedule must fire"
     );
-    for path in [SimPath::Fast, SimPath::Reference] {
+    for path in [StepMode::Fast, StepMode::Reference] {
         for shards in [1, 3] {
             let run = run_fleet(&FleetSpec {
                 shards,
