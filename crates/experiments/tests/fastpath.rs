@@ -6,9 +6,11 @@
 //! 1. An exhaustive sweep of the entire workload catalog × every governor
 //!    × every testbed, comparing `RunSummary`, recorded samples, and
 //!    invocation counts between `StepMode::Reference` and `StepMode::Fast`.
-//! 2. A seeded property loop over randomized phase traces with governor
+//! 2. Seeded property loops over randomized phase traces with governor
 //!    and MSR writes injected at arbitrary instants, driving the two paths
-//!    through the same event script.
+//!    through the same event script: once with a 50 ms recorder, so every
+//!    frozen span is short, and once with long spans (the recorder off or
+//!    at a drawn interval), so PCM windows are rebuilt from a single span.
 //!
 //! A last test puts a floor under how much the fast path replays: a fast
 //! path that stopped freezing would still pass every equality check here.
@@ -101,15 +103,17 @@ fn apply_event(sim: &mut Simulation, ev: Event, pcm_log: &mut Vec<u64>) {
     }
 }
 
-/// Drive a trace through the given event script on either path; return
-/// everything observable.
+/// Drive a trace through the given event script on either path, recording
+/// every `record_interval_us` (0: recorder off); return everything
+/// observable.
 fn run_script(
     trace: &AppTrace,
     events: &[(u64, Event)],
     fast: bool,
+    record_interval_us: u64,
 ) -> (RunSummary, Vec<TraceSample>, Vec<u64>) {
     let mut sim = Simulation::new(Node::new(NodeConfig::intel_a100()));
-    sim.set_recorder(TraceRecorder::new(50_000));
+    sim.set_recorder(TraceRecorder::new(record_interval_us));
     sim.load(trace.clone());
     let mut ff = FastForward::new();
     let mut pcm_log = Vec::new();
@@ -169,22 +173,37 @@ fn pcm_window_means_match_across_ring_wraparound() {
         (2_500_000, Event::PcmRead),
     ];
     events.sort_by_key(|e| e.0);
-    let (rs, rsam, rpcm) = run_script(&trace, &events, false);
-    let (fs, fsam, fpcm) = run_script(&trace, &events, true);
-    assert_eq!(rpcm, fpcm, "PCM window means diverged at the wrap boundary");
-    assert_eq!(rs, fs);
-    assert_eq!(rsam, fsam);
-    assert_eq!(rpcm.len(), 10, "every scripted PcmRead must have fired");
+    // With the recorder off nothing but the script ends a frozen span, so
+    // the window before each read is rebuilt from one long span.
+    for record_interval_us in [RECORD_US, 0] {
+        let (rs, rsam, rpcm) = run_script(&trace, &events, false, record_interval_us);
+        let (fs, fsam, fpcm) = run_script(&trace, &events, true, record_interval_us);
+        let ctx = format!("recorder every {record_interval_us} us");
+        assert_eq!(
+            rpcm, fpcm,
+            "PCM window means diverged at the wrap boundary: {ctx}"
+        );
+        assert_eq!(rs, fs, "{ctx}");
+        assert_eq!(rsam, fsam, "{ctx}");
+        assert_eq!(
+            rpcm.len(),
+            10,
+            "every scripted PcmRead must have fired: {ctx}"
+        );
+    }
 }
 
-fn arb_phase(rng: &mut SmallRng) -> Phase {
+/// The recorder interval of the short-span tests: 50 ms, 5 ticks.
+const RECORD_US: u64 = 50_000;
+
+fn arb_phase(rng: &mut SmallRng, max_work_s: f64) -> Phase {
     let kind = [
         PhaseKind::Init,
         PhaseKind::Burst,
         PhaseKind::Compute,
         PhaseKind::Idle,
     ][rng.gen_range(0..=3)];
-    let work_s = rng.gen_range(0.05..2.0);
+    let work_s = rng.gen_range(0.05..max_work_s);
     let mem_frac = rng.gen_range(0.0..1.0);
     let cpu_util = rng.gen_range(0.0..1.0);
     let mem_gbs = rng.gen_range(0.0..180.0);
@@ -201,8 +220,8 @@ fn arb_phase(rng: &mut SmallRng) -> Phase {
     Phase::new(kind, work_s, demand)
 }
 
-fn arb_event(rng: &mut SmallRng) -> (u64, Event) {
-    let at_us = rng.gen_range(0..=secs_to_us(8.0) as usize - 1) as u64;
+fn arb_event(rng: &mut SmallRng, within_s: f64) -> (u64, Event) {
+    let at_us = rng.gen_range(0..=secs_to_us(within_s) as usize - 1) as u64;
     let event = match rng.gen_range(0..=2) {
         0 => Event::FixUncore(rng.gen_range(0.8..2.4)),
         1 => Event::PowerLimit(rng.gen_range(60.0..160.0)),
@@ -220,18 +239,59 @@ fn fast_path_matches_reference_on_random_traces() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let phases = (0..rng.gen_range(1..=4))
-            .map(|_| arb_phase(&mut rng))
+            .map(|_| arb_phase(&mut rng, 2.0))
             .collect();
         let mut events: Vec<_> = (0..rng.gen_range(0..=5))
-            .map(|_| arb_event(&mut rng))
+            .map(|_| arb_event(&mut rng, 8.0))
             .collect();
         events.sort_by_key(|e| e.0);
         let trace = AppTrace::new("prop", phases);
-        let (rs, rsam, rpcm) = run_script(&trace, &events, false);
-        let (fs, fsam, fpcm) = run_script(&trace, &events, true);
+        let (rs, rsam, rpcm) = run_script(&trace, &events, false, RECORD_US);
+        let (fs, fsam, fpcm) = run_script(&trace, &events, true, RECORD_US);
         assert_eq!(rs, fs, "case {case}");
         assert_eq!(rsam, fsam, "case {case}");
         assert_eq!(rpcm, fpcm, "case {case}");
+    }
+}
+
+/// Seeded cases for the long-span property.
+const LONG_SPAN_CASES: u64 = 200;
+
+/// Frozen spans longer than the PCM window. At a 50 ms recorder interval
+/// every span above is shorter than the 100 ms window, so no PCM read there
+/// sees a window rebuilt from one long span. Here the recorder is off in
+/// half the cases and otherwise samples at a drawn interval that is not a
+/// whole number of ticks (1 ms to 2 s); phases run up to 4 s and up to 8
+/// events land anywhere in the first 12 s.
+#[test]
+fn fast_path_matches_reference_across_long_spans() {
+    let tick_us = NodeConfig::intel_a100().tick_us;
+    for case in 0..LONG_SPAN_CASES {
+        let mut rng = SmallRng::seed_from_u64(0x6c6f_6e67 + case);
+        let record_interval_us = if rng.gen_bool(0.5) {
+            0
+        } else {
+            let us = rng.gen_range(1_000..=2_000_000) as u64;
+            if us.is_multiple_of(tick_us) {
+                us + 1
+            } else {
+                us
+            }
+        };
+        let phases = (0..rng.gen_range(1..=4))
+            .map(|_| arb_phase(&mut rng, 4.0))
+            .collect();
+        let mut events: Vec<_> = (0..rng.gen_range(0..=8))
+            .map(|_| arb_event(&mut rng, 12.0))
+            .collect();
+        events.sort_by_key(|e| e.0);
+        let trace = AppTrace::new("long-span", phases);
+        let (rs, rsam, rpcm) = run_script(&trace, &events, false, record_interval_us);
+        let (fs, fsam, fpcm) = run_script(&trace, &events, true, record_interval_us);
+        let ctx = format!("case {case}, recorder every {record_interval_us} us");
+        assert_eq!(rs, fs, "{ctx}");
+        assert_eq!(rsam, fsam, "{ctx}");
+        assert_eq!(rpcm, fpcm, "{ctx}");
     }
 }
 

@@ -13,7 +13,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use std::{env, fs};
 
-use magus_suite::experiments::drivers::MagusDriver;
+use magus_suite::experiments::drivers::{MagusDriver, RuntimeDriver, UpsDriver};
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialBrief, TrialOutcome, TrialSpec};
 use magus_suite::experiments::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 use magus_suite::hetsim::{FaultPlan, FleetSummary};
@@ -91,6 +91,66 @@ fn faulted_trials_reproduce_across_runs_and_paths() {
         "fast and reference paths diverged under faults"
     );
     assert_eq!(fast_a.fault_counters, reference.fault_counters);
+}
+
+/// Actuation delays longer than a frozen span. A delayed write comes due
+/// at a tick edge the governor did not choose, often in the middle of a
+/// span the fast path would replay; the span must stop there. Each trial
+/// runs armed, with the recorder off and at 70 ms (not a whole number of
+/// 10 ms ticks), and both paths must agree on every observable.
+#[test]
+fn long_actuation_delays_match_across_paths() {
+    for delay_us in [250_000, 1_000_000, 2_345_000] {
+        let plan = FaultPlan::builder()
+            .seed(3)
+            .actuation_delay_us(delay_us)
+            .build()
+            .expect("delay-only plan is valid");
+        for app in [AppId::Srad, AppId::Bfs, AppId::Gemm] {
+            for governor in ["MAGUS", "UPS"] {
+                for record_interval_us in [0, 70_000] {
+                    let run = |path| {
+                        let mut driver: Box<dyn RuntimeDriver> = match governor {
+                            "MAGUS" => Box::new(MagusDriver::with_defaults()),
+                            _ => Box::new(UpsDriver::with_defaults()),
+                        };
+                        let opts = TrialOpts {
+                            record_interval_us,
+                            ..TrialOpts::default()
+                        };
+                        TrialBuilder::on(SystemId::IntelA100)
+                            .app(app)
+                            .opts(opts)
+                            .path(path)
+                            .faults(&plan)
+                            .arm_telemetry()
+                            .run(driver.as_mut())
+                    };
+                    let fast = run(StepMode::Fast);
+                    let reference = run(StepMode::Reference);
+                    let ctx = format!(
+                        "{governor} / {app:?} / delay {delay_us} us / recorder {record_interval_us} us"
+                    );
+                    assert!(
+                        fast.fault_counters.delayed_writes > 0,
+                        "no write was delayed: {ctx}"
+                    );
+                    assert_eq!(fast.summary, reference.summary, "summary: {ctx}");
+                    assert_eq!(fast.samples, reference.samples, "samples: {ctx}");
+                    assert_eq!(fast.events, reference.events, "events: {ctx}");
+                    assert_eq!(
+                        fast.fault_counters, reference.fault_counters,
+                        "fault counters: {ctx}"
+                    );
+                    let (f, r) = (
+                        fast.node_telemetry.expect("armed trial"),
+                        reference.node_telemetry.expect("armed trial"),
+                    );
+                    assert_eq!(f.residency_us, r.residency_us, "residency: {ctx}");
+                }
+            }
+        }
+    }
 }
 
 /// Faulted specs through the engine: serial and parallel scheduling give
