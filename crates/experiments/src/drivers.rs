@@ -367,8 +367,10 @@ impl UpsDriver {
         self.core.as_ref()
     }
 
-    /// Decision cycles degraded by injected faults (failed counter sweep or
-    /// exhausted actuation retries).
+    /// Decision cycles degraded: an uncore write that failed on every retry
+    /// (an injected write fault), or a failed counter sweep, which only a
+    /// bad scope or register causes (no fault plan injects MSR read
+    /// faults).
     #[must_use]
     pub fn degraded(&self) -> u64 {
         self.degraded
@@ -400,7 +402,8 @@ impl RuntimeDriver for UpsDriver {
                 Ok(Some(sample)) => sample,
                 Ok(None) => return, // warm-up baseline, not a fault
                 Err(_) => {
-                    // Injected counter-read fault: skip this cycle, keep the
+                    // A failed sweep (a bad scope or register; fault plans
+                    // inject no read faults): skip this cycle, keep the
                     // current limit.
                     self.degraded += 1;
                     push_event(sim, |t_us| {

@@ -105,11 +105,14 @@ impl CpuComplex {
         (cycles, cycles * self.cfg.base_ipc * visible)
     }
 
-    /// Apply pre-captured per-tick counter increments without re-evaluating
-    /// the DVFS model (frozen fast path; frequency provably unchanged).
-    pub(crate) fn replay_tick(&mut self, cycles_inc: f64, instructions_inc: f64) {
-        self.cycles += cycles_inc;
-        self.instructions += instructions_inc;
+    /// Apply pre-captured per-tick counter increments for `n` ticks, one
+    /// addition per tick, without re-evaluating the DVFS model (frozen fast
+    /// path; frequency provably unchanged).
+    pub(crate) fn replay_ticks(&mut self, n: u64, cycles_inc: f64, instructions_inc: f64) {
+        for _ in 0..n {
+            self.cycles += cycles_inc;
+            self.instructions += instructions_inc;
+        }
     }
 
     /// Current average core frequency (GHz).

@@ -41,10 +41,13 @@ impl GpuDevice {
         self.energy_j += self.power_w() * dt_s;
     }
 
-    /// Apply a pre-captured per-tick energy increment without re-evaluating
-    /// the clock governor (frozen fast path; clock provably unchanged).
-    pub(crate) fn replay_tick(&mut self, energy_inc_j: f64) {
-        self.energy_j += energy_inc_j;
+    /// Apply a pre-captured per-tick energy increment for `n` ticks, one
+    /// addition per tick, without re-evaluating the clock governor (frozen
+    /// fast path; clock provably unchanged).
+    pub(crate) fn replay_ticks(&mut self, n: u64, energy_inc_j: f64) {
+        for _ in 0..n {
+            self.energy_j += energy_inc_j;
+        }
     }
 
     /// Current SM clock (MHz).

@@ -56,10 +56,13 @@ impl MemoryChannel {
         delivered
     }
 
-    /// Apply a pre-captured per-tick traffic increment without re-evaluating
-    /// the delivery model (frozen fast path; delivery provably unchanged).
-    pub(crate) fn replay_tick(&mut self, gb_inc: f64) {
-        self.total_gb += gb_inc;
+    /// Apply a pre-captured per-tick traffic increment for `n` ticks, one
+    /// addition per tick, without re-evaluating the delivery model (frozen
+    /// fast path; delivery provably unchanged).
+    pub(crate) fn replay_ticks(&mut self, n: u64, gb_inc: f64) {
+        for _ in 0..n {
+            self.total_gb += gb_inc;
+        }
     }
 
     /// Delivered throughput during the last tick (GB/s).

@@ -57,22 +57,22 @@ pub struct StepOutcome {
 }
 
 /// Reusable scratch state for the macro-stepping fast path
-/// ([`Node::step_fast`] / [`Node::advance_until`]).
+/// ([`Node::step_fast`] / [`crate::Simulation::advance_until`]).
 ///
 /// # How the fast path works
 ///
 /// Between *events* — governor sample points (every MSR/PCM access bumps the
-/// node's state epoch), workload phase boundaries (the demand changes), and
-/// power-limit transients (the RAPL walk mutates the frequency cap every
-/// tick until it converges) — the node's feedback state can reach a
-/// floating-point fixed point: the uncore slew clamps exactly onto its
-/// target, the DVFS trackers settle bitwise, and `last_power` stops
-/// changing. From that point on, every tick adds *bit-identical* increments
-/// to the pure accumulators (energy, counters, traffic, time). The core
-/// DVFS tracker settles last: it moves on every tick for tens of ticks
-/// after a utilisation change, so a span usually starts a couple of dozen
-/// reference ticks after its event, and a span shorter than that never
-/// freezes.
+/// node's state epoch), workload phase boundaries (the demand changes),
+/// deferred actuations coming due, and power-limit transients (the RAPL
+/// walk mutates the frequency cap every tick until it converges) — the
+/// node's feedback state can reach a floating-point fixed point: the uncore
+/// slew clamps exactly onto its target, the DVFS trackers settle bitwise,
+/// and `last_power` stops changing. From that point on, every tick adds
+/// *bit-identical* increments to the pure accumulators (energy, counters,
+/// traffic, time). The core DVFS tracker settles last: it moves on every
+/// tick for tens of ticks after a utilisation change, so a span usually
+/// starts a couple of dozen reference ticks after its event, and a span
+/// shorter than that never freezes.
 ///
 /// `FastForward` detects the fixed point by comparing bitwise snapshots of
 /// the feedback state across two consecutive ticks. A tick on which the
@@ -81,11 +81,13 @@ pub struct StepOutcome {
 /// snapshot is not even written then; detection restarts on the next tick.
 /// Once two snapshots match, it captures the per-tick accumulator
 /// increments (computed by the same expressions `step` uses) and *replays*
-/// them for subsequent ticks, skipping the model evaluation entirely — ~a
-/// dozen additions instead of the power/bandwidth curves and the full
-/// governor cascade. Replay is bit-for-bit identical to per-tick stepping
-/// by construction; any event (epoch bump, demand change, different `dt`)
-/// drops back to reference stepping until a new fixed point is reached.
+/// them, skipping the model evaluation entirely. A whole span of `n` ticks
+/// replays in one call: each accumulator adds its increment `n` times in
+/// order, the clock and the residency bins move by `n` ticks, and the PCM
+/// history receives only the entries its window keeps. Replay is
+/// bit-for-bit identical to per-tick stepping by construction; any event
+/// (epoch bump, demand change, different `dt`, an actuation due) drops back
+/// to reference stepping until a new fixed point is reached.
 ///
 /// The scratch buffers are allocated once and reused, so the hot loop stays
 /// allocation-free.
@@ -122,6 +124,11 @@ impl FastForward {
     #[must_use]
     pub fn frozen(&self) -> bool {
         self.frozen
+    }
+
+    /// Progress factor of every replayed tick.
+    pub(crate) fn replayed_progress(&self) -> f64 {
+        self.outcome.progress
     }
 }
 
@@ -193,6 +200,16 @@ impl Curves {
     /// [`CpuComplex::freq_term`] at core frequency `freq_ghz`.
     fn core_term(&mut self, s: &Socket, freq_ghz: f64) -> f64 {
         self.core.eval(freq_ghz, |f| s.cpu.freq_term(f))
+    }
+}
+
+/// Fixed counter `addr` of core `local` of one socket's complex, read
+/// without charging.
+fn fixed_counter(cpu: &CpuComplex, addr: u32, local: u32) -> Result<u64, MsrError> {
+    match addr {
+        IA32_FIXED_CTR0 => Ok(cpu.core_instructions(local)),
+        IA32_FIXED_CTR1 | IA32_FIXED_CTR2 => Ok(cpu.core_cycles(local)),
+        _ => Err(MsrError::UnknownRegister(addr)),
     }
 }
 
@@ -388,8 +405,9 @@ impl Node {
     /// Apply any injected-delay uncore writes that have come due. Runs at
     /// the head of every reference tick; a pending write due inside a tick
     /// takes effect at that tick's start boundary (the same instant on both
-    /// stepping paths, since the fast path refuses to replay across a due
-    /// write). Applying bumps `state_epoch` exactly like a live MSR write.
+    /// stepping paths, since a frozen span ends before the tick at which a
+    /// write is due). Applying bumps `state_epoch` exactly like a live MSR
+    /// write.
     fn apply_due_actuations(&mut self) {
         loop {
             let now = self.time_us;
@@ -414,13 +432,11 @@ impl Node {
         }
     }
 
-    /// True when a deferred actuation is due at or before the current time
-    /// (so the next tick must run through [`Node::step`], not be replayed).
+    /// Due time (µs) of the earliest deferred actuation; `u64::MAX` when
+    /// none is pending.
     #[inline]
-    fn fault_actuation_due(&self) -> bool {
-        self.faults
-            .as_deref()
-            .is_some_and(|fs| fs.next_due_us <= self.time_us)
+    pub(crate) fn actuation_due_us(&self) -> u64 {
+        self.faults.as_deref().map_or(u64::MAX, |fs| fs.next_due_us)
     }
 
     /// Advance the node one tick of `dt_us` under `demand`.
@@ -565,7 +581,7 @@ impl Node {
         self.time_us += dt_us;
 
         // 8. Retain delivered-throughput history for PCM windows.
-        self.record_bw(dt_us, delivered_total);
+        self.record_bw(1, dt_us, delivered_total);
 
         StepOutcome {
             progress,
@@ -574,11 +590,16 @@ impl Node {
         }
     }
 
-    /// Append this tick's delivered throughput and trim entries older than
-    /// the PCM measurement window. Shared by `step` and the frozen replay so
-    /// both paths keep byte-identical history.
-    fn record_bw(&mut self, dt_us: u64, delivered_gbs: f64) {
-        self.bw_history.push_back((self.time_us, delivered_gbs));
+    /// Record the delivered throughput of the `n` ticks of `dt_us` that
+    /// just ended at `time_us`, all at `delivered_gbs`, and trim entries
+    /// older than the PCM measurement window. Shared by `step` (`n = 1`)
+    /// and the frozen replay so both paths keep byte-identical history.
+    ///
+    /// `n` single-tick appends and trims leave exactly this: the trim
+    /// horizon only grows, so the last tick's trim removes every entry
+    /// that any earlier one did, and of the span's own entries it keeps
+    /// only the last `kept`, those that end at or after it.
+    fn record_bw(&mut self, n: u64, dt_us: u64, delivered_gbs: f64) {
         let horizon = self.time_us.saturating_sub(self.cfg.pcm_window_us);
         while let Some(&(t, _)) = self.bw_history.front() {
             if t < horizon {
@@ -586,6 +607,16 @@ impl Node {
             } else {
                 break;
             }
+        }
+        // At most one window of ticks: counted, not divided out, so a
+        // single tick costs one compare.
+        let mut kept = 1;
+        while kept < n && self.time_us - kept * dt_us >= horizon {
+            kept += 1;
+        }
+        for back in (0..kept).rev() {
+            self.bw_history
+                .push_back((self.time_us - back * dt_us, delivered_gbs));
         }
         debug_assert!(
             self.bw_history.len() <= (self.cfg.pcm_window_us / dt_us.max(1) + 2) as usize,
@@ -598,26 +629,14 @@ impl Node {
     /// per-tick increments whenever the node is in a frozen span (see
     /// [`FastForward`]). Bit-for-bit identical to `step` on every field.
     pub fn step_fast(&mut self, dt_us: u64, demand: &Demand, ff: &mut FastForward) -> StepOutcome {
-        // A deferred actuation coming due is an event like any other: the
-        // tick must run through `step` (which applies it at the tick head
-        // and bumps the epoch), never be replayed over.
-        let actuation_due = self.fault_actuation_due();
-        if ff.frozen
-            && !actuation_due
-            && ff.epoch == self.state_epoch
-            && ff.dt_us == dt_us
-            && demand_bits_eq(&ff.demand, demand)
-        {
-            self.replay_frozen_tick(dt_us, ff);
+        let unchanged = self.no_event_since_capture(dt_us, demand, ff);
+        if unchanged && ff.frozen {
+            self.replay_frozen(1, ff);
             return ff.outcome;
         }
         // An event occurred (or we never froze): restart fixed-point
         // detection from reference steps.
-        if actuation_due
-            || ff.epoch != self.state_epoch
-            || ff.dt_us != dt_us
-            || !demand_bits_eq(&ff.demand, demand)
-        {
+        if !unchanged {
             if ff.frozen {
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.fastpath_invalidations += 1;
@@ -651,19 +670,22 @@ impl Node {
         out
     }
 
-    /// Fast-forward the node to `horizon_us` (exclusive of any tick starting
-    /// at or past it) under constant demand, using the macro-stepping fast
-    /// path. Returns the number of ticks advanced. The caller chooses the
-    /// horizon as the next *event* time — a governor decision point, a
-    /// workload phase boundary, or the end of the run budget.
-    pub fn advance_until(&mut self, horizon_us: u64, demand: &Demand, ff: &mut FastForward) -> u64 {
-        let dt_us = self.cfg.tick_us;
-        let mut ticks = 0;
-        while self.time_us < horizon_us {
-            self.step_fast(dt_us, demand, ff);
-            ticks += 1;
-        }
-        ticks
+    /// True when the next tick of `dt_us` under `demand` would replay the
+    /// frozen span in `ff`: the check at the head of [`Node::step_fast`].
+    pub(crate) fn replays(&self, dt_us: u64, demand: &Demand, ff: &FastForward) -> bool {
+        ff.frozen && self.no_event_since_capture(dt_us, demand, ff)
+    }
+
+    /// True when nothing that ends a span happened since `ff` last reset:
+    /// no state-epoch bump, the same `dt` and demand bits, and no deferred
+    /// actuation due. An actuation coming due is an event like any other:
+    /// the tick must run through `step` (which applies it at the tick head
+    /// and bumps the epoch), never be replayed over.
+    fn no_event_since_capture(&self, dt_us: u64, demand: &Demand, ff: &FastForward) -> bool {
+        self.actuation_due_us() > self.time_us
+            && ff.epoch == self.state_epoch
+            && ff.dt_us == dt_us
+            && demand_bits_eq(&ff.demand, demand)
     }
 
     /// Bits of the two feedback values that settle last: the first socket's
@@ -747,29 +769,37 @@ impl Node {
         }
     }
 
-    /// One replayed tick: apply the captured increments to the accumulators
-    /// and leave all feedback state untouched (it is at a fixed point).
-    fn replay_frozen_tick(&mut self, dt_us: u64, ff: &FastForward) {
-        let dt_s = crate::us_to_secs(dt_us);
+    /// Replay `n` ticks of the frozen span in `ff` (the caller checked
+    /// [`Node::replays`]). Every accumulator adds its captured increment
+    /// `n` times, in order, never `n ×` the increment: float addition does
+    /// not associate. All feedback state stays untouched (it is at a fixed
+    /// point). Inlined so that `step_fast`'s single-tick replay folds the
+    /// loops away.
+    #[inline]
+    pub(crate) fn replay_frozen(&mut self, n: u64, ff: &FastForward) {
+        let dt_us = ff.dt_us;
         for (s, &(cycles, instructions, gb)) in self.sockets.iter_mut().zip(&ff.socket_inc) {
-            s.cpu.replay_tick(cycles, instructions);
-            s.mem.replay_tick(gb);
-            s.pkg_energy_j += ff.pkg_per_socket_j;
-            s.dram_energy_j += ff.dram_per_socket_j;
+            s.cpu.replay_ticks(n, cycles, instructions);
+            s.mem.replay_ticks(n, gb);
+            for _ in 0..n {
+                s.pkg_energy_j += ff.pkg_per_socket_j;
+                s.dram_energy_j += ff.dram_per_socket_j;
+            }
         }
         for (g, &energy_j) in self.gpus.iter_mut().zip(&ff.gpu_inc) {
-            g.replay_tick(energy_j);
+            g.replay_ticks(n, energy_j);
         }
-        self.energy.accumulate(&ff.outcome.power, dt_s);
-        self.time_us += dt_us;
-        self.record_bw(dt_us, ff.outcome.delivered_gbs);
+        self.energy
+            .accumulate_ticks(n, &ff.outcome.power, crate::us_to_secs(dt_us));
+        self.time_us += n * dt_us;
+        self.record_bw(n, dt_us, ff.outcome.delivered_gbs);
         // Telemetry replay mirrors step() 6b exactly: the uncore frequency
         // is feedback state, so its bin is constant across the span.
         if let Some(t) = self.telemetry.as_deref_mut() {
             for &bin in &ff.residency_bins {
-                t.residency_us[bin as usize] += dt_us;
+                t.residency_us[bin as usize] += n * dt_us;
             }
-            t.fastpath_replayed_ticks += 1;
+            t.fastpath_replayed_ticks += n;
         }
     }
 
@@ -829,16 +859,44 @@ impl Node {
                     return Err(MsrError::BadScope(scope));
                 }
                 self.charge_monitoring(self.core_read_cost(), false);
-                let socket = (core / self.cfg.cpu.cores) as usize;
-                let local = core % self.cfg.cpu.cores;
-                let cpu = &self.sockets[socket].cpu;
-                match addr {
-                    IA32_FIXED_CTR0 => Ok(cpu.core_instructions(local)),
-                    IA32_FIXED_CTR1 | IA32_FIXED_CTR2 => Ok(cpu.core_cycles(local)),
-                    _ => Err(MsrError::UnknownRegister(addr)),
-                }
+                let cores = self.cfg.cpu.cores;
+                fixed_counter(
+                    &self.sockets[(core / cores) as usize].cpu,
+                    addr,
+                    core % cores,
+                )
             }
         }
+    }
+
+    /// Read core-scope register `addr` on logical cores `0..out.len()` in
+    /// one call. Core by core, this returns and charges exactly what
+    /// `msr_read(MsrScope::Core(core), addr)` would, so the ledger and the
+    /// overhead energy match that many single reads. It stops at the first
+    /// error; the cores before it stay read and charged.
+    pub fn msr_read_cores(&mut self, addr: u32, out: &mut [u64]) -> Result<(), MsrError> {
+        let valid = out.len().min(self.cfg.total_cores() as usize);
+        let cost = self.core_read_cost();
+        if valid > 0 {
+            // A register the cores lack fails on core 0, its read charged.
+            if let Err(e) = fixed_counter(&self.sockets[0].cpu, addr, 0) {
+                self.charge_monitoring(cost, false);
+                return Err(e);
+            }
+        }
+        for _ in 0..valid {
+            self.charge_monitoring(cost, false);
+        }
+        let per_socket = (self.cfg.cpu.cores as usize).max(1);
+        for (socket, values) in self.sockets.iter().zip(out[..valid].chunks_mut(per_socket)) {
+            for (local, value) in (0..).zip(values) {
+                *value = fixed_counter(&socket.cpu, addr, local)?;
+            }
+        }
+        if valid < out.len() {
+            return Err(MsrError::BadScope(MsrScope::Core(valid as u32)));
+        }
+        Ok(())
     }
 
     /// MSR write with cost accounting. Only `UNCORE_RATIO_LIMIT` is
@@ -1412,18 +1470,77 @@ mod tests {
         assert_eq!(reference.ledger().writes(), fast.ledger().writes());
     }
 
+    /// A span replayed in one call leaves every accumulator, the PCM
+    /// history and the telemetry exactly as the same ticks replayed one by
+    /// one, for spans shorter and longer than the PCM window (10 ticks).
     #[test]
-    fn advance_until_reaches_horizon_exactly() {
-        let mut n = node();
+    fn span_replay_matches_tick_by_tick_replay() {
+        let mut frozen = node();
+        frozen.arm_telemetry();
         let mut ff = FastForward::new();
         let demand = busy_demand();
-        let ticks = n.advance_until(2_000_000, &demand, &mut ff);
-        assert_eq!(n.time_us(), 2_000_000);
-        assert_eq!(ticks, 200);
-        // Horizon not tick-aligned: overshoots to the next tick edge, like
-        // the per-tick reference loop would.
-        n.advance_until(2_015_000, &demand, &mut ff);
-        assert_eq!(n.time_us(), 2_020_000);
+        for _ in 0..1000 {
+            frozen.step_fast(10_000, &demand, &mut ff);
+        }
+        assert!(frozen.replays(10_000, &demand, &ff));
+        for ticks in [1, 3, 9, 10, 11, 12, 25, 400] {
+            let mut span = frozen.clone();
+            span.replay_frozen(ticks, &ff);
+            let (mut single, mut single_ff) = (frozen.clone(), ff.clone());
+            for _ in 0..ticks {
+                single.step_fast(10_000, &demand, &mut single_ff);
+            }
+            let ctx = format!("{ticks} ticks");
+            assert_nodes_identical(&single, &span, &ctx);
+            assert_eq!(single.bw_history, span.bw_history, "{ctx}");
+            let (st, pt) = (single.telemetry().unwrap(), span.telemetry().unwrap());
+            assert_eq!(st.counters(), pt.counters(), "{ctx}");
+            assert_eq!(single.pcm_read_gbs(), span.pcm_read_gbs(), "{ctx}");
+        }
+    }
+
+    /// One call per register returns and charges what one `msr_read` per
+    /// core does, errors included.
+    #[test]
+    fn core_register_reads_match_single_reads() {
+        let mut batched = node();
+        for _ in 0..50 {
+            batched.step(10_000, &busy_demand());
+        }
+        let mut single = batched.clone();
+        let cores = batched.config().total_cores();
+        for addr in [IA32_FIXED_CTR0, IA32_FIXED_CTR1, IA32_FIXED_CTR2] {
+            let mut values = vec![0; cores as usize];
+            batched.msr_read_cores(addr, &mut values).unwrap();
+            let expect: Vec<u64> = (0..cores)
+                .map(|c| single.msr_read(MsrScope::Core(c), addr).unwrap())
+                .collect();
+            assert_eq!(values, expect, "register {addr:#x}");
+        }
+        let ledger = |n: &Node| {
+            let l = n.ledger();
+            (l.reads(), l.pending(), l.lifetime())
+        };
+        assert_eq!(ledger(&batched), ledger(&single));
+        assert_eq!(
+            batched.pending_overhead_uj.to_bits(),
+            single.pending_overhead_uj.to_bits()
+        );
+
+        // An unknown register fails on core 0 after charging it; one core
+        // too many fails unread and uncharged after the valid ones.
+        let reads = batched.ledger().reads();
+        assert!(matches!(
+            batched.msr_read_cores(0x42, &mut [0; 4]),
+            Err(MsrError::UnknownRegister(0x42))
+        ));
+        assert_eq!(batched.ledger().reads(), reads + 1);
+        let mut too_many = vec![0; cores as usize + 1];
+        assert!(matches!(
+            batched.msr_read_cores(IA32_FIXED_CTR0, &mut too_many),
+            Err(MsrError::BadScope(MsrScope::Core(c))) if c == cores
+        ));
+        assert_eq!(batched.ledger().reads(), reads + 1 + u64::from(cores));
     }
 
     #[test]

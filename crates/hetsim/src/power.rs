@@ -77,12 +77,28 @@ pub struct EnergyTotals {
 impl EnergyTotals {
     /// Integrate a power breakdown over `dt_s` seconds.
     pub fn accumulate(&mut self, p: &PowerBreakdown, dt_s: f64) {
-        self.core_j += p.core_w * dt_s;
-        self.uncore_j += p.uncore_w * dt_s;
-        self.dram_j += p.dram_w * dt_s;
-        self.gpu_j += p.gpu_w * dt_s;
-        self.overhead_j += p.overhead_w * dt_s;
-        self.elapsed_s += dt_s;
+        self.accumulate_ticks(1, p, dt_s);
+    }
+
+    /// Integrate `p` over `n` ticks of `dt_s` seconds: every field adds
+    /// the same product once per tick, in order, so the sums are
+    /// bit-for-bit those of `n` [`EnergyTotals::accumulate`] calls.
+    pub(crate) fn accumulate_ticks(&mut self, n: u64, p: &PowerBreakdown, dt_s: f64) {
+        let inc = [
+            p.core_w * dt_s,
+            p.uncore_w * dt_s,
+            p.dram_w * dt_s,
+            p.gpu_w * dt_s,
+            p.overhead_w * dt_s,
+        ];
+        for _ in 0..n {
+            self.core_j += inc[0];
+            self.uncore_j += inc[1];
+            self.dram_j += inc[2];
+            self.gpu_j += inc[3];
+            self.overhead_j += inc[4];
+            self.elapsed_s += dt_s;
+        }
     }
 
     /// CPU package energy (core + uncore + overhead), J.

@@ -1,9 +1,10 @@
 //! Simulation driver: advances a node through an application trace.
 //!
 //! [`Simulation`] owns the node, the running application, and an optional
-//! trace recorder. It exposes a per-tick [`Simulation::step`] so runtime
-//! drivers (MAGUS, UPS) can interleave decisions with hardware progress,
-//! plus [`Simulation::run_to_completion`] for baseline runs.
+//! trace recorder. It exposes a per-tick [`Simulation::step`] and the
+//! event-driven [`Simulation::advance_until`] so runtime drivers (MAGUS,
+//! UPS) can interleave decisions with hardware progress, plus
+//! [`Simulation::run_to_completion`] for baseline runs.
 
 use std::sync::Arc;
 
@@ -167,48 +168,79 @@ impl Simulation {
         outcome
     }
 
-    /// Advance one tick through the macro-stepping fast path. Bit-for-bit
-    /// identical to [`Simulation::step`]; `ff` carries the frozen-span state
-    /// across calls (see [`FastForward`]).
-    pub fn step_fast(&mut self, ff: &mut FastForward) -> StepOutcome {
-        let dt_us = self.node.config().tick_us;
-        let demand = self.current_demand();
-        let outcome = self.node.step_fast(dt_us, &demand, ff);
-        self.apply_tick_outcome(outcome, dt_us, demand.mem_gbs);
-        outcome
-    }
-
-    /// Fast-forward to `horizon_us` (or until the application completes),
-    /// using the macro-stepping fast path tick by tick. The caller picks the
-    /// horizon as its next *event* time — typically a runtime's decision
-    /// point or the end of the run budget; phase boundaries and recorder
-    /// samples inside the span are handled here exactly as in per-tick
-    /// stepping.
+    /// Fast-forward to `horizon_us` (or until the application completes) on
+    /// the macro-stepping fast path, bit-for-bit identical to stepping tick
+    /// by tick. The caller picks the horizon as its next *event* time —
+    /// typically a runtime's decision point or the end of the run budget.
+    ///
+    /// Ticks that must be computed go through [`Node::step_fast`] one at a
+    /// time. A frozen span (see [`FastForward`]) replays in one call, up to
+    /// the first of: the horizon, the tick that completes the running
+    /// phase, a deferred actuation's due time and the recorder's next
+    /// sample. No tick inside the span would have recorded, so the
+    /// recorder observes once, after it.
     pub fn advance_until(&mut self, horizon_us: u64, ff: &mut FastForward) {
+        let dt_us = self.node.config().tick_us;
         while !self.done() && self.node.time_us() < horizon_us {
-            self.step_fast(ff);
+            let demand = self.current_demand();
+            if self.node.replays(dt_us, &demand, ff) {
+                let mut end_us = horizon_us.min(self.node.actuation_due_us());
+                if let Some(sample_us) = self.recorder.next_due_us() {
+                    end_us = end_us.min(sample_us);
+                }
+                // The span's last tick is the first that ends at or after
+                // `end_us`.
+                let max_ticks = end_us
+                    .saturating_sub(self.node.time_us())
+                    .div_ceil(dt_us)
+                    .max(1);
+                let ticks = self.advance_app(ff.replayed_progress(), dt_us, max_ticks);
+                self.node.replay_frozen(ticks, ff);
+                self.recorder
+                    .observe(&self.node, demand.mem_gbs, self.progress_s);
+            } else {
+                let outcome = self.node.step_fast(dt_us, &demand, ff);
+                self.apply_tick_outcome(outcome, dt_us, demand.mem_gbs);
+            }
         }
     }
 
     /// Post-tick bookkeeping shared by the reference and fast paths: phase
-    /// progress (a tick can complete multiple very short phases) and trace
-    /// recording.
+    /// progress and trace recording.
     fn apply_tick_outcome(&mut self, outcome: StepOutcome, dt_us: u64, demand_gbs: f64) {
-        if let Some(exec) = &mut self.app {
-            if exec.phase_idx < exec.trace.phases.len() {
-                let advanced = outcome.progress * crate::us_to_secs(dt_us);
-                self.progress_s += advanced;
-                exec.phase_done_s += advanced;
-                while exec.phase_idx < exec.trace.phases.len()
-                    && exec.phase_done_s >= exec.trace.phases[exec.phase_idx].work_s
-                {
-                    exec.phase_done_s -= exec.trace.phases[exec.phase_idx].work_s;
-                    exec.phase_idx += 1;
-                }
-            }
-        }
+        self.advance_app(outcome.progress, dt_us, 1);
         self.recorder
             .observe(&self.node, demand_gbs, self.progress_s);
+    }
+
+    /// Credit the running phase `progress × dt` of work per tick for up to
+    /// `max_ticks` ticks, one addition per tick, and stop after the tick
+    /// that completes it (a tick can complete several very short phases).
+    /// Returns the ticks credited: `max_ticks` when no phase completes or
+    /// no application runs.
+    fn advance_app(&mut self, progress: f64, dt_us: u64, max_ticks: u64) -> u64 {
+        let Some(exec) = &mut self.app else {
+            return max_ticks;
+        };
+        let phases = &exec.trace.phases;
+        let Some(phase) = phases.get(exec.phase_idx) else {
+            return max_ticks;
+        };
+        let advanced = progress * crate::us_to_secs(dt_us);
+        for tick in 1..=max_ticks {
+            self.progress_s += advanced;
+            exec.phase_done_s += advanced;
+            if exec.phase_done_s >= phase.work_s {
+                while exec.phase_idx < phases.len()
+                    && exec.phase_done_s >= phases[exec.phase_idx].work_s
+                {
+                    exec.phase_done_s -= phases[exec.phase_idx].work_s;
+                    exec.phase_idx += 1;
+                }
+                return tick;
+            }
+        }
+        max_ticks
     }
 
     /// Run until the application completes or `max_s` elapses, with no
@@ -341,6 +373,24 @@ mod tests {
             reference.progress_s().to_bits(),
             fast.progress_s().to_bits()
         );
+    }
+
+    #[test]
+    fn advance_until_reaches_horizon_exactly() {
+        let mut sim = Simulation::new(Node::new(NodeConfig::intel_a100()));
+        sim.node_mut().arm_telemetry();
+        let mut ff = FastForward::new();
+        sim.advance_until(2_000_000, &mut ff);
+        assert_eq!(sim.node().time_us(), 2_000_000);
+        // 200 ticks of 10 ms, each counted once per socket, most of them
+        // replayed.
+        let counters = sim.node().telemetry().unwrap().counters();
+        assert_eq!(counters.residency_total_us(), 200 * 10_000 * 2);
+        assert!(counters.fastpath_replayed_ticks > 100);
+        // Horizon not tick-aligned: overshoots to the next tick edge, like
+        // the per-tick reference loop would.
+        sim.advance_until(2_015_000, &mut ff);
+        assert_eq!(sim.node().time_us(), 2_020_000);
     }
 
     #[test]

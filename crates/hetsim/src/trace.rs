@@ -65,6 +65,12 @@ impl TraceRecorder {
         self.interval_us > 0
     }
 
+    /// Time (µs) from which the next observation records a sample; `None`
+    /// when recording is disabled.
+    pub(crate) fn next_due_us(&self) -> Option<u64> {
+        self.enabled().then_some(self.next_due_us)
+    }
+
     /// Observe the node after a tick; records a sample when due.
     pub fn observe(&mut self, node: &Node, demand_gbs: f64, progress_s: f64) {
         if self.interval_us == 0 || node.time_us() < self.next_due_us {

@@ -5,7 +5,9 @@
 //! DRAM energy-status register per socket. On the Intel+A100 testbed that
 //! is 2 × 80 core reads + 2 package reads per decision — the access-cost
 //! ledger this charges against the node is precisely UPS's Table 2
-//! overhead.
+//! overhead. Each counter register is read on all cores through one
+//! [`Node::msr_read_cores`] call, which charges every core read exactly as
+//! a single `msr_read` does, into buffers the sampler keeps across sweeps.
 
 use magus_hetsim::Node;
 use magus_msr::regs::energy_counter_delta;
@@ -26,19 +28,26 @@ pub struct UpsSample {
     pub interval_s: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct CoreState {
-    instructions: u64,
-    cycles: u64,
+/// The counter values of one sweep.
+#[derive(Debug, Clone, Default)]
+struct Sweep {
+    /// `IA32_FIXED_CTR0` per logical core.
+    instructions: Vec<u64>,
+    /// `IA32_FIXED_CTR1` per logical core.
+    cycles: Vec<u64>,
+    /// `MSR_DRAM_ENERGY_STATUS` per socket.
+    dram_counts: Vec<u64>,
+    t_s: f64,
 }
 
 /// Sweeping sampler over a node.
 #[derive(Debug, Clone)]
 pub struct UpsSampler {
     unit: RaplPowerUnit,
-    prev_cores: Vec<CoreState>,
-    prev_dram_counts: Vec<u64>,
-    prev_t_s: f64,
+    /// The last successful sweep.
+    last: Sweep,
+    /// The sweep in progress; after a sample, the one before `last`.
+    scratch: Sweep,
 }
 
 impl UpsSampler {
@@ -47,45 +56,40 @@ impl UpsSampler {
         let raw = node.msr_read(MsrScope::Package(0), MSR_RAPL_POWER_UNIT)?;
         let mut sampler = Self {
             unit: RaplPowerUnit::decode(raw),
-            prev_cores: Vec::new(),
-            prev_dram_counts: Vec::new(),
-            prev_t_s: 0.0,
+            last: Sweep::default(),
+            scratch: Sweep::default(),
         };
         sampler.sweep(node)?;
         Ok(sampler)
     }
 
-    fn sweep(&mut self, node: &mut Node) -> Result<(Vec<CoreState>, Vec<u64>, f64), MsrError> {
-        let cores = node.config().total_cores();
-        let mut core_states = Vec::with_capacity(cores as usize);
-        for core in 0..cores {
-            let scope = MsrScope::Core(core);
-            let instructions = node.msr_read(scope, IA32_FIXED_CTR0)?;
-            let cycles = node.msr_read(scope, IA32_FIXED_CTR1)?;
-            core_states.push(CoreState {
-                instructions,
-                cycles,
-            });
-        }
-        let mut dram_counts = Vec::with_capacity(node.config().sockets as usize);
+    /// Read every counter into the scratch sweep; on success it becomes
+    /// `last` and the previous `last` becomes the scratch. A failed sweep
+    /// leaves `last` as it was.
+    fn sweep(&mut self, node: &mut Node) -> Result<(), MsrError> {
+        let cores = node.config().total_cores() as usize;
+        let s = &mut self.scratch;
+        s.instructions.resize(cores, 0);
+        s.cycles.resize(cores, 0);
+        node.msr_read_cores(IA32_FIXED_CTR0, &mut s.instructions)?;
+        node.msr_read_cores(IA32_FIXED_CTR1, &mut s.cycles)?;
+        s.dram_counts.clear();
         for pkg in 0..node.config().sockets {
-            dram_counts.push(node.msr_read(MsrScope::Package(pkg), MSR_DRAM_ENERGY_STATUS)?);
+            s.dram_counts
+                .push(node.msr_read(MsrScope::Package(pkg), MSR_DRAM_ENERGY_STATUS)?);
         }
-        let t_s = node.time_s();
-        let prev = (
-            core::mem::replace(&mut self.prev_cores, core_states),
-            core::mem::replace(&mut self.prev_dram_counts, dram_counts),
-            core::mem::replace(&mut self.prev_t_s, t_s),
-        );
-        Ok(prev)
+        s.t_s = node.time_s();
+        core::mem::swap(&mut self.scratch, &mut self.last);
+        Ok(())
     }
 
     /// Perform a full sweep and return the differentiated measurement
     /// (`None` when no simulated time elapsed since the previous sweep —
     /// construction takes the baseline sweep).
     pub fn sample(&mut self, node: &mut Node) -> Result<Option<UpsSample>, MsrError> {
-        let (prev_cores, prev_dram, prev_t) = self.sweep(node)?;
-        let dt = self.prev_t_s - prev_t;
+        self.sweep(node)?;
+        let (now, before) = (&self.last, &self.scratch);
+        let dt = now.t_s - before.t_s;
         if dt <= 0.0 {
             return Ok(None);
         }
@@ -93,9 +97,12 @@ impl UpsSampler {
         // Mean IPC over cores that retired a meaningful number of cycles.
         let mut ipc_sum = 0.0;
         let mut busy = 0u32;
-        for (now, before) in self.prev_cores.iter().zip(prev_cores.iter()) {
-            let d_inst = now.instructions.saturating_sub(before.instructions);
-            let d_cyc = now.cycles.saturating_sub(before.cycles);
+        let instructions = now.instructions.iter().zip(&before.instructions);
+        for ((inst, inst_before), (cyc, cyc_before)) in
+            instructions.zip(now.cycles.iter().zip(&before.cycles))
+        {
+            let d_inst = inst.saturating_sub(*inst_before);
+            let d_cyc = cyc.saturating_sub(*cyc_before);
             if d_cyc > 1000 {
                 ipc_sum += d_inst as f64 / d_cyc as f64;
                 busy += 1;
@@ -108,7 +115,7 @@ impl UpsSampler {
         };
 
         let mut dram_j = 0.0;
-        for (now, before) in self.prev_dram_counts.iter().zip(prev_dram.iter()) {
+        for (now, before) in now.dram_counts.iter().zip(&before.dram_counts) {
             dram_j += self
                 .unit
                 .counts_to_joules(energy_counter_delta(*before, *now));
