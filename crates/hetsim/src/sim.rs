@@ -184,10 +184,9 @@ impl Simulation {
         while !self.done() && self.node.time_us() < horizon_us {
             let demand = self.current_demand();
             if self.node.replays(dt_us, &demand, ff) {
-                let mut end_us = horizon_us.min(self.node.actuation_due_us());
-                if let Some(sample_us) = self.recorder.next_due_us() {
-                    end_us = end_us.min(sample_us);
-                }
+                let end_us = horizon_us
+                    .min(self.node.actuation_due_us())
+                    .min(self.recorder.next_sample_us());
                 // The span's last tick is the first that ends at or after
                 // `end_us`.
                 let max_ticks = end_us

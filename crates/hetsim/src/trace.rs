@@ -65,10 +65,14 @@ impl TraceRecorder {
         self.interval_us > 0
     }
 
-    /// Time (µs) from which the next observation records a sample; `None`
-    /// when recording is disabled.
-    pub(crate) fn next_due_us(&self) -> Option<u64> {
-        self.enabled().then_some(self.next_due_us)
+    /// Time (µs) from which the next observation records a sample;
+    /// `u64::MAX` when recording is disabled.
+    pub(crate) fn next_sample_us(&self) -> u64 {
+        if self.enabled() {
+            self.next_due_us
+        } else {
+            u64::MAX
+        }
     }
 
     /// Observe the node after a tick; records a sample when due.
