@@ -5,6 +5,7 @@
 use std::panic::{self, AssertUnwindSafe};
 
 use magus_suite::experiments::drivers::{MagusDriver, NoopDriver, RuntimeDriver};
+use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
 use magus_suite::experiments::fleet::FleetSpec;
 use magus_suite::experiments::harness::{run_trial, SystemId, TrialOpts};
 use magus_suite::experiments::metrics::Comparison;
@@ -45,37 +46,64 @@ fn magus_survives_pcm_dropouts() {
     assert!(cmp.perf_loss_pct < 12.0, "loss {}%", cmp.perf_loss_pct);
 }
 
-/// Every uncore-limit write failing (a dead MSR bus) degrades MAGUS
-/// instead of crashing it: each actuation exhausts its retries, holds the
-/// previous limit and reports why, and the run goes on.
+/// Failing uncore-limit writes (every write: a dead MSR bus; every second
+/// one: always the second socket's) degrade every governor instead of
+/// crashing it. Each trial returns; each governor that writes the uncore
+/// counts the failed writes; the deciding governors exhaust their retries,
+/// hold the previous limit and report why. A `fixed:` pin whose every
+/// retry fails leaves that socket on the stock governor.
 #[test]
 fn actuation_faults_surface_as_errors() {
-    let mut sim = Simulation::new(Node::new(NodeConfig::intel_a100()));
-    sim.load(app_trace(AppId::Bfs, Platform::IntelA100));
-    sim.node_mut().arm_telemetry();
-    let dead_bus = FaultPlan::builder()
-        .uncore_write_fail_every(1)
-        .build()
-        .unwrap();
-    sim.node_mut().set_fault_plan(dead_bus);
-    let mut driver = MagusDriver::with_defaults();
-    driver.attach(&mut sim);
-    for _ in 0..60 {
-        for _ in 0..30 {
-            sim.step();
-        }
-        driver.on_decision(&mut sim);
-    }
-    assert!(driver.degraded() > 0);
-    assert!(sim.node().fault_counters().msr_write_fails > 0);
+    let intel = |governor| TrialSpec::new(SystemId::IntelA100, AppId::Bfs, governor);
+    // (trial, writes the uncore, its degradation event)
+    let governors = [
+        (intel(GovernorSpec::Default), false, None),
+        (intel(GovernorSpec::Fixed { ghz: 1.2 }), true, None),
+        (
+            intel(GovernorSpec::ups_default()),
+            true,
+            Some("ups_degraded"),
+        ),
+        (
+            intel(GovernorSpec::magus_default()),
+            true,
+            Some("magus_degraded"),
+        ),
+        (
+            TrialSpec::amd(AppId::Bfs, GovernorSpec::magus_hsmp_default()),
+            true,
+            Some("magus_degraded"),
+        ),
+    ];
+    let engine = Engine::ephemeral().with_telemetry();
     let actuation = FieldValue::Str("actuation".into());
-    let events = sim.node().telemetry().expect("armed").events();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == "magus_degraded" && e.fields.get("reason") == Some(&actuation)),
-        "no magus_degraded{{reason=\"actuation\"}} event"
-    );
+    let mut panicked = Vec::new();
+    for every in [1, 2] {
+        let plan = FaultPlan::builder()
+            .uncore_write_fail_every(every)
+            .build()
+            .unwrap();
+        for (spec, writes, degraded) in &governors {
+            let spec = spec.clone().with_faults(plan);
+            let case = format!("{} (every {every})", spec.label());
+            let Ok(out) = panic::catch_unwind(AssertUnwindSafe(|| engine.run(&spec))) else {
+                panicked.push(case);
+                continue;
+            };
+            let fails = out.result.fault_counters.msr_write_fails;
+            assert_eq!(fails > 0, *writes, "{case}: {fails} failed writes");
+            if let Some(kind) = degraded {
+                assert!(
+                    out.result
+                        .events
+                        .iter()
+                        .any(|e| e.kind == *kind && e.fields.get("reason") == Some(&actuation)),
+                    "{case}: no {kind}{{reason=\"actuation\"}} event"
+                );
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "trials panicked: {panicked:?}");
 }
 
 /// Writing garbage to 0x620 must clamp, not corrupt: the uncore stays
