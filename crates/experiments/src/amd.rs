@@ -1,118 +1,13 @@
-//! AMD port of the MAGUS driver: identical decision core, HSMP actuation.
+//! The §6.6 AMD port: MAGUS on an AMD EPYC + MI210 node.
 //!
-//! The §6.6 portability argument made concrete: nothing in MAGUS's logic
-//! is Intel-specific. [`HsmpMagusDriver`] reuses [`MagusCore`] verbatim and
-//! differs from the Intel driver only in its actuation path — fabric
-//! P-state mailbox messages instead of `wrmsr 0x620` — and in being
-//! quantised to the discrete P-state table (a no-op for a two-level
-//! controller).
-
-use magus_hetsim::Simulation;
-use magus_hsmp::{transact, FabricPstateTable, HsmpMessage};
-use magus_runtime::{MagusConfig, MagusCore, Telemetry, UncoreLevel};
-
-use crate::drivers::{
-    magus_decision_event, push_event, sample_mbs, with_invocation_latency, RuntimeDriver,
-};
-
-/// MAGUS bound to an AMD node through the HSMP mailbox.
-#[derive(Debug)]
-pub struct HsmpMagusDriver {
-    core: MagusCore,
-    table: FabricPstateTable,
-    last_pstate: Option<u8>,
-    monitor_only: bool,
-}
-
-impl HsmpMagusDriver {
-    /// Driver with the given MAGUS configuration and fabric table.
-    #[must_use]
-    pub fn new(cfg: MagusConfig, table: FabricPstateTable) -> Self {
-        assert!(!table.is_empty(), "fabric P-state table must not be empty");
-        Self {
-            core: MagusCore::new(cfg),
-            table,
-            last_pstate: None,
-            monitor_only: false,
-        }
-    }
-
-    /// Paper-default thresholds on the default EPYC table.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Self::new(MagusConfig::default(), FabricPstateTable::epyc_default())
-    }
-
-    /// Decision telemetry.
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
-    }
-
-    fn set_pstate(&mut self, sim: &mut Simulation, pstate: u8) {
-        if self.monitor_only || self.last_pstate == Some(pstate) {
-            return;
-        }
-        for socket in 0..sim.node().config().sockets {
-            transact(
-                sim.node_mut(),
-                &self.table,
-                socket,
-                HsmpMessage::SetDfPstate(pstate),
-            )
-            .expect("HSMP actuation");
-        }
-        self.last_pstate = Some(pstate);
-    }
-}
-
-impl RuntimeDriver for HsmpMagusDriver {
-    fn name(&self) -> &str {
-        "MAGUS/HSMP"
-    }
-
-    fn attach(&mut self, sim: &mut Simulation) {
-        // Idle nodes park the fabric in the deepest P-state (§4's policy,
-        // translated); warm-up takes no actions.
-        let deepest = (self.table.len() - 1) as u8;
-        self.set_pstate(sim, deepest);
-    }
-
-    fn on_decision(&mut self, sim: &mut Simulation) -> u64 {
-        with_invocation_latency(sim, |sim| {
-            // The Intel driver's sample step: a dropout holds the previous
-            // decision.
-            let Some(sample) = sample_mbs(sim) else {
-                return;
-            };
-            let action = self.core.on_sample(sample);
-            match action.target() {
-                Some(UncoreLevel::Upper) => self.set_pstate(sim, 0),
-                Some(UncoreLevel::Lower) => self.set_pstate(sim, (self.table.len() - 1) as u8),
-                None => {}
-            }
-            // Same decision-event taxonomy as the Intel driver; only the
-            // actuation path differs, and that is visible as `hsmp` here.
-            if let Some(rec) = self.core.last_record() {
-                push_event(sim, |t_us| {
-                    magus_decision_event(t_us, rec).with("actuation", "hsmp")
-                });
-            }
-        })
-    }
-
-    fn rest_interval_us(&self) -> u64 {
-        self.core.config().monitor_interval_us
-    }
-
-    fn set_monitor_only(&mut self, on: bool) {
-        self.monitor_only = on;
-    }
-
-    fn high_freq_fraction(&self) -> Option<f64> {
-        Some(self.core.telemetry().high_freq_fraction())
-    }
-}
+//! Nothing in MAGUS's logic is Intel-specific. `GovernorSpec::MagusHsmp`
+//! builds the one [`crate::drivers::MagusDriver`] with its HSMP actuation
+//! ([`crate::drivers::MagusDriver::hsmp`]): the same decision core, sample
+//! step, bounded write retry and degradation, with fabric P-state mailbox
+//! round trips instead of `wrmsr 0x620` max splices. The AMD preset
+//! (`NodeConfig::amd_epyc_mi210`) spans the EPYC fabric P-state table's
+//! P3 to P0, so the two-level controller maps exactly onto P0 and the
+//! deepest P-state.
 
 /// Convenience: evaluate MAGUS-over-HSMP against the stock baseline on the
 /// AMD preset for one application.
@@ -135,13 +30,21 @@ pub fn evaluate_amd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drivers::{MagusDriver, RuntimeDriver};
     use crate::harness::{StepMode, TrialBuilder, TrialOpts};
+    use magus_hetsim::{FaultPlan, Node, NodeConfig, Simulation};
+    use magus_runtime::MagusConfig;
+    use magus_telemetry::FieldValue;
     use magus_workloads::{app_trace, AppId, Platform};
 
     fn amd_trace(app: AppId) -> std::sync::Arc<magus_hetsim::AppTrace> {
         // The AMD node's fabric caps bandwidth lower than the Intel hosts;
         // the single-GPU workload set transfers at the same scale.
         app_trace(app, Platform::IntelA100)
+    }
+
+    fn hsmp_driver() -> MagusDriver {
+        MagusDriver::hsmp(MagusConfig::default())
     }
 
     #[test]
@@ -158,25 +61,20 @@ mod tests {
 
     #[test]
     fn driver_actuates_discrete_pstates_only() {
-        let cfg = magus_hsmp::amd_epyc_mi210();
-        let mut driver = HsmpMagusDriver::with_defaults();
+        let cfg = NodeConfig::amd_epyc_mi210();
+        let pstates = [cfg.uncore.freq_max_ghz, cfg.uncore.freq_min_ghz];
         let r = TrialBuilder::custom(cfg)
             .trace(amd_trace(AppId::Cfd))
             .opts(TrialOpts::recorded())
-            .run(&mut driver);
+            .run(&mut hsmp_driver());
         assert!(r.summary.completed);
-        let table = FabricPstateTable::epyc_default();
-        // Sampled fabric clocks settle only on table points (transitions
-        // excepted: tolerate in-flight slews by checking the modal values).
+        // Sampled fabric clocks settle only on P0 and the deepest P-state
+        // (transitions excepted: tolerate in-flight slews by checking the
+        // modal values).
         let settled = r
             .samples
             .iter()
-            .filter(|s| {
-                table
-                    .fclk_ghz
-                    .iter()
-                    .any(|&f| (s.uncore_ghz - f).abs() < 1e-6)
-            })
+            .filter(|s| pstates.iter().any(|&f| (s.uncore_ghz - f).abs() < 1e-6))
             .count();
         assert!(
             settled * 10 >= r.samples.len() * 7,
@@ -187,17 +85,36 @@ mod tests {
 
     #[test]
     fn fast_and_reference_paths_agree_on_the_amd_preset() {
-        for app in [AppId::Bfs, AppId::Cfd, AppId::Srad] {
+        // Clean, and with every fifth fabric write failing and the rest
+        // landing 1.5 s late (longer than a frozen span).
+        let faulted = FaultPlan::builder()
+            .uncore_write_fail_every(5)
+            .actuation_delay_us(1_500_000)
+            .build()
+            .unwrap();
+        for (plan, app) in [
+            (None, AppId::Bfs),
+            (None, AppId::Cfd),
+            (None, AppId::Srad),
+            (Some(faulted), AppId::Srad),
+        ] {
             let run = |path| {
-                TrialBuilder::custom(magus_hsmp::amd_epyc_mi210())
+                let mut trial = TrialBuilder::custom(NodeConfig::amd_epyc_mi210())
                     .trace(amd_trace(app))
                     .opts(TrialOpts::recorded().with_path(path))
-                    .arm_telemetry()
-                    .run(&mut HsmpMagusDriver::with_defaults())
+                    .arm_telemetry();
+                if let Some(plan) = &plan {
+                    trial = trial.faults(plan);
+                }
+                trial.run(&mut hsmp_driver())
             };
             let fast = run(StepMode::Fast);
             let reference = run(StepMode::Reference);
-            let name = app.name();
+            let name = format!(
+                "{}{}",
+                app.name(),
+                if plan.is_some() { "+faults" } else { "" }
+            );
             assert!(
                 !fast.samples.is_empty(),
                 "{name}: the trial records samples"
@@ -216,6 +133,18 @@ mod tests {
                 "{name}"
             );
             assert_eq!(fast.fault_counters, reference.fault_counters, "{name}");
+            if plan.is_some() {
+                let delayed = FieldValue::Bool(true);
+                assert!(
+                    fast.events.iter().any(|e| e.kind == "fault_msr_write_fail"),
+                    "{name}: no write failed"
+                );
+                assert!(
+                    fast.events.iter().any(|e| e.kind == "uncore_limit_write"
+                        && e.fields.get("delayed") == Some(&delayed)),
+                    "{name}: no delayed write landed"
+                );
+            }
             // Only the fast path's own span counters may differ.
             let (f, r) = (
                 fast.node_telemetry.expect("armed"),
@@ -234,10 +163,9 @@ mod tests {
 
     #[test]
     fn monitor_only_mode_freezes_fabric() {
-        let cfg = magus_hsmp::amd_epyc_mi210();
-        let mut driver = HsmpMagusDriver::with_defaults();
+        let mut driver = hsmp_driver();
         driver.set_monitor_only(true);
-        let r = TrialBuilder::custom(cfg)
+        let r = TrialBuilder::custom(NodeConfig::amd_epyc_mi210())
             .trace(amd_trace(AppId::Bfs))
             .opts(TrialOpts::recorded())
             .run(&mut driver);
@@ -254,13 +182,10 @@ mod tests {
 
     #[test]
     fn pcm_dropouts_hold_the_previous_decision() {
-        let plan = magus_hetsim::FaultPlan::builder()
-            .pcm_dropout_every(2)
-            .build()
-            .unwrap();
-        let mut sim = Simulation::new(magus_hetsim::Node::new(magus_hsmp::amd_epyc_mi210()));
+        let plan = FaultPlan::builder().pcm_dropout_every(2).build().unwrap();
+        let mut sim = Simulation::new(Node::new(NodeConfig::amd_epyc_mi210()));
         sim.node_mut().set_fault_plan(plan);
-        let mut driver = HsmpMagusDriver::with_defaults();
+        let mut driver = hsmp_driver();
         driver.attach(&mut sim);
         for _ in 0..10 {
             sim.step();
@@ -270,14 +195,6 @@ mod tests {
         driver.on_decision(&mut sim);
         driver.on_decision(&mut sim);
         assert_eq!(driver.telemetry().cycles, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_table_rejected() {
-        let _ = HsmpMagusDriver::new(
-            MagusConfig::default(),
-            FabricPstateTable { fclk_ghz: vec![] },
-        );
+        assert_eq!(driver.degraded(), 1);
     }
 }

@@ -10,10 +10,10 @@
 
 use std::ops::DerefMut;
 
-use magus_hetsim::governor::UncoreSetter;
-use magus_hetsim::{Decision, NodeDecider, Simulation};
-use magus_msr::MsrError;
-use magus_runtime::{DecisionRecord, MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
+use magus_hetsim::governor::{set_fixed_uncore, UncoreSetter};
+use magus_hetsim::{Decision, Node, NodeDecider, Simulation};
+use magus_msr::{AccessCost, MsrError, MsrScope, UncoreRatioLimit, MSR_UNCORE_RATIO_LIMIT};
+use magus_runtime::{MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
 use magus_telemetry::Event;
 use magus_ups::{UpsConfig, UpsCore, UpsSampler};
 
@@ -35,22 +35,10 @@ fn action_name(action: MagusAction) -> &'static str {
     }
 }
 
-/// The `magus_decision` event for one decision cycle's record (the Intel
-/// and HSMP drivers share the taxonomy).
-pub(crate) fn magus_decision_event(t_us: u64, rec: &DecisionRecord) -> Event {
-    Event::new(t_us, "magus_decision")
-        .with("cycle", rec.cycle)
-        .with("sample_mbs", rec.sample_mbs)
-        .with("trend", trend_name(rec.trend))
-        .with("tune_event", rec.tune_event)
-        .with("high_freq", rec.high_freq)
-        .with("action", action_name(rec.action))
-}
-
 /// Push the event `make` builds onto the node's telemetry — only when the
 /// node is armed, so an unarmed node never builds an [`Event`]. Pushing
 /// never perturbs simulated state or thaws a frozen fast-forward span.
-pub(crate) fn push_event(sim: &mut Simulation, make: impl FnOnce(u64) -> Event) {
+fn push_event(sim: &mut Simulation, make: impl FnOnce(u64) -> Event) {
     let t_us = sim.node().time_us();
     if let Some(t) = sim.node_mut().telemetry_mut() {
         t.push_event(make(t_us));
@@ -114,7 +102,7 @@ where
 /// node's `FaultPlan.pcm`) gives `None` and a `magus_degraded` event with
 /// `reason = "sample"`: the caller holds its previous decision rather than
 /// feed the detector a fabricated sample (DESIGN §8).
-pub(crate) fn sample_mbs(sim: &mut Simulation) -> Option<f64> {
+fn sample_mbs(sim: &mut Simulation) -> Option<f64> {
     match sim.node_mut().pcm_try_read_gbs() {
         Ok(gbs) => Some(gbs * 1000.0),
         Err(_) => {
@@ -128,28 +116,30 @@ pub(crate) fn sample_mbs(sim: &mut Simulation) -> Option<f64> {
 
 /// Measure an invocation's latency from the cost ledger: the latency of
 /// every monitoring access charged during `f`.
-pub(crate) fn with_invocation_latency(
-    sim: &mut Simulation,
-    f: impl FnOnce(&mut Simulation),
-) -> u64 {
+fn with_invocation_latency(sim: &mut Simulation, f: impl FnOnce(&mut Simulation)) -> u64 {
     // Drain whatever cost is pending so we only see this invocation's.
     let _ = sim.node_mut().ledger_mut().drain();
     f(sim);
     sim.node_mut().ledger_mut().drain().latency_us.round() as u64
 }
 
-/// Uncore-limit writes survive this many injected transient faults per
-/// actuation before the driver gives up and holds the previous limit.
+/// Uncore writes survive this many injected transient faults per
+/// actuation before the governor gives up and holds the previous limit.
 const UNCORE_WRITE_RETRIES: u32 = 3;
 
-/// Write the uncore max limit with bounded retry. Injected transient MSR
-/// faults (`magus_hetsim::fault::MsrFaults`) fail whole attempts; each
-/// attempt — failed or not — charges its access cost, so retries show up
-/// in the invocation latency. Returns `false` when every attempt failed
-/// (the caller degrades: hold the previous limit and report it).
-fn set_max_with_retry(setter: &mut UncoreSetter, sim: &mut Simulation, ghz: f64) -> bool {
+/// Run one uncore actuation with bounded retry: the one retry every
+/// governor's write goes through. Injected transient MSR faults
+/// (`magus_hetsim::fault::MsrFaults`) fail whole attempts; each attempt —
+/// failed or not — charges its access cost, so retries show up in the
+/// invocation latency. Returns `false` when every attempt failed (the
+/// caller degrades: hold the previous limit and report it). Any other
+/// error is a bad scope or register, which no fault plan injects.
+fn write_with_retry<T>(
+    node: &mut Node,
+    mut write: impl FnMut(&mut Node) -> Result<T, MsrError>,
+) -> bool {
     for _ in 0..UNCORE_WRITE_RETRIES {
-        match setter.set_max(sim.node_mut(), ghz) {
+        match write(node) {
             Ok(_) => return true,
             Err(MsrError::TransientFault) => continue,
             Err(e) => panic!("uncore actuation: {e}"),
@@ -203,8 +193,9 @@ impl RuntimeDriver for FixedUncoreDriver {
     }
 
     fn attach(&mut self, sim: &mut Simulation) {
-        magus_hetsim::governor::set_fixed_uncore(sim.node_mut(), self.ghz)
-            .expect("fixed uncore write");
+        // A socket whose write fails on every retry stays on the stock
+        // governor; the failed writes are counted as injected faults.
+        let _ = write_with_retry(sim.node_mut(), |node| set_fixed_uncore(node, self.ghz));
     }
 
     fn on_decision(&mut self, _sim: &mut Simulation) -> u64 {
@@ -216,22 +207,83 @@ impl RuntimeDriver for FixedUncoreDriver {
     }
 }
 
-/// MAGUS bound to the simulated node.
+/// One HSMP mailbox round trip (doorbell write, SMU service, poll): a few
+/// hundred microseconds through the SMU firmware, charged as a write.
+const HSMP_MAILBOX_COST: AccessCost = AccessCost {
+    latency_us: 350.0,
+    energy_uj: 400.0,
+};
+
+/// How a [`MagusDriver`] moves the uncore to one of MAGUS's two levels:
+/// the only part of MAGUS that differs between an Intel and an AMD node
+/// (§6.6).
+#[derive(Debug)]
+enum Actuation {
+    /// Intel: splice the level into every socket's `0x620` max limit,
+    /// keeping the min bits.
+    Msr(UncoreSetter),
+    /// AMD: per socket, one HSMP fabric P-state mailbox round trip that
+    /// pins the fabric clock (min = max) at the level. The AMD preset's
+    /// uncore range is the EPYC P-state table's P3 to P0, so the levels
+    /// are exactly P0 and the deepest P-state. `last` is the level that
+    /// landed last (writes are deduplicated by level).
+    Hsmp { last: Option<UncoreLevel> },
+}
+
+impl Actuation {
+    /// Move every socket to `level` through the bounded retry. Returns
+    /// `false` when every retry failed.
+    fn actuate(&mut self, node: &mut Node, level: UncoreLevel) -> bool {
+        let ghz = level_ghz(node, level);
+        match self {
+            Actuation::Msr(setter) => write_with_retry(node, |node| setter.set_max(node, ghz)),
+            Actuation::Hsmp { last } if *last == Some(level) => true,
+            Actuation::Hsmp { last } => {
+                let raw = UncoreRatioLimit::from_ghz(ghz, ghz).encode();
+                let landed = write_with_retry(node, |node| {
+                    for pkg in 0..node.config().sockets {
+                        node.charge_monitoring(HSMP_MAILBOX_COST, true);
+                        node.msr_write(MsrScope::Package(pkg), MSR_UNCORE_RATIO_LIMIT, raw)?;
+                    }
+                    Ok(())
+                });
+                if landed {
+                    *last = Some(level);
+                }
+                landed
+            }
+        }
+    }
+}
+
+/// MAGUS bound to the simulated node, actuating through `0x620` (Intel)
+/// or the HSMP mailbox (AMD).
 #[derive(Debug)]
 pub struct MagusDriver {
     core: MagusCore,
-    setter: UncoreSetter,
+    actuation: Actuation,
     monitor_only: bool,
     degraded: u64,
 }
 
 impl MagusDriver {
-    /// Driver with the given configuration.
+    /// Driver with the given configuration, actuating through `0x620`.
     #[must_use]
     pub fn new(cfg: MagusConfig) -> Self {
+        Self::with_actuation(cfg, Actuation::Msr(UncoreSetter::new()))
+    }
+
+    /// Driver with the given configuration, actuating AMD fabric P-states
+    /// through the HSMP mailbox (`MAGUS/HSMP`).
+    #[must_use]
+    pub fn hsmp(cfg: MagusConfig) -> Self {
+        Self::with_actuation(cfg, Actuation::Hsmp { last: None })
+    }
+
+    fn with_actuation(cfg: MagusConfig, actuation: Actuation) -> Self {
         Self {
             core: MagusCore::new(cfg),
-            setter: UncoreSetter::new(),
+            actuation,
             monitor_only: false,
             degraded: 0,
         }
@@ -266,15 +318,13 @@ impl MagusDriver {
         if self.monitor_only {
             return;
         }
-        let range = sim.node().config().uncore;
-        let target = match action.target() {
-            Some(UncoreLevel::Upper) => range.freq_max_ghz,
-            Some(UncoreLevel::Lower) => range.freq_min_ghz,
-            None => return,
+        let Some(level) = action.target() else {
+            return;
         };
-        if !set_max_with_retry(&mut self.setter, sim, target) {
+        if !self.actuation.actuate(sim.node_mut(), level) {
             // Degrade: keep the previous limit; the next cycle retries.
             self.degraded += 1;
+            let target = level_ghz(sim.node(), level);
             push_event(sim, |t_us| {
                 Event::new(t_us, "magus_degraded")
                     .with("reason", "actuation")
@@ -284,9 +334,22 @@ impl MagusDriver {
     }
 }
 
+/// The frequency MAGUS's `level` stands for on `node`: the top or the
+/// bottom of its uncore range.
+fn level_ghz(node: &Node, level: UncoreLevel) -> f64 {
+    let range = node.config().uncore;
+    match level {
+        UncoreLevel::Upper => range.freq_max_ghz,
+        UncoreLevel::Lower => range.freq_min_ghz,
+    }
+}
+
 impl RuntimeDriver for MagusDriver {
     fn name(&self) -> &str {
-        "MAGUS"
+        match self.actuation {
+            Actuation::Msr(_) => "MAGUS",
+            Actuation::Hsmp { .. } => "MAGUS/HSMP",
+        }
     }
 
     fn attach(&mut self, sim: &mut Simulation) {
@@ -294,10 +357,9 @@ impl RuntimeDriver for MagusDriver {
         // uncore parked at minimum to conserve power; MAGUS takes no tuning
         // actions until its warm-up completes.
         if !self.monitor_only {
-            let min = sim.node().config().uncore.freq_min_ghz;
             // A failed attach leaves the governor default in place; the
             // first decision cycle re-actuates.
-            let _ = set_max_with_retry(&mut self.setter, sim, min);
+            let _ = self.actuation.actuate(sim.node_mut(), UncoreLevel::Lower);
         }
     }
 
@@ -311,8 +373,23 @@ impl RuntimeDriver for MagusDriver {
             self.apply(sim, action);
             // One structured event per decision cycle. Pushed after
             // actuation so the event never perturbs the decision itself.
+            // Both actuations share the taxonomy; HSMP is marked as such.
             if let Some(rec) = self.core.last_record() {
-                push_event(sim, |t_us| magus_decision_event(t_us, rec));
+                let hsmp = matches!(self.actuation, Actuation::Hsmp { .. });
+                push_event(sim, |t_us| {
+                    let event = Event::new(t_us, "magus_decision")
+                        .with("cycle", rec.cycle)
+                        .with("sample_mbs", rec.sample_mbs)
+                        .with("trend", trend_name(rec.trend))
+                        .with("tune_event", rec.tune_event)
+                        .with("high_freq", rec.high_freq)
+                        .with("action", action_name(rec.action));
+                    if hsmp {
+                        event.with("actuation", "hsmp")
+                    } else {
+                        event
+                    }
+                });
             }
         })
     }
@@ -390,7 +467,9 @@ impl RuntimeDriver for UpsDriver {
             uncore.freq_max_ghz,
         ));
         self.sampler = Some(UpsSampler::new(sim.node_mut()).expect("UPS sampler"));
-        let _ = set_max_with_retry(&mut self.setter, sim, uncore.freq_max_ghz);
+        let _ = write_with_retry(sim.node_mut(), |node| {
+            self.setter.set_max(node, uncore.freq_max_ghz)
+        });
     }
 
     fn on_decision(&mut self, sim: &mut Simulation) -> u64 {
@@ -413,7 +492,10 @@ impl RuntimeDriver for UpsDriver {
                 }
             };
             let decision = core.decide(sample.mean_ipc, sample.dram_w);
-            if !self.monitor_only && !set_max_with_retry(&mut self.setter, sim, decision.target_ghz)
+            if !self.monitor_only
+                && !write_with_retry(sim.node_mut(), |node| {
+                    self.setter.set_max(node, decision.target_ghz)
+                })
             {
                 self.degraded += 1;
                 push_event(sim, |t_us| {
@@ -572,6 +654,30 @@ mod tests {
     }
 
     #[test]
+    fn hsmp_actuation_pins_the_fabric_through_one_mailbox_trip_per_socket() {
+        let mut d = MagusDriver::hsmp(MagusConfig::default());
+        let mut s = Simulation::new(Node::new(NodeConfig::amd_epyc_mi210()));
+        assert_eq!(d.name(), "MAGUS/HSMP");
+        d.attach(&mut s);
+        // Two sockets, each a 350 µs mailbox round trip and a 60 µs `0x620`
+        // write, all charged as writes.
+        assert_eq!(s.node().ledger().writes(), 4);
+        assert_eq!(s.node().ledger().pending().latency_us, 820.0);
+        // The same level again is deduplicated.
+        d.attach(&mut s);
+        assert_eq!(s.node().ledger().writes(), 4);
+        for _ in 0..100 {
+            s.step();
+        }
+        // Parked at the deepest P-state: min = max = 0.8 GHz.
+        for socket in s.node().sockets() {
+            let (min, max) = socket.uncore.msr_limits();
+            assert!((min - 0.8).abs() < 1e-9 && (max - 0.8).abs() < 1e-9);
+            assert!((socket.uncore.freq_ghz() - 0.8).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn rest_intervals_match_paper_cadence() {
         assert_eq!(MagusDriver::with_defaults().rest_interval_us(), 200_000);
         assert_eq!(UpsDriver::with_defaults().rest_interval_us(), 200_000);
@@ -611,8 +717,9 @@ mod tests {
         // 3 and the bounded retry's writes 4–5 land. Both actuations
         // succeed, and the failed attempt still shows up in the ledger.
         let before = s.node().ledger().writes();
-        assert!(set_max_with_retry(&mut setter, &mut s, 0.8));
-        assert!(set_max_with_retry(&mut setter, &mut s, 1.0));
+        for ghz in [0.8, 1.0] {
+            assert!(write_with_retry(s.node_mut(), |node| setter.set_max(node, ghz)));
+        }
         assert_eq!(s.node().ledger().writes() - before, 5);
     }
 }

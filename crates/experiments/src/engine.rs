@@ -52,14 +52,12 @@ use std::time::Instant;
 use std::{panic, thread};
 
 use magus_hetsim::{AppTrace, FaultCounters, FaultPlan, NodeConfig, RunSummary};
-use magus_hsmp::FabricPstateTable;
 use magus_runtime::MagusConfig;
 use magus_telemetry::{Event, Registry, Snapshot};
 use magus_ups::UpsConfig;
 use magus_workloads::{app_trace, base_spec, AppId, Platform, TrafficSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::amd::HsmpMagusDriver;
 use crate::drivers::{FixedUncoreDriver, MagusDriver, NoopDriver, RuntimeDriver, UpsDriver};
 use crate::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 
@@ -156,10 +154,7 @@ impl GovernorSpec {
             GovernorSpec::Fixed { ghz } => Box::new(FixedUncoreDriver::new(*ghz)),
             GovernorSpec::Magus { cfg } => Box::new(MagusDriver::new(cfg.clone())),
             GovernorSpec::Ups { cfg } => Box::new(UpsDriver::new(cfg.clone())),
-            GovernorSpec::MagusHsmp { cfg } => Box::new(HsmpMagusDriver::new(
-                cfg.clone(),
-                FabricPstateTable::epyc_default(),
-            )),
+            GovernorSpec::MagusHsmp { cfg } => Box::new(MagusDriver::hsmp(cfg.clone())),
         }
     }
 }
@@ -179,7 +174,7 @@ impl SystemSel {
     pub fn node_config(&self) -> NodeConfig {
         match self {
             SystemSel::Preset(s) => s.node_config(),
-            SystemSel::AmdEpycMi210 => magus_hsmp::amd_epyc_mi210(),
+            SystemSel::AmdEpycMi210 => NodeConfig::amd_epyc_mi210(),
         }
     }
 
@@ -581,16 +576,6 @@ struct CacheEntry {
     result: TrialResult,
 }
 
-/// How [`Engine::run_suite`] schedules trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecMode {
-    /// One trial at a time, in spec order.
-    Serial,
-    /// Rayon fan-out with order-preserving collection — bit-identical
-    /// results to [`ExecMode::Serial`], minus the wall time.
-    Parallel,
-}
-
 /// One manifest line: what ran, under which hash, and how.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ManifestEntry {
@@ -611,8 +596,8 @@ pub struct ManifestEntry {
 pub struct RunManifest {
     /// The code-version salt all hashes were computed under.
     pub salt: String,
-    /// Scheduling mode ("serial" / "parallel").
-    pub mode: String,
+    /// Worker count the trials were scheduled on ([`Engine::jobs`]).
+    pub jobs: usize,
     /// Every trial this engine ran, sorted by label then hash.
     pub trials: Vec<ManifestEntry>,
     /// Trials served from the cache.
@@ -657,9 +642,9 @@ struct EngineState {
 #[derive(Debug)]
 pub struct Engine {
     salt: String,
-    mode: ExecMode,
     cache_dir: Option<PathBuf>,
-    /// Worker count `--jobs` pinned; `None` runs one worker per CPU.
+    /// Worker count `--jobs` pinned (1 under `--serial`); `None` runs one
+    /// worker per CPU.
     jobs: Option<usize>,
     /// Stepping path forced onto every spec (`--sim-path`).
     sim_path: Option<StepMode>,
@@ -685,10 +670,9 @@ const RESIDENCY_BOUNDS: [f64; 9] = [0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.5]
 const WALL_BOUNDS: [f64; 7] = [0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0];
 
 impl Engine {
-    fn build(cache_dir: Option<PathBuf>, mode: ExecMode) -> Self {
+    fn build(cache_dir: Option<PathBuf>) -> Self {
         Self {
             salt: ENGINE_SALT.to_string(),
-            mode,
             cache_dir,
             jobs: None,
             sim_path: None,
@@ -700,31 +684,25 @@ impl Engine {
         }
     }
 
-    /// Parallel engine with no cache — pure in-memory execution, used by
-    /// library tests and anything that must not touch the filesystem.
+    /// Engine with no cache, one worker per CPU — pure in-memory
+    /// execution, used by library tests and anything that must not touch
+    /// the filesystem.
     #[must_use]
     pub fn ephemeral() -> Self {
-        Self::build(None, ExecMode::Parallel)
+        Self::build(None)
     }
 
-    /// Parallel engine caching under `dir`.
+    /// Engine caching under `dir`, one worker per CPU.
     #[must_use]
     pub fn with_cache(dir: impl Into<PathBuf>) -> Self {
-        Self::build(Some(dir.into()), ExecMode::Parallel)
+        Self::build(Some(dir.into()))
     }
 
-    /// Switch to serial scheduling.
+    /// Run one trial at a time, in spec order (`--serial`): the same as
+    /// [`Engine::with_jobs`]`(1)`.
     #[must_use]
-    pub fn serial(mut self) -> Self {
-        self.mode = ExecMode::Serial;
-        self
-    }
-
-    /// Switch to parallel scheduling.
-    #[must_use]
-    pub fn parallel(mut self) -> Self {
-        self.mode = ExecMode::Parallel;
-        self
+    pub fn serial(self) -> Self {
+        self.with_jobs(1)
     }
 
     /// Drop the cache (every trial simulates).
@@ -742,9 +720,9 @@ impl Engine {
         self
     }
 
-    /// Run parallel suites on `jobs` workers (`0` = one per CPU). This is
-    /// the `--jobs` CLI flag: explicit sizing makes fleet benches
-    /// reproducible across machines.
+    /// Run suites on `jobs` workers (`0` = one per CPU). This is the
+    /// `--jobs` CLI flag: explicit sizing makes fleet benches reproducible
+    /// across machines.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = (jobs > 0).then_some(jobs);
@@ -787,12 +765,6 @@ impl Engine {
     pub fn jobs(&self) -> usize {
         self.jobs
             .unwrap_or_else(|| thread::available_parallelism().map_or(1, usize::from))
-    }
-
-    /// The scheduling mode.
-    #[must_use]
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// The cache directory, when caching is enabled.
@@ -922,18 +894,16 @@ impl Engine {
     /// value is collected, in spec order. Peak resident outcomes are
     /// bounded by the worker count, not the suite length.
     ///
-    /// In parallel mode, up to [`Engine::jobs`] scoped workers each take
-    /// the next unclaimed spec until none is left, so a slow trial never
-    /// holds up the others. A panic in a worker resumes on the caller.
+    /// Up to [`Engine::jobs`] scoped workers each take the next unclaimed
+    /// spec until none is left, so a slow trial never holds up the others;
+    /// one worker runs the specs in order on the caller's thread. A panic
+    /// in a worker resumes on the caller.
     pub fn run_mapped<R: Send>(
         &self,
         specs: &[TrialSpec],
         map: impl Fn(usize, TrialOutcome) -> R + Sync,
     ) -> Vec<R> {
-        let workers = match self.mode {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel => self.jobs().min(specs.len()),
-        };
+        let workers = self.jobs().min(specs.len());
         if workers <= 1 {
             return specs
                 .iter()
@@ -1109,10 +1079,7 @@ impl Engine {
         trials.sort_by(|a, b| a.label.cmp(&b.label).then_with(|| a.hash.cmp(&b.hash)));
         RunManifest {
             salt: self.salt.clone(),
-            mode: match self.mode {
-                ExecMode::Serial => "serial".into(),
-                ExecMode::Parallel => "parallel".into(),
-            },
+            jobs: self.jobs(),
             trials,
             cache_hits: state.hits,
             cache_misses: state.misses,
@@ -1134,13 +1101,13 @@ impl Engine {
     pub fn summary_line(&self) -> String {
         let m = self.manifest();
         format!(
-            "{} trials: {} cache hits, {} misses ({:.0}% hit rate), {:.1} s wall [{}]",
+            "{} trials: {} cache hits, {} misses ({:.0}% hit rate), {:.1} s wall [jobs {}]",
             m.trials.len(),
             m.cache_hits,
             m.cache_misses,
             m.hit_rate() * 100.0,
             m.wall_s,
-            m.mode,
+            m.jobs,
         )
     }
 

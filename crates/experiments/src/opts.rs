@@ -22,12 +22,10 @@ use crate::harness::StepMode;
 pub struct EngineOpts {
     /// `--no-cache`: always simulate; don't read or write `results/cache`.
     pub no_cache: bool,
-    /// `--serial`: run trials one at a time (results are bit-identical to
-    /// the parallel default; this only trades wall time for quiet cores).
-    pub serial: bool,
-    /// `--jobs N`: run parallel suites on N worker threads (`0` or `None`
-    /// = one per CPU). Explicit sizing makes bench numbers reproducible
-    /// across machines.
+    /// `--jobs N`: run suites on N worker threads (`0` or `None` = one
+    /// per CPU). Explicit sizing makes bench numbers reproducible across
+    /// machines. `--serial` is `--jobs 1` and wins over `--jobs`: trials
+    /// run one at a time, bit-identical to any other worker count.
     pub jobs: Option<usize>,
     /// `--telemetry <file>`: after the command, write the decision-event
     /// stream as JSON Lines to `<file>` and a Prometheus-text metrics
@@ -116,17 +114,16 @@ impl EngineOpts {
         let faults = take_flag(args, "--faults").map(PathBuf::from);
         Ok(Self {
             no_cache: take_switch(args, "--no-cache"),
-            serial: take_switch(args, "--serial"),
-            jobs,
+            jobs: take_switch(args, "--serial").then_some(1).or(jobs),
             telemetry,
             sim_path,
             faults,
         })
     }
 
-    /// Build the trial engine these options select: parallel, caching
-    /// under `results/cache/` (or `$MAGUS_CACHE_DIR`) unless `--no-cache`,
-    /// then `--serial`, `--jobs`, the `--sim-path` stepping path, the
+    /// Build the trial engine these options select: caching under
+    /// `results/cache/` (or `$MAGUS_CACHE_DIR`) unless `--no-cache`, then
+    /// the `--jobs` worker count, the `--sim-path` stepping path, the
     /// `--faults` plan (loaded and validated here) and, for a
     /// `--telemetry` path, the sink that arms every trial and buffers its
     /// events ([`Engine::with_telemetry`]).
@@ -144,9 +141,6 @@ impl EngineOpts {
                 std::env::var("MAGUS_CACHE_DIR").unwrap_or_else(|_| "results/cache".into()),
             )
         };
-        if self.serial {
-            engine = engine.serial();
-        }
         if let Some(jobs) = self.jobs {
             engine = engine.with_jobs(jobs);
         }
@@ -192,12 +186,12 @@ mod tests {
             "plan.json",
         ]);
         let opts = EngineOpts::take_from_args(&mut args).unwrap();
+        // `--serial` is `--jobs 1`, and it wins over `--jobs 0`.
         assert_eq!(
             opts,
             EngineOpts {
                 no_cache: true,
-                serial: true,
-                jobs: Some(0),
+                jobs: Some(1),
                 telemetry: Some(PathBuf::from("out/t.jsonl")),
                 sim_path: Some(StepMode::Reference),
                 faults: Some(PathBuf::from("plan.json")),

@@ -99,7 +99,7 @@ fn apply_event(sim: &mut Simulation, ev: Event, pcm_log: &mut Vec<u64>) {
     match ev {
         Event::FixUncore(ghz) => set_fixed_uncore(sim.node_mut(), ghz).expect("uncore MSR write"),
         Event::PowerLimit(w) => sim.node_mut().set_power_limit_w(w).expect("PL1 write"),
-        Event::PcmRead => pcm_log.push(sim.node_mut().pcm_read_gbs().to_bits()),
+        Event::PcmRead => pcm_log.push(sim.node_mut().pcm_try_read_gbs().unwrap().to_bits()),
     }
 }
 

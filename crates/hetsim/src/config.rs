@@ -1,5 +1,6 @@
 //! Node configuration: parameters for CPU, uncore, memory, and GPU models,
-//! plus presets for the paper's three testbeds (§5).
+//! plus presets for the paper's three testbeds (§5) and the §6.6 AMD port's
+//! node.
 //!
 //! Calibration note: the power-model constants are fitted to the paper's
 //! published operating points rather than to vendor datasheets — e.g. the
@@ -274,6 +275,66 @@ impl NodeConfig {
             pcm_daemon_power_w: 6.0,
         }
     }
+
+    /// The §6.6 AMD port's node: 2× EPYC 7763 (64 cores, Infinity Fabric
+    /// 0.8–1.6 GHz, TDP 280 W) + 1× Instinct MI210, fitted like the Intel
+    /// presets. The fabric range is the EPYC fabric P-state table's P3 to
+    /// P0 (0.8 / 1.067 / 1.333 / 1.6 GHz). The fabric/SoC domain draws a
+    /// larger share of package power than Intel's uncore (the Zen "fabric
+    /// floor"), which makes uncore-style scaling at least as attractive
+    /// there.
+    #[must_use]
+    pub fn amd_epyc_mi210() -> Self {
+        Self {
+            name: "AMD+MI210".to_string(),
+            sockets: 2,
+            cpu: CpuConfig {
+                cores: 64,
+                core_freq_min_ghz: 1.5,
+                core_freq_base_ghz: 2.45,
+                core_freq_max_ghz: 3.5,
+                static_power_w: 30.0,
+                dyn_power_max_w: 180.0,
+                dyn_freq_exp: 2.2,
+                dvfs_alpha: 0.5,
+                base_ipc: 1.8,
+                ipc_stall_coupling: 0.14,
+                tdp_w: 280.0,
+            },
+            uncore: UncoreConfig {
+                freq_min_ghz: 0.8,
+                freq_max_ghz: 1.6,
+                power_min_w: 18.0,
+                power_span_w: 55.0,
+                power_exp: 1.35,
+                dyn_static_frac: 0.8,
+                slew_ghz_per_s: 20.0,
+            },
+            mem: MemoryConfig {
+                peak_bw_gbs: 100.0,
+                floor_frac: 0.42,
+                bw_exp: 1.0,
+                dram_base_w: 12.0,
+                dram_w_per_gbs: 0.09,
+            },
+            gpus: vec![GpuConfig {
+                idle_power_w: 40.0,
+                max_power_w: 300.0,
+                sm_clock_min_mhz: 500.0,
+                sm_clock_max_mhz: 1700.0,
+                clock_alpha: 0.6,
+            }],
+            tdp_governor: TdpGovernorConfig::default(),
+            tick_us: 10_000,
+            seed: 0x414d_4431, // "AMD1"
+            // Per-core MSR reads (if a UPS-style tool insisted) cost about
+            // what Zen's SMN-routed accesses do.
+            core_msr_read_energy_uj: 20_000.0,
+            core_msr_read_latency_us: 1_500.0,
+            pcm_window_us: 100_000,
+            pcm_daemon_power_w: 4.0,
+        }
+    }
 }
 
 impl GpuConfig {
@@ -433,6 +494,7 @@ mod tests {
             NodeConfig::intel_a100(),
             NodeConfig::intel_4a100(),
             NodeConfig::intel_max1550(),
+            NodeConfig::amd_epyc_mi210(),
         ] {
             assert!(cfg.sockets >= 1);
             assert!(cfg.uncore.freq_min_ghz < cfg.uncore.freq_max_ghz);
@@ -456,6 +518,22 @@ mod tests {
         let cfg = NodeConfig::intel_max1550();
         assert_eq!(cfg.uncore.freq_min_ghz, 0.8);
         assert_eq!(cfg.uncore.freq_max_ghz, 2.5);
+    }
+
+    #[test]
+    fn amd_preset_is_well_formed() {
+        let cfg = NodeConfig::amd_epyc_mi210();
+        assert_eq!(cfg.sockets, 2);
+        assert_eq!(cfg.total_cores(), 128);
+        assert_eq!(cfg.gpus.len(), 1);
+    }
+
+    #[test]
+    fn amd_fabric_range_spans_the_epyc_pstates() {
+        // P3 (deepest) to P0 of the EPYC fabric P-state table.
+        let cfg = NodeConfig::amd_epyc_mi210();
+        assert_eq!(cfg.uncore.freq_min_ghz, 0.8);
+        assert_eq!(cfg.uncore.freq_max_ghz, 1.6);
     }
 
     #[test]

@@ -621,11 +621,11 @@ mod tests {
         }
         assert_eq!(failures, 3);
         assert_eq!(node.fault_counters().pcm_dropouts, 3);
-        // The legacy surface flattens injected dropouts to 0.0.
+        // A dropout is an error, never a fabricated 0 GB/s reading.
         for _ in 0..2 {
-            let _ = node.pcm_read_gbs();
+            let _ = node.pcm_try_read_gbs();
         }
-        assert_eq!(node.pcm_read_gbs(), 0.0);
+        assert_eq!(node.pcm_try_read_gbs(), Err(InjectedFault::PcmDropout));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`Demand`] and returns the achieved progress factor. Runtimes interact
 //! with the node exclusively through its monitoring/actuation surface:
 //! [`Node::msr_read`] / [`Node::msr_write`] (MSR semantics, with access
-//! costs charged as monitoring overhead) and [`Node::pcm_read_gbs`] (the
-//! PCM-style windowed memory-throughput counter).
+//! costs charged as monitoring overhead) and [`Node::pcm_try_read_gbs`]
+//! (the PCM-style windowed memory-throughput counter).
 
 use std::collections::VecDeque;
 
@@ -990,13 +990,6 @@ impl Node {
         Ok(())
     }
 
-    /// PCM-style memory-throughput measurement:
-    /// [`Node::pcm_try_read_gbs`] with injected dropouts flattened to
-    /// 0 GB/s (the legacy surface for callers without an error path).
-    pub fn pcm_read_gbs(&mut self) -> f64 {
-        self.pcm_try_read_gbs().unwrap_or(0.0)
-    }
-
     /// PCM-style memory-throughput measurement: the mean delivered system
     /// throughput over the configured measurement window, with sensor noise.
     /// Charges the measurement's daemon-power cost.
@@ -1210,7 +1203,7 @@ mod tests {
         n.step(10_000, &Demand::idle());
         let idle_power = n.last_power().pkg_w();
         // One PCM read charges window-energy into the next tick.
-        let _ = n.pcm_read_gbs();
+        let _ = n.pcm_try_read_gbs();
         n.step(10_000, &Demand::idle());
         assert!(n.last_power().overhead_w > 0.0);
         assert!(n.last_power().pkg_w() > idle_power);
@@ -1224,7 +1217,7 @@ mod tests {
         for _ in 0..50 {
             n.step(10_000, &demand);
         }
-        let reading = n.pcm_read_gbs();
+        let reading = n.pcm_try_read_gbs().unwrap();
         assert!((reading - 30.0).abs() < 3.0, "reading = {reading}");
     }
 
@@ -1260,8 +1253,8 @@ mod tests {
             for _ in 0..200 {
                 n.step(10_000, &busy_demand());
             }
-            let _ = n.pcm_read_gbs();
-            (n.energy().total_j(), n.pcm_read_gbs())
+            let _ = n.pcm_try_read_gbs();
+            (n.energy().total_j(), n.pcm_try_read_gbs())
         };
         let a = run();
         let b = run();
@@ -1428,7 +1421,7 @@ mod tests {
         assert!(ff.frozen(), "fast path never froze on constant demand");
         assert_nodes_identical(&reference, &fast, "steady busy");
         // Noise stream untouched by replay: PCM reads agree exactly.
-        assert_eq!(reference.pcm_read_gbs(), fast.pcm_read_gbs());
+        assert_eq!(reference.pcm_try_read_gbs(), fast.pcm_try_read_gbs());
     }
 
     #[test]
@@ -1459,7 +1452,7 @@ mod tests {
             do_ticks(&mut n, &memheavy, 400, &mut ff);
             n.set_power_limit_w(90.0).unwrap();
             do_ticks(&mut n, &busy, 500, &mut ff);
-            let _ = n.pcm_read_gbs();
+            let _ = n.pcm_try_read_gbs();
             do_ticks(&mut n, &memheavy, 300, &mut ff);
             n
         };
@@ -1495,7 +1488,7 @@ mod tests {
             assert_eq!(single.bw_history, span.bw_history, "{ctx}");
             let (st, pt) = (single.telemetry().unwrap(), span.telemetry().unwrap());
             assert_eq!(st.counters(), pt.counters(), "{ctx}");
-            assert_eq!(single.pcm_read_gbs(), span.pcm_read_gbs(), "{ctx}");
+            assert_eq!(single.pcm_try_read_gbs(), span.pcm_try_read_gbs(), "{ctx}");
         }
     }
 
@@ -1557,7 +1550,7 @@ mod tests {
             n.bw_history.len()
         );
         // The PCM window is still fully served.
-        let reading = n.pcm_read_gbs();
+        let reading = n.pcm_try_read_gbs().unwrap();
         assert!((reading - 40.0).abs() < 4.0, "reading = {reading}");
     }
 

@@ -128,7 +128,7 @@ impl Simulation {
     }
 
     /// Mutable node access — this is the runtimes' monitoring/actuation
-    /// surface (`msr_read`/`msr_write`/`pcm_read_gbs`).
+    /// surface (`msr_read`/`msr_write`/`pcm_try_read_gbs`).
     pub fn node_mut(&mut self) -> &mut Node {
         &mut self.node
     }

@@ -166,7 +166,7 @@ fn determinism() {
         for d in demands {
             node.step(10_000, d);
         }
-        (node.energy().total_j(), node.pcm_read_gbs())
+        (node.energy().total_j(), node.pcm_try_read_gbs())
     };
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
@@ -188,7 +188,7 @@ fn pcm_reading_bounded() {
         for d in &demands {
             node.step(10_000, d);
         }
-        let r = node.pcm_read_gbs();
+        let r = node.pcm_try_read_gbs().unwrap();
         assert!(r >= 0.0, "case {case}: reading {r}");
         assert!(r <= peak * 1.1 + 1.0, "case {case}: reading {r}");
     }

@@ -528,8 +528,8 @@ TRAFFIC:   --traffic <spec.json> drives a fleet (or one daemon node) from a
            \"Traffic generation\"). Expansion is deterministic from the
            spec's seed; with --traffic, `fleet` also reports deadline
            misses and per-tenant energy.
-ENGINE:    --no-cache (always simulate), --serial (one trial at a time),
-           --jobs <n> (worker threads, 0 = ncpus),
+ENGINE:    --no-cache (always simulate), --jobs <n> (worker threads,
+           0 = ncpus), --serial (= --jobs 1: one trial at a time),
            --sim-path fast|reference (stepping path for every trial; both
            paths emit byte-identical --telemetry JSONL and .prom files),
            --telemetry <file> (write governor decision events as JSON
@@ -725,7 +725,7 @@ mod tests {
             inv.engine,
             EngineOpts {
                 no_cache: true,
-                serial: true,
+                jobs: Some(1),
                 ..EngineOpts::default()
             }
         );

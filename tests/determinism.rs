@@ -111,9 +111,9 @@ fn baseline_runtime_equals_work_content() {
 
 #[test]
 fn engine_parallel_reduction_is_bit_identical_to_serial() {
-    // The engine's worker fan-out must reduce to exactly the serial result,
-    // in the same order — callers can pass `--serial` for debugging
-    // without changing a single bit of output.
+    // The engine's worker fan-out must reduce to exactly the serial
+    // (`--serial`, one worker) result, in the same order — callers can pass
+    // `--serial` for debugging without changing a single bit of output.
     use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
     let specs: Vec<TrialSpec> = [AppId::Bfs, AppId::Srad, AppId::Kmeans]
         .into_iter()
@@ -125,7 +125,7 @@ fn engine_parallel_reduction_is_bit_identical_to_serial() {
         })
         .collect();
     let serial = Engine::ephemeral().serial().run_suite(&specs);
-    let parallel = Engine::ephemeral().parallel().run_suite(&specs);
+    let parallel = Engine::ephemeral().with_jobs(4).run_suite(&specs);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.spec_hash, p.spec_hash);

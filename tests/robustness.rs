@@ -50,8 +50,8 @@ fn magus_survives_pcm_dropouts() {
 /// one: always the second socket's) degrade every governor instead of
 /// crashing it. Each trial returns; each governor that writes the uncore
 /// counts the failed writes; the deciding governors exhaust their retries,
-/// hold the previous limit and report why. A `fixed:` pin whose every
-/// retry fails leaves that socket on the stock governor.
+/// hold the previous limit and report why. A socket that every retry of a
+/// `fixed:` pin fails to reach stays on the stock governor.
 #[test]
 fn actuation_faults_surface_as_errors() {
     let intel = |governor| TrialSpec::new(SystemId::IntelA100, AppId::Bfs, governor);
