@@ -2,6 +2,7 @@
 //! runtime must survive flaky counters and misbehaving register access
 //! without crashing or destroying the application's performance.
 
+use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 
 use magus_suite::experiments::drivers::{MagusDriver, NoopDriver, RuntimeDriver};
@@ -46,12 +47,15 @@ fn magus_survives_pcm_dropouts() {
     assert!(cmp.perf_loss_pct < 12.0, "loss {}%", cmp.perf_loss_pct);
 }
 
-/// Failing uncore-limit writes (every write: a dead MSR bus; every second
-/// one: always the second socket's) degrade every governor instead of
-/// crashing it. Each trial returns; each governor that writes the uncore
-/// counts the failed writes; the deciding governors exhaust their retries,
-/// hold the previous limit and report why. A socket that every retry of a
-/// `fixed:` pin fails to reach stays on the stock governor.
+/// Failing uncore-limit writes degrade every governor instead of crashing
+/// it. Each trial returns, and each governor that writes the uncore counts
+/// the failed writes. When every write fails (a dead MSR bus), the deciding
+/// governors exhaust their retries, hold the previous limit and report why;
+/// a socket that every retry of a `fixed:` pin fails to reach stays on the
+/// stock governor. When every second write fails (on a two-socket node,
+/// the second socket's first attempt each time), the failed socket's own
+/// retry lands: every governor that writes reaches both sockets and none
+/// degrades.
 #[test]
 fn actuation_faults_surface_as_errors() {
     let intel = |governor| TrialSpec::new(SystemId::IntelA100, AppId::Bfs, governor);
@@ -90,17 +94,33 @@ fn actuation_faults_surface_as_errors() {
                 panicked.push(case);
                 continue;
             };
+            let events = &out.result.events;
             let fails = out.result.fault_counters.msr_write_fails;
             assert_eq!(fails > 0, *writes, "{case}: {fails} failed writes");
             if let Some(kind) = degraded {
-                assert!(
-                    out.result
-                        .events
-                        .iter()
-                        .any(|e| e.kind == *kind && e.fields.get("reason") == Some(&actuation)),
-                    "{case}: no {kind}{{reason=\"actuation\"}} event"
+                let gave_up = events
+                    .iter()
+                    .any(|e| e.kind == *kind && e.fields.get("reason") == Some(&actuation));
+                assert_eq!(
+                    gave_up,
+                    every == 1,
+                    "{case}: {kind}{{reason=\"actuation\"}}"
                 );
             }
+            let landed: BTreeSet<u64> = events
+                .iter()
+                .filter(|e| e.kind == "uncore_limit_write")
+                .filter_map(|e| match e.fields.get("pkg") {
+                    Some(FieldValue::U64(pkg)) => Some(*pkg),
+                    _ => None,
+                })
+                .collect();
+            let reached = if *writes && every == 2 {
+                BTreeSet::from([0, 1])
+            } else {
+                BTreeSet::new()
+            };
+            assert_eq!(landed, reached, "{case}: sockets whose uncore limit landed");
         }
     }
     assert!(panicked.is_empty(), "trials panicked: {panicked:?}");
