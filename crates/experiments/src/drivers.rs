@@ -10,7 +10,6 @@
 
 use std::ops::DerefMut;
 
-use magus_hetsim::governor::{set_fixed_uncore, UncoreSetter};
 use magus_hetsim::{Decision, Node, NodeDecider, Simulation};
 use magus_msr::{AccessCost, MsrError, MsrScope, UncoreRatioLimit, MSR_UNCORE_RATIO_LIMIT};
 use magus_runtime::{MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
@@ -123,29 +122,110 @@ fn with_invocation_latency(sim: &mut Simulation, f: impl FnOnce(&mut Simulation)
     sim.node_mut().ledger_mut().drain().latency_us.round() as u64
 }
 
-/// Uncore writes survive this many injected transient faults per
-/// actuation before the governor gives up and holds the previous limit.
-const UNCORE_WRITE_RETRIES: u32 = 3;
+/// Attempts at one socket's uncore write before the governor gives up on
+/// that socket for this actuation.
+const UNCORE_WRITE_ATTEMPTS: u32 = 3;
 
-/// Run one uncore actuation with bounded retry: the one retry every
-/// governor's write goes through. Injected transient MSR faults
-/// (`magus_hetsim::fault::MsrFaults`) fail whole attempts; each attempt —
-/// failed or not — charges its access cost, so retries show up in the
-/// invocation latency. Returns `false` when every attempt failed (the
-/// caller degrades: hold the previous limit and report it). Any other
-/// error is a bad scope or register, which no fault plan injects.
-fn write_with_retry<T>(
-    node: &mut Node,
-    mut write: impl FnMut(&mut Node) -> Result<T, MsrError>,
-) -> bool {
-    for _ in 0..UNCORE_WRITE_RETRIES {
-        match write(node) {
-            Ok(_) => return true,
-            Err(MsrError::TransientFault) => continue,
-            Err(e) => panic!("uncore actuation: {e}"),
+/// One HSMP mailbox round trip (doorbell write, SMU service, poll): a few
+/// hundred microseconds through the SMU firmware, charged as a write.
+const HSMP_MAILBOX_COST: AccessCost = AccessCost {
+    latency_us: 350.0,
+    energy_uj: 400.0,
+};
+
+/// How an [`UncoreWriter`] moves one socket's uncore to a target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UncoreWrite {
+    /// Read the socket's `0x620` and splice the target into its max limit,
+    /// keeping the min bits (MAGUS on Intel, UPS).
+    MaxSplice,
+    /// Write `0x620` with min = max = the target (`fixed:`).
+    Pin,
+    /// One HSMP fabric P-state mailbox round trip, then the pin (MAGUS on
+    /// AMD, §6.6). The AMD preset's uncore range is the EPYC P-state
+    /// table's P3 to P0, so MAGUS's two levels are exactly P0 and the
+    /// deepest P-state.
+    HsmpPin,
+}
+
+impl UncoreWrite {
+    /// One attempt at socket `pkg`'s write, its access costs charged
+    /// whether or not it lands. `false` when an injected transient fault
+    /// (`magus_hetsim::fault::MsrFaults`) failed it; any other error is a
+    /// bad scope or register, which no fault plan injects.
+    fn attempt(self, node: &mut Node, pkg: u32, ghz: f64) -> bool {
+        let scope = MsrScope::Package(pkg);
+        let raw = match self {
+            UncoreWrite::MaxSplice => node
+                .msr_read(scope, MSR_UNCORE_RATIO_LIMIT)
+                .map(|raw| UncoreRatioLimit::splice_max(raw, ghz)),
+            UncoreWrite::Pin => Ok(UncoreRatioLimit::from_ghz(ghz, ghz).encode()),
+            UncoreWrite::HsmpPin => {
+                node.charge_monitoring(HSMP_MAILBOX_COST, true);
+                Ok(UncoreRatioLimit::from_ghz(ghz, ghz).encode())
+            }
+        };
+        match raw.and_then(|raw| node.msr_write(scope, MSR_UNCORE_RATIO_LIMIT, raw)) {
+            Ok(()) => true,
+            Err(MsrError::TransientFault) => false,
+            Err(e) => panic!("uncore write on package {pkg}: {e}"),
         }
     }
-    false
+}
+
+/// The one path from a governor to the node's uncore limits. Each socket
+/// is written on its own: a socket already at the target is skipped (so
+/// write costs reflect real transitions, not decision frequency), and any
+/// other gets up to [`UNCORE_WRITE_ATTEMPTS`] attempts at its write alone.
+/// A socket that uses them all keeps its limit until the next write.
+#[derive(Debug)]
+struct UncoreWriter {
+    form: UncoreWrite,
+    /// Per socket, the target that landed last (`None`: none yet).
+    landed: Vec<Option<f64>>,
+}
+
+impl UncoreWriter {
+    fn new(form: UncoreWrite) -> Self {
+        Self {
+            form,
+            landed: Vec::new(),
+        }
+    }
+
+    /// Move every socket of `node` to `ghz`. Returns `false` when some
+    /// socket used up its attempts.
+    fn write(&mut self, node: &mut Node, ghz: f64) -> bool {
+        self.landed.resize(node.config().sockets as usize, None);
+        let mut all_landed = true;
+        for (pkg, landed) in (0..).zip(&mut self.landed) {
+            if landed.is_some_and(|last| (last - ghz).abs() < 1e-9) {
+                continue;
+            }
+            if (0..UNCORE_WRITE_ATTEMPTS).any(|_| self.form.attempt(node, pkg, ghz)) {
+                *landed = Some(ghz);
+            } else {
+                all_landed = false;
+            }
+        }
+        all_landed
+    }
+
+    /// A deciding governor's actuation: [`UncoreWriter::write`], and when
+    /// a socket used up its attempts, a `degraded` event (the governor's
+    /// `*_degraded` kind) with `reason = "actuation"` and the target.
+    /// Returns whether every socket landed.
+    fn actuate(&mut self, sim: &mut Simulation, ghz: f64, degraded: &'static str) -> bool {
+        let landed = self.write(sim.node_mut(), ghz);
+        if !landed {
+            push_event(sim, |t_us| {
+                Event::new(t_us, degraded)
+                    .with("reason", "actuation")
+                    .with("target_ghz", ghz)
+            });
+        }
+        landed
+    }
 }
 
 /// The stock baseline: no runtime attached; the node's TDP-coupled governor
@@ -174,6 +254,7 @@ impl RuntimeDriver for NoopDriver {
 pub struct FixedUncoreDriver {
     ghz: f64,
     label: String,
+    writer: UncoreWriter,
 }
 
 impl FixedUncoreDriver {
@@ -183,6 +264,7 @@ impl FixedUncoreDriver {
         Self {
             ghz,
             label: format!("fixed-{ghz:.1}GHz"),
+            writer: UncoreWriter::new(UncoreWrite::Pin),
         }
     }
 }
@@ -193,9 +275,9 @@ impl RuntimeDriver for FixedUncoreDriver {
     }
 
     fn attach(&mut self, sim: &mut Simulation) {
-        // A socket whose write fails on every retry stays on the stock
+        // A socket whose write fails on every attempt stays on the stock
         // governor; the failed writes are counted as injected faults.
-        let _ = write_with_retry(sim.node_mut(), |node| set_fixed_uncore(node, self.ghz));
+        let _ = self.writer.write(sim.node_mut(), self.ghz);
     }
 
     fn on_decision(&mut self, _sim: &mut Simulation) -> u64 {
@@ -207,61 +289,12 @@ impl RuntimeDriver for FixedUncoreDriver {
     }
 }
 
-/// One HSMP mailbox round trip (doorbell write, SMU service, poll): a few
-/// hundred microseconds through the SMU firmware, charged as a write.
-const HSMP_MAILBOX_COST: AccessCost = AccessCost {
-    latency_us: 350.0,
-    energy_uj: 400.0,
-};
-
-/// How a [`MagusDriver`] moves the uncore to one of MAGUS's two levels:
-/// the only part of MAGUS that differs between an Intel and an AMD node
-/// (§6.6).
-#[derive(Debug)]
-enum Actuation {
-    /// Intel: splice the level into every socket's `0x620` max limit,
-    /// keeping the min bits.
-    Msr(UncoreSetter),
-    /// AMD: per socket, one HSMP fabric P-state mailbox round trip that
-    /// pins the fabric clock (min = max) at the level. The AMD preset's
-    /// uncore range is the EPYC P-state table's P3 to P0, so the levels
-    /// are exactly P0 and the deepest P-state. `last` is the level that
-    /// landed last (writes are deduplicated by level).
-    Hsmp { last: Option<UncoreLevel> },
-}
-
-impl Actuation {
-    /// Move every socket to `level` through the bounded retry. Returns
-    /// `false` when every retry failed.
-    fn actuate(&mut self, node: &mut Node, level: UncoreLevel) -> bool {
-        let ghz = level_ghz(node, level);
-        match self {
-            Actuation::Msr(setter) => write_with_retry(node, |node| setter.set_max(node, ghz)),
-            Actuation::Hsmp { last } if *last == Some(level) => true,
-            Actuation::Hsmp { last } => {
-                let raw = UncoreRatioLimit::from_ghz(ghz, ghz).encode();
-                let landed = write_with_retry(node, |node| {
-                    for pkg in 0..node.config().sockets {
-                        node.charge_monitoring(HSMP_MAILBOX_COST, true);
-                        node.msr_write(MsrScope::Package(pkg), MSR_UNCORE_RATIO_LIMIT, raw)?;
-                    }
-                    Ok(())
-                });
-                if landed {
-                    *last = Some(level);
-                }
-                landed
-            }
-        }
-    }
-}
-
 /// MAGUS bound to the simulated node, actuating through `0x620` (Intel)
 /// or the HSMP mailbox (AMD).
 #[derive(Debug)]
 pub struct MagusDriver {
     core: MagusCore,
-    actuation: Actuation,
+    writer: UncoreWriter,
     monitor_only: bool,
     degraded: u64,
 }
@@ -270,23 +303,28 @@ impl MagusDriver {
     /// Driver with the given configuration, actuating through `0x620`.
     #[must_use]
     pub fn new(cfg: MagusConfig) -> Self {
-        Self::with_actuation(cfg, Actuation::Msr(UncoreSetter::new()))
+        Self::with_write(cfg, UncoreWrite::MaxSplice)
     }
 
     /// Driver with the given configuration, actuating AMD fabric P-states
     /// through the HSMP mailbox (`MAGUS/HSMP`).
     #[must_use]
     pub fn hsmp(cfg: MagusConfig) -> Self {
-        Self::with_actuation(cfg, Actuation::Hsmp { last: None })
+        Self::with_write(cfg, UncoreWrite::HsmpPin)
     }
 
-    fn with_actuation(cfg: MagusConfig, actuation: Actuation) -> Self {
+    fn with_write(cfg: MagusConfig, form: UncoreWrite) -> Self {
         Self {
             core: MagusCore::new(cfg),
-            actuation,
+            writer: UncoreWriter::new(form),
             monitor_only: false,
             degraded: 0,
         }
+    }
+
+    /// Whether this driver actuates through the HSMP mailbox.
+    fn hsmp_actuation(&self) -> bool {
+        self.writer.form == UncoreWrite::HsmpPin
     }
 
     /// Driver with the paper's default thresholds.
@@ -308,7 +346,7 @@ impl MagusDriver {
     }
 
     /// Decision cycles degraded by injected faults: the sample failed (the
-    /// previous decision was held) or every actuation retry failed.
+    /// previous decision was held) or a socket used up its write attempts.
     #[must_use]
     pub fn degraded(&self) -> u64 {
         self.degraded
@@ -321,15 +359,12 @@ impl MagusDriver {
         let Some(level) = action.target() else {
             return;
         };
-        if !self.actuation.actuate(sim.node_mut(), level) {
-            // Degrade: keep the previous limit; the next cycle retries.
+        // Degrade: a socket that used up its attempts keeps its limit until
+        // the next `SetUpper`/`SetLower` writes it again (a `Hold` writes
+        // nothing).
+        let ghz = level_ghz(sim.node(), level);
+        if !self.writer.actuate(sim, ghz, "magus_degraded") {
             self.degraded += 1;
-            let target = level_ghz(sim.node(), level);
-            push_event(sim, |t_us| {
-                Event::new(t_us, "magus_degraded")
-                    .with("reason", "actuation")
-                    .with("target_ghz", target)
-            });
         }
     }
 }
@@ -346,9 +381,10 @@ fn level_ghz(node: &Node, level: UncoreLevel) -> f64 {
 
 impl RuntimeDriver for MagusDriver {
     fn name(&self) -> &str {
-        match self.actuation {
-            Actuation::Msr(_) => "MAGUS",
-            Actuation::Hsmp { .. } => "MAGUS/HSMP",
+        if self.hsmp_actuation() {
+            "MAGUS/HSMP"
+        } else {
+            "MAGUS"
         }
     }
 
@@ -357,9 +393,10 @@ impl RuntimeDriver for MagusDriver {
         // uncore parked at minimum to conserve power; MAGUS takes no tuning
         // actions until its warm-up completes.
         if !self.monitor_only {
-            // A failed attach leaves the governor default in place; the
-            // first decision cycle re-actuates.
-            let _ = self.actuation.actuate(sim.node_mut(), UncoreLevel::Lower);
+            // A socket whose attach write fails keeps the governor default
+            // until MAGUS's first actuation writes it again.
+            let ghz = level_ghz(sim.node(), UncoreLevel::Lower);
+            let _ = self.writer.write(sim.node_mut(), ghz);
         }
     }
 
@@ -375,7 +412,7 @@ impl RuntimeDriver for MagusDriver {
             // actuation so the event never perturbs the decision itself.
             // Both actuations share the taxonomy; HSMP is marked as such.
             if let Some(rec) = self.core.last_record() {
-                let hsmp = matches!(self.actuation, Actuation::Hsmp { .. });
+                let hsmp = self.hsmp_actuation();
                 push_event(sim, |t_us| {
                     let event = Event::new(t_us, "magus_decision")
                         .with("cycle", rec.cycle)
@@ -413,7 +450,7 @@ pub struct UpsDriver {
     cfg: UpsConfig,
     core: Option<UpsCore>,
     sampler: Option<UpsSampler>,
-    setter: UncoreSetter,
+    writer: UncoreWriter,
     monitor_only: bool,
     degraded: u64,
 }
@@ -426,7 +463,7 @@ impl UpsDriver {
             cfg,
             core: None,
             sampler: None,
-            setter: UncoreSetter::new(),
+            writer: UncoreWriter::new(UncoreWrite::MaxSplice),
             monitor_only: false,
             degraded: 0,
         }
@@ -444,8 +481,8 @@ impl UpsDriver {
         self.core.as_ref()
     }
 
-    /// Decision cycles degraded: an uncore write that failed on every retry
-    /// (an injected write fault), or a failed counter sweep, which only a
+    /// Decision cycles degraded: a socket that used up its write attempts
+    /// (injected write faults), or a failed counter sweep, which only a
     /// bad scope or register causes (no fault plan injects MSR read
     /// faults).
     #[must_use]
@@ -467,9 +504,7 @@ impl RuntimeDriver for UpsDriver {
             uncore.freq_max_ghz,
         ));
         self.sampler = Some(UpsSampler::new(sim.node_mut()).expect("UPS sampler"));
-        let _ = write_with_retry(sim.node_mut(), |node| {
-            self.setter.set_max(node, uncore.freq_max_ghz)
-        });
+        let _ = self.writer.write(sim.node_mut(), uncore.freq_max_ghz);
     }
 
     fn on_decision(&mut self, sim: &mut Simulation) -> u64 {
@@ -493,16 +528,11 @@ impl RuntimeDriver for UpsDriver {
             };
             let decision = core.decide(sample.mean_ipc, sample.dram_w);
             if !self.monitor_only
-                && !write_with_retry(sim.node_mut(), |node| {
-                    self.setter.set_max(node, decision.target_ghz)
-                })
+                && !self
+                    .writer
+                    .actuate(sim, decision.target_ghz, "ups_degraded")
             {
                 self.degraded += 1;
-                push_event(sim, |t_us| {
-                    Event::new(t_us, "ups_degraded")
-                        .with("reason", "actuation")
-                        .with("target_ghz", decision.target_ghz)
-                });
             }
             push_event(sim, |t_us| {
                 Event::new(t_us, "ups_decision")
@@ -543,16 +573,73 @@ mod tests {
         assert_eq!(d.name(), "default");
     }
 
+    /// A plan that fails every `n`-th uncore write.
+    fn fail_every(n: u64) -> magus_hetsim::FaultPlan {
+        magus_hetsim::FaultPlan::builder()
+            .uncore_write_fail_every(n)
+            .build()
+            .unwrap()
+    }
+
+    /// Assert every socket's `0x620` (min, max) limits, to 1e-9 GHz.
+    fn assert_limits(s: &Simulation, want: &[(f64, f64)]) {
+        let got: Vec<(f64, f64)> = s
+            .node()
+            .sockets()
+            .iter()
+            .map(|socket| socket.uncore.msr_limits())
+            .collect();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        assert!(
+            got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(want)
+                    .all(|(g, w)| close(g.0, w.0) && close(g.1, w.1)),
+            "limits {got:?}, want {want:?}"
+        );
+    }
+
     #[test]
-    fn fixed_driver_pins_at_attach() {
-        let mut d = FixedUncoreDriver::new(0.8);
+    fn fixed_driver_pins_every_socket_at_attach() {
+        let mut d = FixedUncoreDriver::new(1.4);
         let mut s = sim();
         d.attach(&mut s);
         for _ in 0..100 {
             s.step();
         }
-        assert!((s.node().sockets()[0].uncore.freq_ghz() - 0.8).abs() < 1e-9);
-        assert_eq!(d.name(), "fixed-0.8GHz");
+        assert_limits(&s, &[(1.4, 1.4); 2]);
+        for socket in s.node().sockets() {
+            assert!((socket.uncore.freq_ghz() - 1.4).abs() < 1e-9);
+        }
+        assert_eq!(d.name(), "fixed-1.4GHz");
+    }
+
+    #[test]
+    fn a_max_splice_keeps_the_min_bits() {
+        let mut s = sim();
+        let mut writer = UncoreWriter::new(UncoreWrite::MaxSplice);
+        assert!(writer.write(s.node_mut(), 1.0));
+        // One `0x620` read and one write per socket.
+        assert_eq!(
+            (s.node().ledger().reads(), s.node().ledger().writes()),
+            (2, 2)
+        );
+        assert_limits(&s, &[(0.8, 1.0); 2]);
+    }
+
+    #[test]
+    fn a_repeated_target_issues_no_read_or_write() {
+        let mut s = sim();
+        let mut writer = UncoreWriter::new(UncoreWrite::MaxSplice);
+        let accesses = |s: &Simulation| (s.node().ledger().reads(), s.node().ledger().writes());
+        assert!(writer.write(s.node_mut(), 0.8));
+        assert_eq!(accesses(&s), (2, 2));
+        assert!(writer.write(s.node_mut(), 0.8));
+        assert_eq!(accesses(&s), (2, 2));
+        assert!(writer.write(s.node_mut(), 2.2));
+        assert_eq!(accesses(&s), (4, 4));
+        assert_limits(&s, &[(0.8, 2.2); 2]);
     }
 
     #[test]
@@ -704,22 +791,78 @@ mod tests {
     }
 
     #[test]
-    fn actuation_retries_survive_injected_write_faults() {
-        let plan = magus_hetsim::FaultPlan::builder()
-            .uncore_write_fail_every(3)
-            .build()
-            .unwrap();
+    fn a_failed_write_is_retried_on_its_own_socket() {
+        // Two sockets, one write each per target. Every 3rd write failing
+        // hits socket 0 at the second target (write 3); its retry (write 4)
+        // lands and socket 1 takes write 5.
         let mut s = sim();
-        s.node_mut().set_fault_plan(plan);
-        let mut setter = UncoreSetter::new();
-        // Two sockets, so each actuation issues two writes. The first
-        // actuation lands (writes 1–2); the second trips the fault on write
-        // 3 and the bounded retry's writes 4–5 land. Both actuations
-        // succeed, and the failed attempt still shows up in the ledger.
-        let before = s.node().ledger().writes();
+        s.node_mut().set_fault_plan(fail_every(3));
+        let mut writer = UncoreWriter::new(UncoreWrite::MaxSplice);
         for ghz in [0.8, 1.0] {
-            assert!(write_with_retry(s.node_mut(), |node| setter.set_max(node, ghz)));
+            assert!(writer.write(s.node_mut(), ghz));
         }
-        assert_eq!(s.node().ledger().writes() - before, 5);
+        assert_eq!(s.node().ledger().writes(), 5);
+        assert_limits(&s, &[(0.8, 1.0); 2]);
+        // Every 2nd write failing: at the first target socket 1's first
+        // attempt fails (write 2) and its retry lands, with no second
+        // write to socket 0; at the second both sockets' first attempts
+        // fail (writes 4 and 6) and their retries land.
+        let mut s = sim();
+        s.node_mut().set_fault_plan(fail_every(2));
+        let mut writer = UncoreWriter::new(UncoreWrite::Pin);
+        assert!(writer.write(s.node_mut(), 1.2));
+        assert_eq!(s.node().ledger().writes(), 3);
+        assert!(writer.write(s.node_mut(), 1.6));
+        assert_eq!(s.node().ledger().writes(), 7);
+        assert_eq!(s.node().fault_counters().msr_write_fails, 3);
+        assert_limits(&s, &[(1.6, 1.6); 2]);
+    }
+
+    #[test]
+    fn only_a_socket_that_used_up_its_attempts_is_written_again() {
+        let mut s = sim();
+        s.node_mut().set_fault_plan(fail_every(1));
+        let mut writer = UncoreWriter::new(UncoreWrite::Pin);
+        // Every write fails: each socket spends its 3 attempts, none lands.
+        assert!(!writer.write(s.node_mut(), 1.2));
+        assert_eq!(s.node().ledger().writes(), 6);
+        assert_eq!(s.node().fault_counters().msr_write_fails, 6);
+        assert_eq!(writer.landed, [None, None]);
+        // A fault plan fails both sockets alike, so split them by hand: the
+        // writer records socket 0 at 1.2 GHz (its register keeps the stock
+        // limits, so a write to it would show) and socket 1 as having used
+        // up its attempts.
+        writer.landed[0] = Some(1.2);
+        s.node_mut()
+            .set_fault_plan(magus_hetsim::FaultPlan::default());
+        assert!(writer.write(s.node_mut(), 1.2));
+        assert_eq!(s.node().ledger().writes(), 7);
+        // Socket 1 got the pin; socket 0 was not written. Now both are at
+        // the target, and the next call writes neither.
+        assert_limits(&s, &[(0.8, 2.2), (1.2, 1.2)]);
+        assert!(writer.write(s.node_mut(), 1.2));
+        assert_eq!(s.node().ledger().writes(), 7);
+    }
+
+    #[test]
+    fn deciding_governors_report_a_socket_that_used_up_its_attempts() {
+        let mut s = sim();
+        s.node_mut().arm_telemetry();
+        s.node_mut().set_fault_plan(fail_every(1));
+        let mut writer = UncoreWriter::new(UncoreWrite::MaxSplice);
+        assert!(!writer.actuate(&mut s, 1.0, "ups_degraded"));
+        let events = s.node().telemetry().expect("armed").events();
+        let degraded: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == "ups_degraded")
+            .map(|e| (e.fields.get("reason"), e.fields.get("target_ghz")))
+            .collect();
+        assert_eq!(
+            degraded,
+            [(
+                Some(&magus_telemetry::FieldValue::Str("actuation".into())),
+                Some(&magus_telemetry::FieldValue::F64(1.0))
+            )]
+        );
     }
 }

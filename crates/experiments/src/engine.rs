@@ -77,7 +77,12 @@ use crate::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 /// v6: on a PCM dropout the HSMP MAGUS driver holds its previous decision,
 /// as the Intel driver does, instead of feeding the detector its previous
 /// sample, so faulted HSMP trials change under an unchanged spec.
-pub const ENGINE_SALT: &str = concat!("magus-engine/v6/", env!("CARGO_PKG_VERSION"));
+///
+/// v7: every governor's uncore write retries each socket on its own
+/// instead of repeating the whole actuation, so trials whose write faults
+/// hit the second socket (an even `uncore_write_fail_every`) or fail every
+/// write change under an unchanged spec.
+pub const ENGINE_SALT: &str = concat!("magus-engine/v7/", env!("CARGO_PKG_VERSION"));
 
 /// The governor driving a trial — the single runtime selector shared by
 /// the CLI parser, the drivers, and every experiment path (one conversion
@@ -312,13 +317,6 @@ impl TrialSpec {
             record_interval_us: TrialOpts::recorded().record_interval_us,
             ..self.opts
         };
-        self
-    }
-
-    /// Override the trial options wholesale.
-    #[must_use]
-    pub fn with_opts(mut self, opts: TrialOpts) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -703,13 +701,6 @@ impl Engine {
     #[must_use]
     pub fn serial(self) -> Self {
         self.with_jobs(1)
-    }
-
-    /// Drop the cache (every trial simulates).
-    #[must_use]
-    pub fn without_cache(mut self) -> Self {
-        self.cache_dir = None;
-        self
     }
 
     /// Override the code-version salt (tests use this to model a code

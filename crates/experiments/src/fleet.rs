@@ -111,13 +111,6 @@ impl FleetSpec {
         self.shards = shards;
         self
     }
-
-    /// Builder: stagger catalog waves by `stagger_us` µs.
-    #[must_use]
-    pub fn with_stagger(mut self, stagger_us: u64) -> Self {
-        self.stagger_us = stagger_us;
-        self
-    }
 }
 
 /// A completed fleet run: the spec that produced it and its summary.

@@ -25,16 +25,6 @@ impl ParetoPoint {
         }
     }
 
-    /// Project a streaming summary digest onto the (runtime, energy) plane.
-    #[must_use]
-    pub fn from_brief(label: impl Into<String>, brief: &crate::engine::TrialBrief) -> Self {
-        Self {
-            label: label.into(),
-            runtime_s: brief.summary.runtime_s,
-            energy_j: brief.summary.energy.total_j(),
-        }
-    }
-
     /// True when `self` dominates `other` (no worse on both axes, strictly
     /// better on at least one).
     #[must_use]

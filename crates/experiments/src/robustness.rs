@@ -64,10 +64,13 @@ impl FaultIntensity {
         }
     }
 
-    /// The tier's fault plan. Fault periods are odd so that per-socket
-    /// MSR write bursts (two writes per `set_max` on Intel + A100) are
-    /// not pinned to the same phase every actuation, and each tier draws
-    /// its noise from a distinct seed.
+    /// The tier's fault plan; each tier draws its noise from a distinct
+    /// seed. The uncore write-fault periods are odd. A two-socket node's
+    /// actuation writes socket 0 and then socket 1, and a failed write is
+    /// retried at once, so an odd period puts every failure on socket 0,
+    /// where retrying that socket alone issues the same writes as
+    /// retrying the whole actuation: `results/robustness.txt` is the same
+    /// under either retry.
     #[must_use]
     pub fn plan(self) -> FaultPlan {
         let plan = match self {

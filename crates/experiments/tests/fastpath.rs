@@ -23,7 +23,6 @@ use magus_experiments::{
     run_trial, Engine, FixedUncoreDriver, GovernorSpec, MagusDriver, NoopDriver, RuntimeDriver,
     StepMode, SystemId, TrialOpts, TrialResult, TrialSpec, UpsDriver,
 };
-use magus_hetsim::governor::set_fixed_uncore;
 use magus_hetsim::workload::PhaseKind;
 use magus_hetsim::{
     secs_to_us, AppTrace, Demand, FastForward, GpuUtilVec, Node, NodeConfig, Phase, RunSummary,
@@ -97,7 +96,7 @@ enum Event {
 
 fn apply_event(sim: &mut Simulation, ev: Event, pcm_log: &mut Vec<u64>) {
     match ev {
-        Event::FixUncore(ghz) => set_fixed_uncore(sim.node_mut(), ghz).expect("uncore MSR write"),
+        Event::FixUncore(ghz) => FixedUncoreDriver::new(ghz).attach(sim),
         Event::PowerLimit(w) => sim.node_mut().set_power_limit_w(w).expect("PL1 write"),
         Event::PcmRead => pcm_log.push(sim.node_mut().pcm_try_read_gbs().unwrap().to_bits()),
     }

@@ -18,9 +18,10 @@
 //!   power, as in Fig 1b; multi-GPU idle floors reproduce the Fig 4c effect.
 //! * **An integrated power model** ([`power`]) decomposed into core, uncore,
 //!   DRAM, and GPU-board domains, mirrored into RAPL energy-status MSRs.
-//! * **The stock TDP-coupled uncore governor** ([`governor`]) that only
-//!   throttles the uncore when package power approaches TDP — the behaviour
-//!   whose inadequacy for GPU-dominant workloads motivates the paper (§2).
+//! * **The stock TDP-coupled uncore governor** (part of [`node::Node::step`],
+//!   tuned by [`config::TdpGovernorConfig`]) that only throttles the uncore
+//!   when package power approaches TDP — the behaviour whose inadequacy for
+//!   GPU-dominant workloads motivates the paper (§2).
 //!
 //! Workloads are phase traces ([`workload`]); [`sim::Simulation`] advances a
 //! node through a trace in fixed ticks, records time series ([`trace`]), and
@@ -37,7 +38,6 @@ pub mod cpu;
 pub mod demand;
 pub mod fault;
 pub mod fleet;
-pub mod governor;
 pub mod gpu;
 pub mod mem;
 pub mod node;

@@ -414,21 +414,31 @@ impl Node {
             let Some(w) = self.faults.as_deref_mut().and_then(|fs| fs.pop_due(now)) else {
                 break;
             };
-            let lim = UncoreRatioLimit::decode(w.value);
-            self.sockets[w.pkg as usize]
-                .uncore
-                .set_msr_limits(lim.min_ghz(), lim.max_ghz());
+            self.land_uncore_limit(w.pkg, w.value, true);
             self.state_epoch = self.state_epoch.wrapping_add(1);
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.uncore_msr_writes += 1;
-                t.push_event(
-                    magus_telemetry::Event::new(now, "uncore_limit_write")
-                        .with("pkg", u64::from(w.pkg))
-                        .with("min_ghz", lim.min_ghz())
-                        .with("max_ghz", lim.max_ghz())
-                        .with("delayed", true),
-                );
-            }
+        }
+    }
+
+    /// Land raw `0x620` value `value` on socket `pkg` now: set its uncore
+    /// limits, then count the write and record an `uncore_limit_write`
+    /// event, marked `delayed` when an injected actuation delay deferred
+    /// it. The one landing of a live and a deferred uncore-limit write.
+    fn land_uncore_limit(&mut self, pkg: u32, value: u64, delayed: bool) {
+        let lim = UncoreRatioLimit::decode(value);
+        self.sockets[pkg as usize]
+            .uncore
+            .set_msr_limits(lim.min_ghz(), lim.max_ghz());
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.uncore_msr_writes += 1;
+            let event = magus_telemetry::Event::new(self.time_us, "uncore_limit_write")
+                .with("pkg", u64::from(pkg))
+                .with("min_ghz", lim.min_ghz())
+                .with("max_ghz", lim.max_ghz());
+            t.push_event(if delayed {
+                event.with("delayed", true)
+            } else {
+                event
+            });
         }
     }
 
@@ -951,19 +961,7 @@ impl Node {
                                 return Ok(());
                             }
                         }
-                        let lim = UncoreRatioLimit::decode(value);
-                        self.sockets[idx]
-                            .uncore
-                            .set_msr_limits(lim.min_ghz(), lim.max_ghz());
-                        if let Some(t) = self.telemetry.as_deref_mut() {
-                            t.uncore_msr_writes += 1;
-                            t.push_event(
-                                magus_telemetry::Event::new(self.time_us, "uncore_limit_write")
-                                    .with("pkg", u64::from(pkg))
-                                    .with("min_ghz", lim.min_ghz())
-                                    .with("max_ghz", lim.max_ghz()),
-                            );
-                        }
+                        self.land_uncore_limit(pkg, value, false);
                         Ok(())
                     }
                     MSR_PKG_POWER_LIMIT => {

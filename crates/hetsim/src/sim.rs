@@ -277,6 +277,7 @@ mod tests {
     use super::*;
     use crate::config::NodeConfig;
     use crate::workload::{Phase, PhaseKind};
+    use magus_msr::{MsrScope, UncoreRatioLimit, MSR_UNCORE_RATIO_LIMIT};
 
     fn sim_with(phases: Vec<Phase>) -> Simulation {
         let mut sim = Simulation::new(Node::new(NodeConfig::intel_a100()));
@@ -308,7 +309,13 @@ mod tests {
             5.0,
             Demand::new(200.0, 0.6, 0.3, 0.9),
         )]);
-        crate::governor::set_fixed_uncore(sim.node_mut(), 0.8).unwrap();
+        // Pin both sockets' uncore (min = max) at its 0.8 GHz floor.
+        let raw = UncoreRatioLimit::from_ghz(0.8, 0.8).encode();
+        for pkg in 0..2 {
+            sim.node_mut()
+                .msr_write(MsrScope::Package(pkg), MSR_UNCORE_RATIO_LIMIT, raw)
+                .unwrap();
+        }
         let summary = sim.run_to_completion(120.0);
         assert!(summary.completed);
         assert!(summary.runtime_s > 5.5, "{}", summary.runtime_s);

@@ -133,6 +133,16 @@ impl UpsSampler {
 mod tests {
     use super::*;
     use magus_hetsim::{Demand, NodeConfig};
+    use magus_msr::{UncoreRatioLimit, MSR_UNCORE_RATIO_LIMIT};
+
+    /// Pin every socket's uncore (min = max) at `ghz` through `0x620`.
+    fn pin_uncore(node: &mut Node, ghz: f64) {
+        let raw = UncoreRatioLimit::from_ghz(ghz, ghz).encode();
+        for pkg in 0..node.config().sockets {
+            node.msr_write(MsrScope::Package(pkg), MSR_UNCORE_RATIO_LIMIT, raw)
+                .unwrap();
+        }
+    }
 
     #[test]
     fn zero_elapsed_sample_is_none() {
@@ -177,7 +187,7 @@ mod tests {
     fn ipc_degrades_when_memory_starved() {
         let mut node = Node::new(NodeConfig::intel_a100());
         let demand = Demand::new(140.0, 0.7, 0.5, 0.7);
-        magus_hetsim::governor::set_fixed_uncore(&mut node, 2.2).unwrap();
+        pin_uncore(&mut node, 2.2);
         for _ in 0..20 {
             node.step(10_000, &demand);
         }
@@ -188,7 +198,7 @@ mod tests {
         let full = s.sample(&mut node).unwrap().unwrap();
 
         // Now starve the uncore and watch IPC drop.
-        magus_hetsim::governor::set_fixed_uncore(&mut node, 0.8).unwrap();
+        pin_uncore(&mut node, 0.8);
         for _ in 0..50 {
             node.step(10_000, &demand);
         }

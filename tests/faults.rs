@@ -93,11 +93,11 @@ fn faulted_trials_reproduce_across_runs_and_paths() {
     assert_eq!(fast_a.fault_counters, reference.fault_counters);
 }
 
-/// Actuation delays longer than a frozen span. A delayed write comes due
-/// at a tick edge the governor did not choose, often in the middle of a
-/// span the fast path would replay; the span must stop there. Each trial
-/// runs armed, with the recorder off and at 70 ms (not a whole number of
-/// 10 ms ticks), and both paths must agree on every observable.
+/// Injected actuation delays longer than a frozen span. A delayed write
+/// comes due at a tick edge the governor did not choose, often in the
+/// middle of a span the fast path would replay; the span must stop there.
+/// Each trial runs armed, with the recorder off and at 70 ms (not a whole
+/// number of 10 ms ticks), and both paths must agree on every observable.
 #[test]
 fn long_actuation_delays_match_across_paths() {
     for delay_us in [250_000, 1_000_000, 2_345_000] {
@@ -171,7 +171,9 @@ fn fault_schedules_identical_across_scheduling_modes() {
         assert!(outcome.result.node_telemetry.is_some(), "trial not armed");
         TrialBrief::from(outcome)
     };
-    let parallel = Engine::ephemeral().with_telemetry();
+    // Four workers on any machine: one worker per CPU would compare serial
+    // with serial on a one-CPU runner.
+    let parallel = Engine::ephemeral().with_jobs(4).with_telemetry();
     let par_briefs = parallel.run_mapped(&specs, armed_brief);
     let serial = Engine::ephemeral().serial().with_telemetry();
     let ser_briefs = serial.run_mapped(&specs, armed_brief);

@@ -52,10 +52,9 @@ fn magus_survives_pcm_dropouts() {
 /// the failed writes. When every write fails (a dead MSR bus), the deciding
 /// governors exhaust their retries, hold the previous limit and report why;
 /// a socket that every retry of a `fixed:` pin fails to reach stays on the
-/// stock governor. When every second write fails (on a two-socket node,
-/// the second socket's first attempt each time), the failed socket's own
-/// retry lands: every governor that writes reaches both sockets and none
-/// degrades.
+/// stock governor. When every second write fails, the retry of each
+/// failed write, on its own socket, lands: every governor that writes
+/// reaches both sockets and none degrades.
 #[test]
 fn actuation_faults_surface_as_errors() {
     let intel = |governor| TrialSpec::new(SystemId::IntelA100, AppId::Bfs, governor);

@@ -88,7 +88,9 @@ fn catalog_specs() -> Vec<TrialSpec> {
 #[test]
 fn serial_and_parallel_engines_agree_on_all_telemetry() {
     let specs = catalog_specs();
-    let parallel = Engine::ephemeral().with_telemetry();
+    // Four workers on any machine: one worker per CPU would compare serial
+    // with serial on a one-CPU runner.
+    let parallel = Engine::ephemeral().with_jobs(4).with_telemetry();
     let serial = Engine::ephemeral().serial().with_telemetry();
     let _ = parallel.run_brief(&specs);
     let _ = serial.run_brief(&specs);
