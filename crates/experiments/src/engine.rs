@@ -79,9 +79,9 @@ use crate::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 /// sample, so faulted HSMP trials change under an unchanged spec.
 ///
 /// v7: every governor's uncore write retries each socket on its own
-/// instead of repeating the whole actuation, so trials whose write faults
-/// hit the second socket (an even `uncore_write_fail_every`) or fail every
-/// write change under an unchanged spec.
+/// instead of repeating the whole actuation, so trials in which a write
+/// fault met socket 1 (an even `uncore_write_fail_every` on two sockets)
+/// or every write failed change under an unchanged spec.
 pub const ENGINE_SALT: &str = concat!("magus-engine/v7/", env!("CARGO_PKG_VERSION"));
 
 /// The governor driving a trial — the single runtime selector shared by

@@ -422,7 +422,7 @@ impl Node {
     /// Land raw `0x620` value `value` on socket `pkg` now: set its uncore
     /// limits, then count the write and record an `uncore_limit_write`
     /// event, marked `delayed` when an injected actuation delay deferred
-    /// it. The one landing of a live and a deferred uncore-limit write.
+    /// it. Live and deferred uncore-limit writes both land here.
     fn land_uncore_limit(&mut self, pkg: u32, value: u64, delayed: bool) {
         let lim = UncoreRatioLimit::decode(value);
         self.sockets[pkg as usize]

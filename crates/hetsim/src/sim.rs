@@ -309,9 +309,9 @@ mod tests {
             5.0,
             Demand::new(200.0, 0.6, 0.3, 0.9),
         )]);
-        // Pin both sockets' uncore (min = max) at its 0.8 GHz floor.
+        // Pin every socket's uncore (min = max) at its 0.8 GHz floor.
         let raw = UncoreRatioLimit::from_ghz(0.8, 0.8).encode();
-        for pkg in 0..2 {
+        for pkg in 0..sim.node().config().sockets {
             sim.node_mut()
                 .msr_write(MsrScope::Package(pkg), MSR_UNCORE_RATIO_LIMIT, raw)
                 .unwrap();
