@@ -1,28 +1,32 @@
 //! The §6.6 AMD port: MAGUS on an AMD EPYC + MI210 node.
 //!
-//! Nothing in MAGUS's logic is Intel-specific. `GovernorSpec::MagusHsmp`
-//! builds the one [`crate::drivers::MagusDriver`] with its HSMP actuation
-//! ([`crate::drivers::MagusDriver::hsmp`]): the same decision core, sample
-//! step, bounded write retry and degradation, with fabric P-state mailbox
-//! round trips instead of `wrmsr 0x620` max splices. The AMD preset
-//! (`NodeConfig::amd_epyc_mi210`) spans the EPYC fabric P-state table's
-//! P3 to P0, so the two-level controller maps exactly onto P0 and the
-//! deepest P-state.
+//! Nothing in MAGUS's logic is Intel-specific, and the port changes only
+//! the actuation, which is the node's: [`crate::harness::SystemId::AmdMi210`]
+//! runs the AMD preset (`NodeConfig::amd_epyc_mi210`), whose
+//! `UncoreActuation::Hsmp` makes the drivers' one uncore writer pin fabric
+//! P-states through HSMP mailbox round trips instead of splicing `0x620`.
+//! The same [`crate::drivers::MagusDriver`] runs there, with the same
+//! decision core, sample step, bounded write retry and degradation, and
+//! reports itself as "MAGUS/HSMP". The preset spans the EPYC fabric
+//! P-state table's P3 to P0, so the two-level controller maps exactly onto
+//! P0 and the deepest P-state.
 
-/// Convenience: evaluate MAGUS-over-HSMP against the stock baseline on the
-/// AMD preset for one application.
-pub fn evaluate_amd(
-    engine: &crate::engine::Engine,
-    app: magus_workloads::AppId,
-) -> (crate::metrics::Comparison, magus_hetsim::RunSummary) {
-    use crate::engine::{GovernorSpec, TrialSpec};
+use crate::engine::{Engine, GovernorSpec, TrialSpec};
+use crate::harness::SystemId;
+use crate::metrics::Comparison;
+use magus_hetsim::RunSummary;
+use magus_workloads::AppId;
+
+/// Evaluate MAGUS against the stock baseline on the AMD preset for one
+/// application.
+pub fn evaluate_amd(engine: &Engine, app: AppId) -> (Comparison, RunSummary) {
     let outs = engine.run_suite(&[
-        TrialSpec::amd(app, GovernorSpec::Default),
-        TrialSpec::amd(app, GovernorSpec::magus_hsmp_default()),
+        TrialSpec::new(SystemId::AmdMi210, app, GovernorSpec::Default),
+        TrialSpec::new(SystemId::AmdMi210, app, GovernorSpec::magus_default()),
     ]);
     let [base, run] = <[_; 2]>::try_from(outs).expect("two outcomes");
     (
-        crate::metrics::Comparison::against(&base.result.summary, &run.result.summary),
+        Comparison::against(&base.result.summary, &run.result.summary),
         run.result.summary,
     )
 }
@@ -32,24 +36,12 @@ mod tests {
     use super::*;
     use crate::drivers::{MagusDriver, RuntimeDriver};
     use crate::harness::{StepMode, TrialBuilder, TrialOpts};
-    use magus_hetsim::{FaultPlan, Node, NodeConfig, Simulation};
-    use magus_runtime::MagusConfig;
+    use magus_hetsim::{FaultPlan, Node, Simulation};
     use magus_telemetry::FieldValue;
-    use magus_workloads::{app_trace, AppId, Platform};
-
-    fn amd_trace(app: AppId) -> std::sync::Arc<magus_hetsim::AppTrace> {
-        // The AMD node's fabric caps bandwidth lower than the Intel hosts;
-        // the single-GPU workload set transfers at the same scale.
-        app_trace(app, Platform::IntelA100)
-    }
-
-    fn hsmp_driver() -> MagusDriver {
-        MagusDriver::hsmp(MagusConfig::default())
-    }
 
     #[test]
     fn magus_over_hsmp_saves_energy_with_bounded_loss() {
-        let (cmp, summary) = evaluate_amd(&crate::engine::Engine::ephemeral(), AppId::Bfs);
+        let (cmp, summary) = evaluate_amd(&Engine::ephemeral(), AppId::Bfs);
         assert!(summary.completed);
         assert!(cmp.perf_loss_pct < 5.0, "loss {}", cmp.perf_loss_pct);
         assert!(
@@ -61,12 +53,12 @@ mod tests {
 
     #[test]
     fn driver_actuates_discrete_pstates_only() {
-        let cfg = NodeConfig::amd_epyc_mi210();
-        let pstates = [cfg.uncore.freq_max_ghz, cfg.uncore.freq_min_ghz];
-        let r = TrialBuilder::custom(cfg)
-            .trace(amd_trace(AppId::Cfd))
+        let range = SystemId::AmdMi210.node_config().uncore;
+        let pstates = [range.freq_max_ghz, range.freq_min_ghz];
+        let r = TrialBuilder::on(SystemId::AmdMi210)
+            .app(AppId::Cfd)
             .opts(TrialOpts::recorded())
-            .run(&mut hsmp_driver());
+            .run(&mut MagusDriver::with_defaults());
         assert!(r.summary.completed);
         // Sampled fabric clocks settle only on P0 and the deepest P-state
         // (transitions excepted: tolerate in-flight slews by checking the
@@ -99,14 +91,14 @@ mod tests {
             (Some(faulted), AppId::Srad),
         ] {
             let run = |path| {
-                let mut trial = TrialBuilder::custom(NodeConfig::amd_epyc_mi210())
-                    .trace(amd_trace(app))
+                let mut trial = TrialBuilder::on(SystemId::AmdMi210)
+                    .app(app)
                     .opts(TrialOpts::recorded().with_path(path))
                     .arm_telemetry();
                 if let Some(plan) = &plan {
                     trial = trial.faults(plan);
                 }
-                trial.run(&mut hsmp_driver())
+                trial.run(&mut MagusDriver::with_defaults())
             };
             let fast = run(StepMode::Fast);
             let reference = run(StepMode::Reference);
@@ -163,10 +155,10 @@ mod tests {
 
     #[test]
     fn monitor_only_mode_freezes_fabric() {
-        let mut driver = hsmp_driver();
+        let mut driver = MagusDriver::with_defaults();
         driver.set_monitor_only(true);
-        let r = TrialBuilder::custom(NodeConfig::amd_epyc_mi210())
-            .trace(amd_trace(AppId::Bfs))
+        let r = TrialBuilder::on(SystemId::AmdMi210)
+            .app(AppId::Bfs)
             .opts(TrialOpts::recorded())
             .run(&mut driver);
         let min = r
@@ -183,9 +175,9 @@ mod tests {
     #[test]
     fn pcm_dropouts_hold_the_previous_decision() {
         let plan = FaultPlan::builder().pcm_dropout_every(2).build().unwrap();
-        let mut sim = Simulation::new(Node::new(NodeConfig::amd_epyc_mi210()));
+        let mut sim = Simulation::new(Node::new(SystemId::AmdMi210.node_config()));
         sim.node_mut().set_fault_plan(plan);
-        let mut driver = hsmp_driver();
+        let mut driver = MagusDriver::with_defaults();
         driver.attach(&mut sim);
         for _ in 0..10 {
             sim.step();

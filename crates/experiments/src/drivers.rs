@@ -10,7 +10,7 @@
 
 use std::ops::DerefMut;
 
-use magus_hetsim::{Decision, Node, NodeDecider, Simulation};
+use magus_hetsim::{Decision, Node, NodeDecider, Simulation, UncoreActuation};
 use magus_msr::{AccessCost, MsrError, MsrScope, UncoreRatioLimit, MSR_UNCORE_RATIO_LIMIT};
 use magus_runtime::{MagusAction, MagusConfig, MagusCore, Telemetry, UncoreLevel};
 use magus_telemetry::Event;
@@ -133,19 +133,19 @@ const HSMP_MAILBOX_COST: AccessCost = AccessCost {
     energy_uj: 400.0,
 };
 
-/// How an [`UncoreWriter`] moves one socket's uncore to a target.
+/// How an [`UncoreWriter`] moves one socket's uncore to a target on an
+/// [`UncoreActuation::Msr`] node. On an [`UncoreActuation::Hsmp`] node
+/// every write, whatever the form, is one HSMP fabric P-state mailbox
+/// round trip and then the min = max pin (§6.6): the governor picks the
+/// target, the node how it lands. A UPS target there is pinned as given;
+/// a real HSMP port would round it to one of the P-states P0–P3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UncoreWrite {
     /// Read the socket's `0x620` and splice the target into its max limit,
-    /// keeping the min bits (MAGUS on Intel, UPS).
+    /// keeping the min bits (MAGUS, UPS).
     MaxSplice,
     /// Write `0x620` with min = max = the target (`fixed:`).
     Pin,
-    /// One HSMP fabric P-state mailbox round trip, then the pin (MAGUS on
-    /// AMD, §6.6). The AMD preset's uncore range is the EPYC P-state
-    /// table's P3 to P0, so MAGUS's two levels are exactly P0 and the
-    /// deepest P-state.
-    HsmpPin,
 }
 
 impl UncoreWrite {
@@ -155,15 +155,16 @@ impl UncoreWrite {
     /// bad scope or register, which no fault plan injects.
     fn attempt(self, node: &mut Node, pkg: u32, ghz: f64) -> bool {
         let scope = MsrScope::Package(pkg);
-        let raw = match self {
-            UncoreWrite::MaxSplice => node
+        let pin = || Ok(UncoreRatioLimit::from_ghz(ghz, ghz).encode());
+        let raw = match (node.config().uncore_actuation, self) {
+            (UncoreActuation::Hsmp, _) => {
+                node.charge_monitoring(HSMP_MAILBOX_COST, true);
+                pin()
+            }
+            (UncoreActuation::Msr, UncoreWrite::MaxSplice) => node
                 .msr_read(scope, MSR_UNCORE_RATIO_LIMIT)
                 .map(|raw| UncoreRatioLimit::splice_max(raw, ghz)),
-            UncoreWrite::Pin => Ok(UncoreRatioLimit::from_ghz(ghz, ghz).encode()),
-            UncoreWrite::HsmpPin => {
-                node.charge_monitoring(HSMP_MAILBOX_COST, true);
-                Ok(UncoreRatioLimit::from_ghz(ghz, ghz).encode())
-            }
+            (UncoreActuation::Msr, UncoreWrite::Pin) => pin(),
         };
         match raw.and_then(|raw| node.msr_write(scope, MSR_UNCORE_RATIO_LIMIT, raw)) {
             Ok(()) => true,
@@ -180,6 +181,7 @@ impl UncoreWrite {
 /// A socket that uses them all keeps its limit until the next write.
 #[derive(Debug)]
 struct UncoreWriter {
+    /// The write on an MSR node.
     form: UncoreWrite,
     /// Per socket, the target that landed last (`None`: none yet).
     landed: Vec<Option<f64>>,
@@ -289,42 +291,40 @@ impl RuntimeDriver for FixedUncoreDriver {
     }
 }
 
-/// MAGUS bound to the simulated node, actuating through `0x620` (Intel)
-/// or the HSMP mailbox (AMD).
+/// MAGUS's report name on a node with `actuation`: "MAGUS" over `0x620`,
+/// "MAGUS/HSMP" over the HSMP mailbox. [`MagusDriver`] and the engine's
+/// trial labels both take the name from here.
+pub(crate) fn magus_name(actuation: UncoreActuation) -> &'static str {
+    match actuation {
+        UncoreActuation::Msr => "MAGUS",
+        UncoreActuation::Hsmp => "MAGUS/HSMP",
+    }
+}
+
+/// MAGUS bound to the simulated node, actuating the way the node takes
+/// uncore writes: `0x620` max splices (Intel) or HSMP fabric P-state pins
+/// (AMD).
 #[derive(Debug)]
 pub struct MagusDriver {
     core: MagusCore,
     writer: UncoreWriter,
+    /// The node's actuation, read at attach.
+    actuation: UncoreActuation,
     monitor_only: bool,
     degraded: u64,
 }
 
 impl MagusDriver {
-    /// Driver with the given configuration, actuating through `0x620`.
+    /// Driver with the given configuration.
     #[must_use]
     pub fn new(cfg: MagusConfig) -> Self {
-        Self::with_write(cfg, UncoreWrite::MaxSplice)
-    }
-
-    /// Driver with the given configuration, actuating AMD fabric P-states
-    /// through the HSMP mailbox (`MAGUS/HSMP`).
-    #[must_use]
-    pub fn hsmp(cfg: MagusConfig) -> Self {
-        Self::with_write(cfg, UncoreWrite::HsmpPin)
-    }
-
-    fn with_write(cfg: MagusConfig, form: UncoreWrite) -> Self {
         Self {
             core: MagusCore::new(cfg),
-            writer: UncoreWriter::new(form),
+            writer: UncoreWriter::new(UncoreWrite::MaxSplice),
+            actuation: UncoreActuation::Msr,
             monitor_only: false,
             degraded: 0,
         }
-    }
-
-    /// Whether this driver actuates through the HSMP mailbox.
-    fn hsmp_actuation(&self) -> bool {
-        self.writer.form == UncoreWrite::HsmpPin
     }
 
     /// Driver with the paper's default thresholds.
@@ -381,14 +381,11 @@ fn level_ghz(node: &Node, level: UncoreLevel) -> f64 {
 
 impl RuntimeDriver for MagusDriver {
     fn name(&self) -> &str {
-        if self.hsmp_actuation() {
-            "MAGUS/HSMP"
-        } else {
-            "MAGUS"
-        }
+        magus_name(self.actuation)
     }
 
     fn attach(&mut self, sim: &mut Simulation) {
+        self.actuation = sim.node().config().uncore_actuation;
         // Deployment state at job arrival (§4): the node idles with its
         // uncore parked at minimum to conserve power; MAGUS takes no tuning
         // actions until its warm-up completes.
@@ -412,7 +409,7 @@ impl RuntimeDriver for MagusDriver {
             // actuation so the event never perturbs the decision itself.
             // Both actuations share the taxonomy; HSMP is marked as such.
             if let Some(rec) = self.core.last_record() {
-                let hsmp = self.hsmp_actuation();
+                let hsmp = self.actuation == UncoreActuation::Hsmp;
                 push_event(sim, |t_us| {
                     let event = Event::new(t_us, "magus_decision")
                         .with("cycle", rec.cycle)
@@ -741,14 +738,26 @@ mod tests {
     }
 
     #[test]
-    fn hsmp_actuation_pins_the_fabric_through_one_mailbox_trip_per_socket() {
-        let mut d = MagusDriver::hsmp(MagusConfig::default());
-        let mut s = Simulation::new(Node::new(NodeConfig::amd_epyc_mi210()));
-        assert_eq!(d.name(), "MAGUS/HSMP");
+    fn one_magus_driver_splices_on_intel_and_pins_the_fabric_over_hsmp_on_amd() {
+        // On Intel: per socket one `0x620` read, then the max splice.
+        let mut d = MagusDriver::with_defaults();
+        let mut s = sim();
         d.attach(&mut s);
-        // Two sockets, each a 350 µs mailbox round trip and a 60 µs `0x620`
-        // write, all charged as writes.
-        assert_eq!(s.node().ledger().writes(), 4);
+        assert_eq!(d.name(), "MAGUS");
+        assert_eq!(
+            (s.node().ledger().reads(), s.node().ledger().writes()),
+            (2, 2)
+        );
+        // On AMD: per socket a 350 µs mailbox round trip and a 60 µs
+        // `0x620` write, all charged as writes, and no read.
+        let mut d = MagusDriver::with_defaults();
+        let mut s = Simulation::new(Node::new(NodeConfig::amd_epyc_mi210()));
+        d.attach(&mut s);
+        assert_eq!(d.name(), "MAGUS/HSMP");
+        assert_eq!(
+            (s.node().ledger().reads(), s.node().ledger().writes()),
+            (0, 4)
+        );
         assert_eq!(s.node().ledger().pending().latency_us, 820.0);
         // The same level again is deduplicated.
         d.attach(&mut s);
@@ -757,9 +766,8 @@ mod tests {
             s.step();
         }
         // Parked at the deepest P-state: min = max = 0.8 GHz.
+        assert_limits(&s, &[(0.8, 0.8); 2]);
         for socket in s.node().sockets() {
-            let (min, max) = socket.uncore.msr_limits();
-            assert!((min - 0.8).abs() < 1e-9 && (max - 0.8).abs() < 1e-9);
             assert!((socket.uncore.freq_ghz() - 0.8).abs() < 1e-9);
         }
     }

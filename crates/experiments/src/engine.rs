@@ -58,7 +58,9 @@ use magus_ups::UpsConfig;
 use magus_workloads::{app_trace, base_spec, AppId, Platform, TrafficSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::drivers::{FixedUncoreDriver, MagusDriver, NoopDriver, RuntimeDriver, UpsDriver};
+use crate::drivers::{
+    magus_name, FixedUncoreDriver, MagusDriver, NoopDriver, RuntimeDriver, UpsDriver,
+};
 use crate::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 
 /// Code-version salt mixed into every spec hash. Bump the suffix whenever
@@ -82,7 +84,12 @@ use crate::harness::{StepMode, SystemId, TrialBuilder, TrialOpts, TrialResult};
 /// instead of repeating the whole actuation, so trials in which a write
 /// fault met socket 1 (an even `uncore_write_fail_every` on two sockets)
 /// or every write failed change under an unchanged spec.
-pub const ENGINE_SALT: &str = concat!("magus-engine/v7/", env!("CARGO_PKG_VERSION"));
+///
+/// v8: the uncore actuation is the node's (`NodeConfig::uncore_actuation`),
+/// no longer a governor variant: on the AMD preset MAGUS, UPS and `fixed:`
+/// all pin the fabric through the HSMP mailbox, so a spec naming the AMD
+/// system with MAGUS, which used to splice `0x620`, now means HSMP pins.
+pub const ENGINE_SALT: &str = concat!("magus-engine/v8/", env!("CARGO_PKG_VERSION"));
 
 /// The governor driving a trial — the single runtime selector shared by
 /// the CLI parser, the drivers, and every experiment path (one conversion
@@ -96,7 +103,8 @@ pub enum GovernorSpec {
         /// Target frequency (GHz).
         ghz: f64,
     },
-    /// MAGUS with the given thresholds.
+    /// MAGUS with the given thresholds, writing the uncore the way its
+    /// node takes writes (`0x620` on Intel, HSMP on AMD).
     Magus {
         /// Runtime configuration.
         cfg: MagusConfig,
@@ -105,11 +113,6 @@ pub enum GovernorSpec {
     Ups {
         /// Runtime configuration.
         cfg: UpsConfig,
-    },
-    /// MAGUS actuating AMD Infinity Fabric P-states over HSMP (§6.6).
-    MagusHsmp {
-        /// Runtime configuration (the decision core is identical).
-        cfg: MagusConfig,
     },
 }
 
@@ -130,23 +133,15 @@ impl GovernorSpec {
         }
     }
 
-    /// MAGUS-over-HSMP with the paper-default thresholds.
+    /// Display name on `system`, matching the report name of the driver
+    /// attached to its node.
     #[must_use]
-    pub fn magus_hsmp_default() -> Self {
-        GovernorSpec::MagusHsmp {
-            cfg: MagusConfig::default(),
-        }
-    }
-
-    /// Display name, matching the underlying driver's report name.
-    #[must_use]
-    pub fn name(&self) -> String {
+    pub fn name(&self, system: SystemId) -> String {
         match self {
             GovernorSpec::Default => "default".into(),
             GovernorSpec::Fixed { ghz } => format!("fixed-{ghz:.1}GHz"),
-            GovernorSpec::Magus { .. } => "MAGUS".into(),
+            GovernorSpec::Magus { .. } => magus_name(system.node_config().uncore_actuation).into(),
             GovernorSpec::Ups { .. } => "UPS".into(),
-            GovernorSpec::MagusHsmp { .. } => "MAGUS/HSMP".into(),
         }
     }
 
@@ -159,46 +154,6 @@ impl GovernorSpec {
             GovernorSpec::Fixed { ghz } => Box::new(FixedUncoreDriver::new(*ghz)),
             GovernorSpec::Magus { cfg } => Box::new(MagusDriver::new(cfg.clone())),
             GovernorSpec::Ups { cfg } => Box::new(UpsDriver::new(cfg.clone())),
-            GovernorSpec::MagusHsmp { cfg } => Box::new(MagusDriver::hsmp(cfg.clone())),
-        }
-    }
-}
-
-/// The hardware a trial runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SystemSel {
-    /// One of the paper's three Intel testbeds.
-    Preset(SystemId),
-    /// The §6.6 AMD EPYC + MI210 node (HSMP fabric actuation).
-    AmdEpycMi210,
-}
-
-impl SystemSel {
-    /// The node configuration preset.
-    #[must_use]
-    pub fn node_config(&self) -> NodeConfig {
-        match self {
-            SystemSel::Preset(s) => s.node_config(),
-            SystemSel::AmdEpycMi210 => NodeConfig::amd_epyc_mi210(),
-        }
-    }
-
-    /// The workload platform whose scaling applies. The AMD node runs the
-    /// single-GPU workload set (its fabric caps bandwidth lower).
-    #[must_use]
-    pub fn platform(&self) -> Platform {
-        match self {
-            SystemSel::Preset(s) => s.platform(),
-            SystemSel::AmdEpycMi210 => Platform::IntelA100,
-        }
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            SystemSel::Preset(s) => s.name(),
-            SystemSel::AmdEpycMi210 => "AMD+MI210",
         }
     }
 }
@@ -223,7 +178,7 @@ pub enum WorkloadSel {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialSpec {
     /// Hardware.
-    pub system: SystemSel,
+    pub system: SystemId,
     /// Workload.
     pub workload: WorkloadSel,
     /// Governor (runtime + thresholds).
@@ -254,7 +209,7 @@ impl TrialSpec {
     #[must_use]
     pub fn new(system: SystemId, app: AppId, governor: GovernorSpec) -> Self {
         Self {
-            system: SystemSel::Preset(system),
+            system,
             workload: WorkloadSel::App(app),
             governor,
             opts: TrialOpts::default(),
@@ -262,15 +217,6 @@ impl TrialSpec {
             power_cap_w: None,
             monitor_only: false,
             faults: None,
-        }
-    }
-
-    /// An app trial on the AMD EPYC + MI210 node.
-    #[must_use]
-    pub fn amd(app: AppId, governor: GovernorSpec) -> Self {
-        Self {
-            system: SystemSel::AmdEpycMi210,
-            ..Self::new(SystemId::IntelA100, app, governor)
         }
     }
 
@@ -418,7 +364,11 @@ impl TrialSpec {
                 format!("traffic#{}x{}t{}", spec.seed, spec.tenants, spec.colocate)
             }
         };
-        let mut s = format!("{workload}/{}/{}", self.system.name(), self.governor.name());
+        let mut s = format!(
+            "{workload}/{}/{}",
+            self.system.name(),
+            self.governor.name(self.system)
+        );
         if let Some(rep) = self.replicate {
             s.push_str(&format!("#r{rep}"));
         }
@@ -1162,11 +1112,11 @@ mod tests {
         let base = base_spec();
         let variants = vec![
             TrialSpec {
-                system: SystemSel::Preset(SystemId::Intel4A100),
+                system: SystemId::Intel4A100,
                 ..base.clone()
             },
             TrialSpec {
-                system: SystemSel::AmdEpycMi210,
+                system: SystemId::AmdMi210,
                 ..base.clone()
             },
             TrialSpec {
@@ -1267,25 +1217,43 @@ mod tests {
 
     #[test]
     fn governor_names_match_driver_names() {
-        assert_eq!(GovernorSpec::Default.name(), "default");
-        assert_eq!(GovernorSpec::Fixed { ghz: 0.8 }.name(), "fixed-0.8GHz");
-        assert_eq!(GovernorSpec::magus_default().name(), "MAGUS");
-        assert_eq!(GovernorSpec::ups_default().name(), "UPS");
-        assert_eq!(GovernorSpec::magus_hsmp_default().name(), "MAGUS/HSMP");
-        for g in [
-            GovernorSpec::Default,
-            GovernorSpec::Fixed { ghz: 0.8 },
-            GovernorSpec::magus_default(),
-            GovernorSpec::ups_default(),
-            GovernorSpec::magus_hsmp_default(),
-        ] {
-            assert_eq!(g.build_driver().name(), g.name());
+        let intel = SystemId::IntelA100;
+        assert_eq!(GovernorSpec::Default.name(intel), "default");
+        assert_eq!(GovernorSpec::Fixed { ghz: 0.8 }.name(intel), "fixed-0.8GHz");
+        assert_eq!(GovernorSpec::magus_default().name(intel), "MAGUS");
+        assert_eq!(GovernorSpec::ups_default().name(intel), "UPS");
+        // MAGUS is named from its node's actuation.
+        let amd = SystemId::AmdMi210;
+        assert_eq!(GovernorSpec::magus_default().name(amd), "MAGUS/HSMP");
+        assert_eq!(GovernorSpec::ups_default().name(amd), "UPS");
+        for system in [intel, amd] {
+            for g in [
+                GovernorSpec::Default,
+                GovernorSpec::Fixed { ghz: 0.8 },
+                GovernorSpec::magus_default(),
+                GovernorSpec::ups_default(),
+            ] {
+                let mut driver = g.build_driver();
+                driver.attach(&mut magus_hetsim::Simulation::new(magus_hetsim::Node::new(
+                    system.node_config(),
+                )));
+                assert_eq!(driver.name(), g.name(system), "{system:?}");
+            }
         }
     }
 
     #[test]
     fn labels_are_descriptive() {
         assert_eq!(base_spec().label(), "bfs/Intel+A100/MAGUS");
+        assert_eq!(
+            TrialSpec::new(
+                SystemId::AmdMi210,
+                AppId::Cfd,
+                GovernorSpec::magus_default()
+            )
+            .label(),
+            "cfd/AMD+MI210/MAGUS/HSMP"
+        );
         assert_eq!(
             TrialSpec::hybrid(GovernorSpec::Default, Some(95.0)).label(),
             "hybrid-md/Intel+A100/default@95W"

@@ -13,7 +13,7 @@
 //! below trivially deterministic.
 
 use magus_runtime::MagusConfig;
-use magus_workloads::{fig4a_suite, fig4b_suite, fig4c_suite, table1_suite, AppId};
+use magus_workloads::{fig4a_suite, fig4b_suite, fig4c_suite, table1_suite, AppId, Platform};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{Engine, GovernorSpec, TrialBrief, TrialSpec};
@@ -141,10 +141,10 @@ pub fn evaluate_app(engine: &Engine, system: SystemId, app: AppId) -> AppEval {
 /// accumulate.
 #[must_use]
 pub fn fig4(engine: &Engine, system: SystemId) -> Vec<AppEval> {
-    let suite = match system {
-        SystemId::IntelA100 => fig4a_suite(),
-        SystemId::IntelMax1550 => fig4b_suite(),
-        SystemId::Intel4A100 => fig4c_suite(),
+    let suite = match system.platform() {
+        Platform::IntelA100 => fig4a_suite(),
+        Platform::IntelMax1550 => fig4b_suite(),
+        Platform::Intel4A100 => fig4c_suite(),
     };
     let specs: Vec<TrialSpec> = suite
         .iter()

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::drivers::{DriverDecider, RuntimeDriver};
 
-/// The paper's three testbeds.
+/// The paper's three testbeds and the §6.6 AMD port's node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SystemId {
     /// 2× Xeon 8380 + 1× A100-40GB.
@@ -22,6 +22,8 @@ pub enum SystemId {
     Intel4A100,
     /// 2× Xeon Max 9462 + Max 1550.
     IntelMax1550,
+    /// 2× EPYC 7763 + 1× MI210, its fabric actuated over HSMP.
+    AmdMi210,
 }
 
 impl SystemId {
@@ -32,14 +34,16 @@ impl SystemId {
             SystemId::IntelA100 => NodeConfig::intel_a100(),
             SystemId::Intel4A100 => NodeConfig::intel_4a100(),
             SystemId::IntelMax1550 => NodeConfig::intel_max1550(),
+            SystemId::AmdMi210 => NodeConfig::amd_epyc_mi210(),
         }
     }
 
-    /// The matching workload platform.
+    /// The matching workload platform. The AMD node runs the single-GPU
+    /// workload set (its fabric caps bandwidth lower).
     #[must_use]
     pub fn platform(&self) -> Platform {
         match self {
-            SystemId::IntelA100 => Platform::IntelA100,
+            SystemId::IntelA100 | SystemId::AmdMi210 => Platform::IntelA100,
             SystemId::Intel4A100 => Platform::Intel4A100,
             SystemId::IntelMax1550 => Platform::IntelMax1550,
         }
@@ -52,6 +56,7 @@ impl SystemId {
             SystemId::IntelA100 => "Intel+A100",
             SystemId::Intel4A100 => "Intel+4A100",
             SystemId::IntelMax1550 => "Intel+Max1550",
+            SystemId::AmdMi210 => "AMD+MI210",
         }
     }
 }
@@ -160,7 +165,7 @@ pub struct TrialBuilder {
 }
 
 impl TrialBuilder {
-    /// A trial on one of the paper's testbeds (the platform is remembered,
+    /// A trial on one of the [`SystemId`] presets (the platform is remembered,
     /// so [`TrialBuilder::app`] can resolve catalog workloads).
     #[must_use]
     pub fn on(system: SystemId) -> Self {
@@ -175,8 +180,8 @@ impl TrialBuilder {
         }
     }
 
-    /// A trial on an explicit node configuration (custom hardware: the AMD
-    /// preset, modified power models, ...). Catalog apps are unavailable —
+    /// A trial on an explicit node configuration (custom hardware:
+    /// modified power models, ...). Catalog apps are unavailable —
     /// supply workloads through [`TrialBuilder::trace`].
     #[must_use]
     pub fn custom(config: NodeConfig) -> Self {

@@ -9,10 +9,10 @@
 //!   counts.
 //! * [`drivers`] — runtime drivers binding MAGUS, UPS, fixed-frequency
 //!   policies, and the stock baseline to the simulated node, with realistic
-//!   invocation scheduling (measurement latency + rest interval). One
-//!   [`MagusDriver`] serves Intel and AMD nodes (its actuation is a
-//!   field), and every driver's uncore write goes through one bounded
-//!   retry.
+//!   invocation scheduling (measurement latency + rest interval). Every
+//!   driver's uncore write goes through one bounded retry, in the form the
+//!   node's actuation sets (`0x620` on Intel, HSMP on AMD), so one
+//!   [`MagusDriver`] serves Intel and AMD nodes.
 //! * [`harness`] — the low-level executor for one (system × application ×
 //!   runtime) trial, collecting a [`TrialResult`]: runtime, energy
 //!   decomposition, power/throughput/uncore time series, decision
@@ -37,8 +37,8 @@
 //! * [`report`] — plain-text table/series formatting, and
 //!   [`report::FIGURES`]: the renderer of every committed
 //!   `results/<name>.txt`.
-//! * [`amd`] — the §6.6 AMD port: MAGUS on the AMD EPYC + MI210 preset,
-//!   [`MagusDriver`] with its HSMP actuation pinning Infinity Fabric
+//! * [`amd`] — the §6.6 AMD port: MAGUS on the AMD EPYC + MI210 preset
+//!   ([`SystemId::AmdMi210`]), whose HSMP actuation pins Infinity Fabric
 //!   P-states.
 //! * [`replicate`] — the paper's ≥5-repetition protocol: seeded replicates
 //!   with mean ± std aggregation.
@@ -75,8 +75,8 @@ pub mod traffic;
 
 pub use drivers::{FixedUncoreDriver, MagusDriver, NoopDriver, RuntimeDriver, UpsDriver};
 pub use engine::{
-    spec_hash, Engine, GovernorSpec, RunManifest, SystemSel, TrialBrief, TrialOutcome, TrialSpec,
-    WorkloadSel, ENGINE_SALT,
+    spec_hash, Engine, GovernorSpec, RunManifest, TrialBrief, TrialOutcome, TrialSpec, WorkloadSel,
+    ENGINE_SALT,
 };
 pub use fleet::{
     build_fleet, fleet_sweep, fleet_telemetry_jsonl, governor_run_opts, run_fleet,

@@ -172,14 +172,13 @@ pub fn traffic_study_for_tiers(
             let runs: Vec<_> = governors
                 .into_iter()
                 .map(|governor| {
-                    let name = governor.name();
-                    let run = run_fleet(
-                        &FleetSpec {
-                            max_s,
-                            ..FleetSpec::new(governor, nodes)
-                        }
-                        .with_traffic(tier.spec()),
-                    );
+                    let spec = FleetSpec {
+                        max_s,
+                        ..FleetSpec::new(governor, nodes)
+                    }
+                    .with_traffic(tier.spec());
+                    let name = spec.governor.name(spec.system);
+                    let run = run_fleet(&spec);
                     (name, run)
                 })
                 .collect();

@@ -122,6 +122,17 @@ impl Default for TdpGovernorConfig {
     }
 }
 
+/// How a node's uncore limit takes a write. The node decides *how* a
+/// governor's target lands; the governor decides *which* target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum UncoreActuation {
+    /// Intel's uncore ratio-limit register `0x620`, written per package.
+    Msr,
+    /// AMD's host system management port: one SMU mailbox round trip per
+    /// socket that pins an Infinity Fabric P-state (§6.6).
+    Hsmp,
+}
+
 /// Full node configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeConfig {
@@ -133,6 +144,8 @@ pub struct NodeConfig {
     pub cpu: CpuConfig,
     /// Per-socket uncore parameters.
     pub uncore: UncoreConfig,
+    /// How the uncore limit is written.
+    pub uncore_actuation: UncoreActuation,
     /// Per-socket memory parameters.
     pub mem: MemoryConfig,
     /// GPU devices (one entry per board).
@@ -197,6 +210,7 @@ impl NodeConfig {
                 dyn_static_frac: 0.8,
                 slew_ghz_per_s: 28.0,
             },
+            uncore_actuation: UncoreActuation::Msr,
             mem: MemoryConfig {
                 peak_bw_gbs: 80.0,
                 floor_frac: 0.33,
@@ -258,6 +272,7 @@ impl NodeConfig {
                 dyn_static_frac: 0.8,
                 slew_ghz_per_s: 28.0,
             },
+            uncore_actuation: UncoreActuation::Msr,
             mem: MemoryConfig {
                 peak_bw_gbs: 120.0,
                 floor_frac: 0.38,
@@ -282,7 +297,7 @@ impl NodeConfig {
     /// P0 (0.8 / 1.067 / 1.333 / 1.6 GHz). The fabric/SoC domain draws a
     /// larger share of package power than Intel's uncore (the Zen "fabric
     /// floor"), which makes uncore-style scaling at least as attractive
-    /// there.
+    /// there. Its fabric is actuated over HSMP.
     #[must_use]
     pub fn amd_epyc_mi210() -> Self {
         Self {
@@ -310,6 +325,7 @@ impl NodeConfig {
                 dyn_static_frac: 0.8,
                 slew_ghz_per_s: 20.0,
             },
+            uncore_actuation: UncoreActuation::Hsmp,
             mem: MemoryConfig {
                 peak_bw_gbs: 100.0,
                 floor_frac: 0.42,
@@ -426,7 +442,7 @@ macro_rules! bits_by_value {
     )*};
 }
 
-bits_by_value!(bool, u32, u64, String);
+bits_by_value!(bool, u32, u64, String, UncoreActuation);
 
 impl<T: Bits> Bits for Vec<T> {
     fn bits_eq(&self, other: &Self) -> bool {
@@ -461,7 +477,7 @@ bits_by_field! {
     GpuConfig { idle_power_w, max_power_w, sm_clock_min_mhz, sm_clock_max_mhz, clock_alpha }
     TdpGovernorConfig { enabled, trigger_frac, ghz_per_watt }
     NodeConfig {
-        name, sockets, cpu, uncore, mem, gpus, tdp_governor, tick_us, seed,
+        name, sockets, cpu, uncore, uncore_actuation, mem, gpus, tdp_governor, tick_us, seed,
         core_msr_read_energy_uj, core_msr_read_latency_us, pcm_window_us, pcm_daemon_power_w,
     }
 }
@@ -485,6 +501,9 @@ mod tests {
         let mut seeded = a.clone();
         seeded.0.seed += 1;
         assert_ne!(a, seeded);
+        let mut hsmp = a.clone();
+        hsmp.0.uncore_actuation = UncoreActuation::Hsmp;
+        assert_ne!(a, hsmp, "the actuation is part of the key");
         assert_ne!(a, ConfigBits(NodeConfig::intel_4a100()));
     }
 

@@ -49,7 +49,7 @@ pub mod trace;
 pub mod uncore;
 pub mod workload;
 
-pub use config::{CpuConfig, GpuConfig, MemoryConfig, NodeConfig, UncoreConfig};
+pub use config::{CpuConfig, GpuConfig, MemoryConfig, NodeConfig, UncoreActuation, UncoreConfig};
 pub use demand::{Demand, GpuUtilVec};
 pub use fault::{FaultCounters, FaultPlan, FaultPlanBuilder, FaultPlanError, InjectedFault};
 pub use fleet::{

@@ -15,9 +15,10 @@
 //! equivalent CI diffs daemon sessions against).
 
 use std::error::Error;
+use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::{fs, io};
 
 use magus_suite::cli::{parse, usage, Command, CtlAction, EngineOpts, Invocation};
 use magus_suite::ctl::{
@@ -33,79 +34,82 @@ use magus_suite::workloads::AppId;
 
 /// Finish a named run: manifest summary, plus the `--telemetry` export
 /// (JSONL event stream + Prometheus snapshot) when requested.
-fn finish(engine: &Engine, label: &str, opts: &EngineOpts) -> ExitCode {
+fn finish(engine: &Engine, label: &str, opts: &EngineOpts) -> Result<(), String> {
     engine.finish(label);
     if let Some(path) = &opts.telemetry {
-        match engine.write_telemetry(path) {
-            Ok(()) => eprintln!(
-                "[engine] telemetry written to {} (+ {})",
-                path.display(),
-                path.with_extension("prom").display()
-            ),
-            Err(e) => {
-                eprintln!("[engine] telemetry write failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        engine
+            .write_telemetry(path)
+            .map_err(|e| format!("telemetry write failed: {e}"))?;
+        eprintln!(
+            "[engine] telemetry written to {} (+ {})",
+            path.display(),
+            path.with_extension("prom").display()
+        );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
+    match cli(&mut io::stdout()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed stdout early (`magus list | head -1`) has
+        // read all it wanted.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Run the command line, writing its output to `out` (std's stdout, which
+/// is line-buffered, so a harness reading a pipe sees each line at once).
+fn cli(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Invocation {
         command,
         engine: opts,
-    } = match parse(&args) {
-        Ok(inv) => inv,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
+    } = parse(&args).map_err(|e| format!("{e}\n\n{}", usage()))?;
     // Built before any command runs, so a bad `--faults` file fails every
     // command up front. `run --json` prints each trial's events and node
     // counters, so it is a telemetry sink.
-    let engine = match opts.build_engine() {
-        Ok(engine) if matches!(command, Command::Run { json: true, .. }) => engine.with_telemetry(),
-        Ok(engine) => engine,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let engine = opts.build_engine()?;
+    let engine = if matches!(command, Command::Run { json: true, .. }) {
+        engine.with_telemetry()
+    } else {
+        engine
     };
     let path = opts.sim_path.unwrap_or_default();
     match command {
-        Command::Help => {
-            println!("{}", usage());
-            ExitCode::SUCCESS
-        }
-        Command::List => {
-            list();
-            ExitCode::SUCCESS
-        }
+        Command::Help => writeln!(out, "{}", usage())?,
+        Command::List => list(out)?,
         Command::Run {
             system,
             app,
             governor,
             json,
         } => {
-            run(&engine, system, app, governor, json);
-            finish(&engine, "run", &opts)
+            run(out, &engine, system, app, governor, json)?;
+            finish(&engine, "run", &opts)?;
         }
         Command::Compare { system, app } => {
-            compare(&engine, system, app);
-            finish(&engine, "compare", &opts)
+            compare(out, &engine, system, app)?;
+            finish(&engine, "compare", &opts)?;
         }
         Command::Suite { system } => {
             let rows = fig4(&engine, system);
-            print!("{}", render_fig4_table(system.name(), &rows));
-            finish(&engine, "suite", &opts)
+            write!(out, "{}", render_fig4_table(system.name(), &rows))?;
+            finish(&engine, "suite", &opts)?;
         }
         Command::Figure { name } => {
             let render = figure(name).expect("the parser accepts only table names");
-            print!("{}", render(&engine));
-            finish(&engine, name, &opts)
+            write!(out, "{}", render(&engine))?;
+            finish(&engine, name, &opts)?;
         }
         Command::Serve {
             addr,
@@ -113,22 +117,19 @@ fn main() -> ExitCode {
             governor,
             budget_s,
             shards,
-        } => serve(ServeConfig {
-            ctl_addr: addr,
-            http_addr: http,
-            governor,
-            budget_s,
-            shards,
-            path,
-            ..ServeConfig::default()
-        }),
-        Command::Ctl { addr, action } => match run_ctl(&addr, action) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        } => serve(
+            out,
+            ServeConfig {
+                ctl_addr: addr,
+                http_addr: http,
+                governor,
+                budget_s,
+                shards,
+                path,
+                ..ServeConfig::default()
+            },
+        )?,
+        Command::Ctl { addr, action } => run_ctl(out, &addr, action)?,
         Command::Fleet {
             nodes,
             system,
@@ -148,54 +149,31 @@ fn main() -> ExitCode {
                 faults: engine.faults().copied(),
                 ..FleetSpec::new(governor, nodes)
             };
-            match fleet(
+            fleet(
+                out,
                 spec,
                 summary.as_deref(),
                 traffic.as_deref(),
                 opts.telemetry.as_deref(),
-            ) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            )?;
         }
     }
+    Ok(())
 }
 
 /// Boot the control-plane daemon and block until shutdown. The bound
-/// addresses go to stdout as `CTL_ADDR=`/`HTTP_ADDR=` lines (stdout is
-/// line-buffered, so a harness reading a pipe sees them immediately).
-fn serve(cfg: ServeConfig) -> ExitCode {
-    let server = match serve_fleet(cfg) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.ctl_addr() {
-        Ok(addr) => println!("CTL_ADDR={addr}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+/// addresses go to `out` as `CTL_ADDR=`/`HTTP_ADDR=` lines.
+fn serve(out: &mut impl Write, cfg: ServeConfig) -> Result<(), Box<dyn Error>> {
+    let server = serve_fleet(cfg)?;
+    writeln!(out, "CTL_ADDR={}", server.ctl_addr()?)?;
     if let Some(addr) = server.http_addr() {
-        println!("HTTP_ADDR={addr}");
+        writeln!(out, "HTTP_ADDR={addr}")?;
     }
     let result = server.run();
     if let Some(kb) = peak_rss_kb() {
         eprintln!("[serve] peak RSS {kb} kB");
     }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(result?)
 }
 
 /// The fleet summary's file rendering, shared by every path that writes
@@ -216,7 +194,7 @@ fn write_file(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 /// Execute one `magus ctl` verb against a running daemon.
-fn run_ctl(addr: &str, action: CtlAction) -> Result<(), Box<dyn Error>> {
+fn run_ctl(out: &mut impl Write, addr: &str, action: CtlAction) -> Result<(), Box<dyn Error>> {
     match action {
         CtlAction::Join {
             system,
@@ -226,24 +204,25 @@ fn run_ctl(addr: &str, action: CtlAction) -> Result<(), Box<dyn Error>> {
             let nodes = CtlClient::connect(addr)?.join(system, count, start_offset_us)?;
             match (nodes.first(), nodes.last()) {
                 (Some(first), Some(last)) if nodes.len() > 1 => {
-                    println!("joined nodes {first}..={last}");
+                    writeln!(out, "joined nodes {first}..={last}")?;
                 }
-                (Some(first), _) => println!("joined node {first}"),
-                _ => println!("joined 0 nodes"),
+                (Some(first), _) => writeln!(out, "joined node {first}")?,
+                _ => writeln!(out, "joined 0 nodes")?,
             }
         }
         CtlAction::Submit { node, app, traffic } => match (app, traffic) {
             (Some(app), None) => {
                 CtlClient::connect(addr)?.submit(node, app)?;
-                println!("submitted {app} on node {node}");
+                writeln!(out, "submitted {app} on node {node}")?;
             }
             (None, Some(path)) => {
                 let spec = magus_suite::workloads::io::load_traffic_spec(&path)?;
                 CtlClient::connect(addr)?.submit_traffic(node, spec)?;
-                println!(
+                writeln!(
+                    out,
                     "submitted traffic slot (seed {}, {} tenant(s)) on node {node}",
                     spec.seed, spec.tenants
-                );
+                )?;
             }
             // The parser enforces exactly-one-of; this arm is unreachable
             // from the command line.
@@ -251,28 +230,29 @@ fn run_ctl(addr: &str, action: CtlAction) -> Result<(), Box<dyn Error>> {
         },
         CtlAction::Leave { node } => {
             CtlClient::connect(addr)?.leave(node)?;
-            println!("node {node} left");
+            writeln!(out, "node {node} left")?;
         }
         CtlAction::Advance => {
             let (epoch, summary) = CtlClient::connect(addr)?.advance()?;
-            println!(
+            writeln!(
+                out,
                 "epoch {epoch}: {} node(s), {} completed, {:.0} J, makespan {:.2} s",
                 summary.nodes.len(),
                 summary.completed,
                 summary.total_j,
                 summary.makespan_s
-            );
+            )?;
         }
         CtlAction::Snapshot => {
             let snap = CtlClient::connect(addr)?.snapshot()?;
             eprintln!("[ctl] epoch {}", snap.epoch);
             match &snap.summary {
-                Some(summary) => print!("{}", summary_json(summary)?),
-                None => println!("null"),
+                Some(summary) => write!(out, "{}", summary_json(summary)?)?,
+                None => writeln!(out, "null")?,
             }
         }
         CtlAction::Metrics => {
-            print!("{}", CtlClient::connect(addr)?.snapshot()?.prometheus);
+            write!(out, "{}", CtlClient::connect(addr)?.snapshot()?.prometheus)?;
         }
         CtlAction::Watch => {
             let mut sub = CtlClient::connect(addr)?.subscribe()?;
@@ -281,7 +261,7 @@ fn run_ctl(addr: &str, action: CtlAction) -> Result<(), Box<dyn Error>> {
                 match event {
                     SubEvent::Telemetry { epoch, jsonl } => {
                         eprintln!("[ctl] epoch {epoch}");
-                        print!("{jsonl}");
+                        write!(out, "{jsonl}")?;
                     }
                     SubEvent::ShuttingDown => {
                         eprintln!("[ctl] daemon shutting down");
@@ -366,6 +346,7 @@ fn drive(
 /// same bytes to the same three artefacts (`--telemetry` JSONL + `.prom`
 /// sibling, `--summary` JSON) so CI can diff the two paths.
 fn fleet(
+    out: &mut impl Write,
     mut spec: FleetSpec,
     summary_path: Option<&Path>,
     traffic_path: Option<&Path>,
@@ -381,20 +362,22 @@ fn fleet(
         Some(_) => run_fleet_with_telemetry(&spec),
         None => (run_fleet(&spec), String::new()),
     };
-    println!(
+    writeln!(
+        out,
         "fleet of {nodes}: {} completed, {:.0} J, makespan {:.2} s ({} decisions)",
         run.summary.completed, run.summary.total_j, run.summary.makespan_s, run.summary.decisions
-    );
+    )?;
     if spec.traffic.is_some() {
         let s = &run.summary;
         let tenant_total: f64 = s.tenant_energy_j.iter().map(|(_, j)| j).sum();
-        println!(
+        writeln!(
+            out,
             "traffic: {} deadline job(s), {} missed; {} tenant(s), {:.0} J attributed",
             s.deadline_jobs,
             s.deadline_misses,
             s.tenant_energy_j.len(),
             tenant_total
-        );
+        )?;
     }
     if let Some(path) = telemetry_path {
         write_file(path, &jsonl)?;
@@ -416,15 +399,17 @@ fn fleet(
     Ok(())
 }
 
-fn list() {
-    println!("systems:");
+fn list(out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "systems:")?;
     for s in [
         SystemId::IntelA100,
         SystemId::Intel4A100,
         SystemId::IntelMax1550,
+        SystemId::AmdMi210,
     ] {
         let cfg = s.node_config();
-        println!(
+        writeln!(
+            out,
             "  {:<14} {} sockets x {} cores, uncore {:.1}-{:.1} GHz, {} GPU(s)",
             s.name(),
             cfg.sockets,
@@ -432,29 +417,35 @@ fn list() {
             cfg.uncore.freq_min_ghz,
             cfg.uncore.freq_max_ghz,
             cfg.gpus.len()
-        );
+        )?;
     }
-    println!("applications:");
+    writeln!(out, "applications:")?;
     for app in AppId::all() {
-        println!("  {app}");
+        writeln!(out, "  {app}")?;
     }
+    Ok(())
 }
 
-fn run(engine: &Engine, system: SystemId, app: AppId, governor: GovernorSpec, json: bool) {
+fn run(
+    out: &mut impl Write,
+    engine: &Engine,
+    system: SystemId,
+    app: AppId,
+    governor: GovernorSpec,
+    json: bool,
+) -> Result<(), Box<dyn Error>> {
     let mut spec = TrialSpec::new(system, app, governor);
     if json {
         spec = spec.recorded();
     }
-    let out = engine.run(&spec);
-    let r = out.result;
+    let outcome = engine.run(&spec);
+    let r = outcome.result;
     if json {
-        match serde_json::to_string_pretty(&r) {
-            Ok(s) => println!("{s}"),
-            Err(e) => eprintln!("serialisation failed: {e}"),
-        }
-        return;
+        writeln!(out, "{}", serde_json::to_string_pretty(&r)?)?;
+        return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{} on {} under {}: runtime {:.2} s ({}), mean CPU {:.1} W, total energy {:.0} J, {} invocations (mean {:.0} ms){}",
         app,
         system.name(),
@@ -465,23 +456,27 @@ fn run(engine: &Engine, system: SystemId, app: AppId, governor: GovernorSpec, js
         r.summary.energy.total_j(),
         r.invocations,
         r.mean_invocation_us / 1000.0,
-        if out.cached { " [cached]" } else { "" },
-    );
+        if outcome.cached { " [cached]" } else { "" },
+    )?;
+    Ok(())
 }
 
-fn compare(engine: &Engine, system: SystemId, app: AppId) {
+fn compare(out: &mut impl Write, engine: &Engine, system: SystemId, app: AppId) -> io::Result<()> {
     let eval = evaluate_app(engine, system, app);
-    println!(
+    writeln!(
+        out,
         "{} on {} (baseline {:.1} s, {:.1} W CPU)",
         eval.app,
         system.name(),
         eval.baseline_runtime_s,
         eval.baseline_cpu_w
-    );
+    )?;
     for (name, c) in [("MAGUS", eval.magus), ("UPS", eval.ups)] {
-        println!(
+        writeln!(
+            out,
             "  {name:<6} loss {:>6.2}% | CPU power saving {:>6.2}% | energy saving {:>6.2}%",
             c.perf_loss_pct, c.power_saving_pct, c.energy_saving_pct
-        );
+        )?;
     }
+    Ok(())
 }

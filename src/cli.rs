@@ -181,8 +181,9 @@ fn parse_system(s: &str) -> Result<SystemId, ParseError> {
         "intel-a100" | "a100" => Ok(SystemId::IntelA100),
         "intel-4a100" | "4a100" => Ok(SystemId::Intel4A100),
         "intel-max1550" | "max1550" => Ok(SystemId::IntelMax1550),
+        "amd-mi210" | "mi210" => Ok(SystemId::AmdMi210),
         other => Err(ParseError(format!(
-            "unknown system '{other}' (expected intel-a100, intel-4a100, intel-max1550)"
+            "unknown system '{other}' (expected intel-a100, intel-4a100, intel-max1550, amd-mi210)"
         ))),
     }
 }
@@ -541,7 +542,9 @@ ENGINE:    --no-cache (always simulate), --jobs <n> (worker threads,
            see DESIGN.md \"Fault injection\"; `serve` refuses it).
            Trials are cached under results/cache (or $MAGUS_CACHE_DIR)
            by spec hash; each command writes a run manifest next to it.
-SYSTEMS:   intel-a100 (default), intel-4a100, intel-max1550
+SYSTEMS:   intel-a100 (default), intel-4a100, intel-max1550, amd-mi210
+           (the AMD node pins its fabric over HSMP, so MAGUS reports as
+           MAGUS/HSMP there)
 APPS:      run `magus list`"
 }
 
@@ -590,6 +593,15 @@ mod tests {
                 app: AppId::Srad,
                 governor: GovernorSpec::ups_default(),
                 json: true,
+            }
+        );
+        assert_eq!(
+            cmd(&["run", "--system", "amd-mi210", "--app", "bfs"]),
+            Command::Run {
+                system: SystemId::AmdMi210,
+                app: AppId::Bfs,
+                governor: GovernorSpec::magus_default(),
+                json: false,
             }
         );
     }
@@ -669,7 +681,10 @@ mod tests {
     fn system_aliases() {
         assert_eq!(parse_system("4a100").unwrap(), SystemId::Intel4A100);
         assert_eq!(parse_system("A100").unwrap(), SystemId::IntelA100);
+        assert_eq!(parse_system("amd-mi210").unwrap(), SystemId::AmdMi210);
+        assert_eq!(parse_system("MI210").unwrap(), SystemId::AmdMi210);
         assert!(parse_system("epyc").is_err());
+        assert!(parse_system("amd").unwrap_err().0.contains("amd-mi210"));
     }
 
     #[test]
@@ -679,6 +694,13 @@ mod tests {
             Command::Compare {
                 system: SystemId::Intel4A100,
                 app: AppId::Unet,
+            }
+        );
+        assert_eq!(
+            cmd(&["compare", "--app", "bfs", "--system", "mi210"]),
+            Command::Compare {
+                system: SystemId::AmdMi210,
+                app: AppId::Bfs,
             }
         );
         assert_eq!(
@@ -776,6 +798,7 @@ mod tests {
             "HTTP_ADDR",
             "--traffic",
             "Traffic generation",
+            "amd-mi210",
         ] {
             assert!(u.contains(word), "{word}");
         }
@@ -830,6 +853,17 @@ mod tests {
                 action: CtlAction::Join {
                     system: SystemId::IntelA100,
                     count: 64,
+                    start_offset_us: 0,
+                },
+            }
+        );
+        assert_eq!(
+            cmd(&["ctl", "--addr", "h:1", "join", "--system", "amd-mi210"]),
+            Command::Ctl {
+                addr: "h:1".into(),
+                action: CtlAction::Join {
+                    system: SystemId::AmdMi210,
+                    count: 1,
                     start_offset_us: 0,
                 },
             }
@@ -967,10 +1001,12 @@ mod tests {
                 "s.json",
                 "--traffic",
                 "traffic.json",
+                "--system",
+                "amd-mi210",
             ]),
             Command::Fleet {
                 nodes: 8,
-                system: SystemId::IntelA100,
+                system: SystemId::AmdMi210,
                 governor: GovernorSpec::magus_default(),
                 budget_s: 45.0,
                 shards: 2,

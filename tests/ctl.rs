@@ -35,19 +35,20 @@ fn test_config() -> ServeConfig {
     }
 }
 
-/// The batch spec equivalent to a drive session of `nodes` nodes against
-/// [`test_config`]'s daemon.
-fn batch_spec(nodes: usize) -> FleetSpec {
+/// The batch spec equivalent to a drive session of `nodes` nodes of
+/// `system` against [`test_config`]'s daemon.
+fn batch_spec(system: SystemId, nodes: usize) -> FleetSpec {
     FleetSpec {
+        system,
         max_s: BUDGET_S,
         ..FleetSpec::new(GovernorSpec::magus_default(), nodes)
     }
 }
 
 /// Run the batch fleet armed and return (summary, telemetry JSONL).
-fn batch_run(nodes: usize) -> (FleetSummary, String) {
+fn batch_run(system: SystemId, nodes: usize) -> (FleetSummary, String) {
     let (run, jsonl) =
-        magus_suite::experiments::fleet::run_fleet_with_telemetry(&batch_spec(nodes));
+        magus_suite::experiments::fleet::run_fleet_with_telemetry(&batch_spec(system, nodes));
     (run.summary, jsonl)
 }
 
@@ -79,17 +80,22 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     body.to_string()
 }
 
+/// On an Intel roster (`0x620` writes) and an AMD one (HSMP pins) alike.
 #[test]
 fn daemon_session_is_bit_identical_to_batch_fleet() {
+    for system in [SystemId::IntelA100, SystemId::AmdMi210] {
+        daemon_session_matches_batch(system);
+    }
+}
+
+fn daemon_session_matches_batch(system: SystemId) {
     let server = serve_fleet(test_config()).expect("bind daemon");
     let ctl_addr = server.ctl_addr().expect("ctl addr");
     let http_addr = server.http_addr().expect("http addr");
     let runner = thread::spawn(move || server.run());
 
     let mut client = CtlClient::connect(ctl_addr).expect("connect");
-    let ids = client
-        .join(SystemId::IntelA100, NODES, 0)
-        .expect("join nodes");
+    let ids = client.join(system, NODES, 0).expect("join nodes");
     assert_eq!(ids.len(), NODES as usize);
     for (i, id) in ids.iter().enumerate() {
         client.submit(*id, fleet_app(i)).expect("submit workload");
@@ -110,14 +116,20 @@ fn daemon_session_is_bit_identical_to_batch_fleet() {
         "a subscribed epoch records events"
     );
 
-    let (batch_summary, batch_jsonl) = batch_run(NODES as usize);
+    assert_eq!(
+        daemon_jsonl.contains(r#""actuation":"hsmp""#),
+        system == SystemId::AmdMi210,
+        "{system:?}: MAGUS decisions are marked HSMP exactly on the AMD node"
+    );
+
+    let (batch_summary, batch_jsonl) = batch_run(system, NODES as usize);
     assert_eq!(
         daemon_summary, batch_summary,
-        "daemon epoch diverged from the batch fleet"
+        "{system:?}: daemon epoch diverged from the batch fleet"
     );
     assert_eq!(
         daemon_jsonl, batch_jsonl,
-        "streamed telemetry diverged from the batch rendering"
+        "{system:?}: streamed telemetry diverged from the batch rendering"
     );
 
     // The snapshot's Prometheus text is the pure rendering of (epochs,
@@ -139,7 +151,7 @@ fn daemon_session_is_bit_identical_to_batch_fleet() {
     let (epoch, daemon_summary) = client.advance().expect("advance after leave");
     assert_eq!(epoch, 2);
     let daemon_jsonl = telemetry_frame(&mut sub, epoch);
-    let (batch_summary, batch_jsonl) = batch_run(NODES as usize - 1);
+    let (batch_summary, batch_jsonl) = batch_run(system, NODES as usize - 1);
     assert_eq!(daemon_summary, batch_summary);
     assert_eq!(daemon_jsonl, batch_jsonl);
 
@@ -188,7 +200,7 @@ fn late_subscribers_get_frames_from_the_next_epoch_on() {
     let (epoch, watched) = client.advance().expect("advance with a subscriber");
     assert_eq!(epoch, 2);
     assert_eq!(watched, unwatched, "arming changed the epoch's results");
-    let (batch_summary, batch_jsonl) = batch_run(2);
+    let (batch_summary, batch_jsonl) = batch_run(SystemId::IntelA100, 2);
     assert_eq!(watched, batch_summary);
     assert!(!batch_jsonl.is_empty());
     assert_eq!(

@@ -188,12 +188,11 @@ fn rendered_fig4_rows_match_between_streaming_and_collect_paths() {
 
 #[test]
 fn interning_leaves_spec_hashes_and_salt_unchanged() {
-    // The salt tracks changes to what a trial is or computes (v7: each
-    // socket's uncore write retries on its own). Interning changes how
-    // traces are materialized, not what a trial is, so it must never bump
-    // this.
+    // The salt tracks changes to what a trial is or computes (v8: the
+    // uncore actuation is the node's). Interning changes how traces are
+    // materialized, not what a trial is, so it must never bump this.
     assert!(
-        ENGINE_SALT.starts_with("magus-engine/v7/"),
+        ENGINE_SALT.starts_with("magus-engine/v8/"),
         "unexpected engine salt (got {ENGINE_SALT}; bump this assertion \
          only on a schema change)"
     );

@@ -52,7 +52,7 @@ fn fleet_nodes_match_isolated_trials_bit_for_bit() {
                 solo.summary,
                 "node {i} ({}) under {} diverged from its isolated trial",
                 fleet_app(i).name(),
-                governor.name()
+                governor.name(SystemId::IntelA100)
             );
         }
     }
@@ -64,7 +64,7 @@ fn fleet_sweep_at_256_nodes_completes_with_consistent_aggregates() {
     assert_eq!(runs.len(), 3);
     for run in &runs {
         let s = &run.summary;
-        let gov = run.spec.governor.name();
+        let gov = run.spec.governor.name(run.spec.system);
         assert_eq!(s.nodes.len(), 256, "{gov}");
         assert_eq!(s.completed, 256, "{gov}: every node must finish in budget");
         // Round-robin catalog assignment, node order preserved.
@@ -333,8 +333,10 @@ fn staggered_nodes_equal_solo_runs() {
     }
 }
 
-/// Cases for the governor-and-testbed trial == fleet-node loop below.
-const GOVERNOR_CASES: u64 = 10;
+/// Cases for the governor-and-testbed trial == fleet-node loop below: the
+/// first whose draws put MAGUS on the AMD node over more than one shard is
+/// case 48.
+const GOVERNOR_CASES: u64 = 49;
 
 /// Case `k`'s governor, kind `k % 5`: the stock default, a fixed uncore
 /// frequency drawn inside `system`'s uncore range, UPS, paper-default
@@ -363,23 +365,33 @@ fn drawn_governor(k: u64, case: &mut Case, system: SystemId) -> GovernorSpec {
     }
 }
 
-/// Whatever the governor (every kind, drawn thresholds included), testbed,
-/// stepping path, fleet size, and shard count, every `run_fleet` node
-/// equals `run_trial` of the same app bit for bit.
+/// Whatever the governor (every kind, drawn thresholds included), system
+/// (the three testbeds and the HSMP-actuated AMD node), stepping path,
+/// fleet size, and shard count, every `run_fleet` node equals `run_trial`
+/// of the same app bit for bit.
 #[test]
 fn governors_and_testbeds_match_isolated_trials() {
-    const SYSTEMS: [SystemId; 3] = [
+    const SYSTEMS: [SystemId; 4] = [
         SystemId::IntelA100,
         SystemId::Intel4A100,
         SystemId::IntelMax1550,
+        SystemId::AmdMi210,
     ];
+    let mut sharded_amd_magus = 0;
     for seed in 0..GOVERNOR_CASES {
         let mut case = Case(seed);
-        let system = SYSTEMS[case.range(0, 3) as usize];
+        let system = SYSTEMS[case.range(0, 4) as usize];
         let governor = drawn_governor(seed, &mut case, system);
         let path = case.path();
         let nodes = case.range(1, 7) as usize;
         let shards = case.range(1, 4) as usize;
+        if system == SystemId::AmdMi210
+            && matches!(governor, GovernorSpec::Magus { .. })
+            && nodes > 1
+            && shards > 1
+        {
+            sharded_amd_magus += 1;
+        }
         let run = run_fleet(&FleetSpec {
             system,
             max_s: 45.0,
@@ -408,6 +420,10 @@ fn governors_and_testbeds_match_isolated_trials() {
             );
         }
     }
+    assert!(
+        sharded_amd_magus > 0,
+        "no drawn case runs MAGUS on the AMD node over more than one shard"
+    );
 }
 
 /// One (config, trace, start offset) list for the sharing tests: three

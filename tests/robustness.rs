@@ -48,7 +48,7 @@ fn magus_survives_pcm_dropouts() {
 }
 
 /// Failing uncore-limit writes degrade every governor instead of crashing
-/// it. Each trial returns, and each governor that writes the uncore counts
+/// it, on Intel `0x620` writes and AMD HSMP pins alike. Each trial returns, and each governor that writes the uncore counts
 /// the failed writes. When every write fails (a dead MSR bus), the deciding
 /// governors exhaust their retries, hold the previous limit and report why;
 /// a socket that every retry of a `fixed:` pin fails to reach stays on the
@@ -57,27 +57,28 @@ fn magus_survives_pcm_dropouts() {
 /// reaches both sockets and none degrades.
 #[test]
 fn actuation_faults_surface_as_errors() {
-    let intel = |governor| TrialSpec::new(SystemId::IntelA100, AppId::Bfs, governor);
-    // (trial, writes the uncore, its degradation event)
-    let governors = [
-        (intel(GovernorSpec::Default), false, None),
-        (intel(GovernorSpec::Fixed { ghz: 1.2 }), true, None),
-        (
-            intel(GovernorSpec::ups_default()),
-            true,
-            Some("ups_degraded"),
-        ),
-        (
-            intel(GovernorSpec::magus_default()),
-            true,
-            Some("magus_degraded"),
-        ),
-        (
-            TrialSpec::amd(AppId::Bfs, GovernorSpec::magus_hsmp_default()),
-            true,
-            Some("magus_degraded"),
-        ),
-    ];
+    // (trial, writes the uncore, its degradation event), on the Intel node
+    // (`0x620` writes) and the AMD node (HSMP mailbox pins).
+    let governors: Vec<_> = [SystemId::IntelA100, SystemId::AmdMi210]
+        .into_iter()
+        .flat_map(|system| {
+            let trial = move |governor| TrialSpec::new(system, AppId::Bfs, governor);
+            [
+                (trial(GovernorSpec::Default), false, None),
+                (trial(GovernorSpec::Fixed { ghz: 1.2 }), true, None),
+                (
+                    trial(GovernorSpec::ups_default()),
+                    true,
+                    Some("ups_degraded"),
+                ),
+                (
+                    trial(GovernorSpec::magus_default()),
+                    true,
+                    Some("magus_degraded"),
+                ),
+            ]
+        })
+        .collect();
     let engine = Engine::ephemeral().with_telemetry();
     let actuation = FieldValue::Str("actuation".into());
     let mut panicked = Vec::new();
@@ -241,4 +242,22 @@ fn mutated_json_inputs_never_panic() {
     }
     let bytes: usize = JSON_FIXTURES.iter().map(|f| f.len()).sum();
     assert_eq!(inputs, bytes * (1 + REPLACEMENTS.len() + 1));
+}
+
+/// A reader that closes the CLI's stdout early (`magus list | head -1`)
+/// ends the command quietly: exit 0 and no panic.
+#[test]
+fn a_closed_stdout_ends_the_cli_quietly() {
+    // The read end is closed before the child starts, so its first line
+    // already meets a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_magus"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("spawn magus");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
