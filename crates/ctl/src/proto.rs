@@ -179,8 +179,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
 
 /// Serialize `msg` and write it as one frame.
 pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ProtoError> {
-    let payload = serde_json::to_vec(msg).map_err(|e| ProtoError::Malformed(e.to_string()))?;
-    write_frame(w, &payload)
+    let mut payload = String::new();
+    serde_json::append(&mut payload, msg, false);
+    write_frame(w, payload.as_bytes())
 }
 
 /// Read one frame and parse it as a `T`. `Ok(None)` is a clean

@@ -45,6 +45,7 @@
 //! this from its flags in one call, [`crate::EngineOpts::build_engine`].
 
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -903,14 +904,13 @@ impl Engine {
         let state = self.state.lock().expect("engine state");
         export_order(&state.events)
             .into_iter()
-            .map(|(t, _)| t.clone())
+            .map(|(t, ..)| t.clone())
             .collect()
     }
 
     /// All buffered decision events as JSON Lines, one event per line:
     /// `{"trial":…,"t_us":…,"kind":…,"fields":{…}}`, the trial label and
-    /// then the event's [`Event::write_json`] bytes after its `{` (the
-    /// bytes its serde derive would write).
+    /// then the event's compact serde bytes after their `{`.
     ///
     /// The rendering is deterministic — trials sort by label, events keep
     /// simulation order, field maps are sorted — so two runs of the same
@@ -920,13 +920,12 @@ impl Engine {
     pub fn telemetry_jsonl(&self) -> String {
         let state = self.state.lock().expect("engine state");
         let mut out = String::new();
-        for (trial, json) in export_order(&state.events) {
-            let label = serde_json::to_string(&trial.label).expect("label serialises");
-            for event in json {
+        for (trial, json, places) in export_order(&state.events) {
+            for place in places {
                 out.push_str("{\"trial\":");
-                out.push_str(&label);
+                serde_json::append(&mut out, &trial.label, false);
                 out.push(',');
-                out.push_str(&event[1..]);
+                out.push_str(&json[place.start + 1..place.end]);
                 out.push('\n');
             }
         }
@@ -1066,26 +1065,32 @@ impl Engine {
     }
 }
 
-/// `trials` in export order, each paired with its events written once:
-/// sorted by label, ties broken by the trial's events as one JSON array,
-/// so serial and parallel runs export identically.
-fn export_order(trials: &[TrialEvents]) -> Vec<(&TrialEvents, Vec<String>)> {
-    let mut sorted: Vec<(&TrialEvents, Vec<String>)> = trials
+/// `trials` in export order, each with its events written once as one
+/// compact JSON array and each event's place in that text: sorted by
+/// label, ties broken by the array, so serial and parallel runs export
+/// identically.
+fn export_order(trials: &[TrialEvents]) -> Vec<(&TrialEvents, String, Vec<Range<usize>>)> {
+    let mut sorted: Vec<_> = trials
         .iter()
         .map(|t| {
-            let json = t
+            let mut json = String::from("[");
+            let places = t
                 .events
                 .iter()
                 .map(|e| {
-                    let mut json = String::new();
-                    e.write_json(&mut json);
-                    json
+                    if json.len() > 1 {
+                        json.push(',');
+                    }
+                    let start = json.len();
+                    serde_json::append(&mut json, e, false);
+                    start..json.len()
                 })
                 .collect();
-            (t, json)
+            json.push(']');
+            (t, json, places)
         })
         .collect();
-    sorted.sort_by_cached_key(|(t, json)| (t.label.clone(), format!("[{}]", json.join(","))));
+    sorted.sort_by(|(a, a_json, _), (b, b_json, _)| (&a.label, a_json).cmp(&(&b.label, b_json)));
     sorted
 }
 

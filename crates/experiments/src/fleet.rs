@@ -236,24 +236,24 @@ fn run_built(spec: &FleetSpec, mut fleet: FleetSim) -> (FleetRun, FleetSim) {
 }
 
 /// Render every node's drained telemetry event stream as one JSONL blob —
-/// one line per event, `{"node":N,` and then the event's
-/// [`Event::write_json`](magus_telemetry::Event::write_json) bytes after
-/// its `{` (empty for a fleet that was not armed). This byte stream
-/// is part of the bit-identity contract (identical across shard counts and
-/// stepping modes) and is exactly what the control-plane daemon streams
-/// to subscribers, so the CI system test can `diff` daemon output against
-/// a batch run.
+/// one line per event, `{"node":N,` and then the event's compact serde
+/// bytes after their `{` (empty for a fleet that was not armed). This
+/// byte stream is part of the bit-identity contract (identical across
+/// shard counts and stepping modes) and is exactly what the control-plane
+/// daemon streams to subscribers, so the CI system test can `diff` daemon
+/// output against a batch run.
 #[must_use]
 pub fn fleet_telemetry_jsonl(fleet: &mut FleetSim) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    let mut json = String::new();
     for (node, events) in fleet.take_node_events().into_iter().enumerate() {
         for event in events {
-            json.clear();
-            event.write_json(&mut json);
-            let _ = write!(out, "{{\"node\":{node},");
-            out.push_str(&json[1..]);
+            let _ = write!(out, "{{\"node\":{node}");
+            // The event's object continues this line's: its `{` becomes
+            // the `,` after the node.
+            let at = out.len();
+            serde_json::append(&mut out, &event, false);
+            out.replace_range(at..=at, ",");
             out.push('\n');
         }
     }

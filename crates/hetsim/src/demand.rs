@@ -1,7 +1,7 @@
 //! Instantaneous resource demand presented to the node by a workload phase.
 
 use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Deserializer, Serialize, Writer};
 
 /// Maximum GPUs a single [`Demand`] can address.
 ///
@@ -158,8 +158,8 @@ impl<const N: usize> PartialEq<[f64; N]> for GpuUtilVec {
 }
 
 impl Serialize for GpuUtilVec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq(self.as_slice())
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        self.as_slice().serialize(w);
     }
 }
 

@@ -5,16 +5,28 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use crate::__private::{from_value, invalid, kind, lift, take_seq, to_value, Error};
-use crate::{de, ser, Deserialize, Deserializer, Map, Number, Serialize, Serializer, Value};
+use crate::__private::{from_value, invalid, lift, take_seq, Error};
+use crate::{de, Deserialize, Deserializer, Number, Serialize, Value, Writer};
 
-/// Serialize and deserialize an integer type through `Number`, rejecting
-/// floats and out-of-range values as upstream does.
+/// A type that can key a JSON object, as upstream writes map keys: a
+/// string as it is, an integer as its digits in quotes.
+pub trait MapKey {
+    /// Write this key as a JSON string.
+    fn write_key<const P: bool>(&self, w: &mut Writer<'_, P>);
+}
+
+/// Serialize an integer as it is, and deserialize it through `Number`,
+/// rejecting floats and out-of-range values as upstream does.
 macro_rules! integer {
-    ($wide:ty, $as:ident: $($t:ty),*) => {$(
+    ($wide:ident, $as:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                s.serialize_value(Value::Number(Number::from(*self as $wide)))
+            fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+                w.$wide(*self as $wide);
+            }
+        }
+        impl MapKey for $t {
+            fn write_key<const P: bool>(&self, w: &mut Writer<'_, P>) {
+                w.str(&self.to_string());
             }
         }
         impl<'de> Deserialize<'de> for $t {
@@ -41,8 +53,8 @@ integer!(i64, as_i64: i32, i64);
 
 impl Serialize for f64 {
     /// NaN and infinities become `null`, as upstream.
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_value(Value::from(*self))
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.f64(*self);
     }
 }
 
@@ -56,8 +68,8 @@ impl<'de> Deserialize<'de> for f64 {
 }
 
 impl Serialize for bool {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_value(Value::Bool(*self))
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.bool(*self);
     }
 }
 
@@ -71,14 +83,26 @@ impl<'de> Deserialize<'de> for bool {
 }
 
 impl Serialize for str {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_value(Value::String(self.to_string()))
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.str(self);
+    }
+}
+
+impl MapKey for str {
+    fn write_key<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.str(self);
     }
 }
 
 impl Serialize for String {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.as_str().serialize(s)
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.str(self);
+    }
+}
+
+impl MapKey for String {
+    fn write_key<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.str(self);
     }
 }
 
@@ -92,14 +116,20 @@ impl<'de> Deserialize<'de> for String {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(s)
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize + ToOwned + ?Sized> Serialize for Cow<'_, T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(s)
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        (**self).serialize(w);
+    }
+}
+
+impl<T: MapKey + ToOwned + ?Sized> MapKey for Cow<'_, T> {
+    fn write_key<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        (**self).write_key(w);
     }
 }
 
@@ -114,8 +144,8 @@ where
 }
 
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(s)
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        (**self).serialize(w);
     }
 }
 
@@ -126,10 +156,10 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Arc<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
         match self {
-            Some(t) => t.serialize(s),
-            None => s.serialize_value(Value::Null),
+            Some(t) => t.serialize(w),
+            None => w.null(),
         }
     }
 }
@@ -143,17 +173,30 @@ impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Option<T> {
     }
 }
 
+/// Write `items` as a JSON array.
+fn write_seq<'a, T: Serialize + 'a, const P: bool>(
+    w: &mut Writer<'_, P>,
+    items: impl IntoIterator<Item = &'a T>,
+) {
+    w.begin('[');
+    for item in items {
+        w.item();
+        item.serialize(w);
+    }
+    w.end(']');
+}
+
 impl<T: Serialize> Serialize for [T] {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_seq(self)
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        write_seq(w, self);
     }
 }
 
 macro_rules! sequence {
     ($($c:ident),*) => {$(
         impl<T: Serialize> Serialize for $c<T> {
-            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                s.collect_seq(self)
+            fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+                write_seq(w, self);
             }
         }
         impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for $c<T> {
@@ -171,12 +214,13 @@ macro_rules! sequence {
 sequence!(Vec, VecDeque);
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let items = vec![
-            to_value(&self.0).map_err(ser::Error::custom)?,
-            to_value(&self.1).map_err(ser::Error::custom)?,
-        ];
-        s.serialize_value(Value::Array(items))
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.begin('[');
+        w.item();
+        self.0.serialize(w);
+        w.item();
+        self.1.serialize(w);
+        w.end(']');
     }
 }
 
@@ -190,16 +234,6 @@ impl<'de, A: for<'a> Deserialize<'a>, B: for<'a> Deserialize<'a>> Deserialize<'d
     }
 }
 
-/// A map key as JSON text: strings as they are, integers printed, as
-/// upstream.
-fn key_string<K: Serialize>(k: &K) -> Result<String, Error> {
-    match to_value(k)? {
-        Value::String(s) => Ok(s),
-        Value::Number(n) if !n.is_f64() => Ok(n.to_string()),
-        other => Err(Error(format!("key must be a string, got {}", kind(&other)))),
-    }
-}
-
 /// Read a map key back: as a string first, then as the integer it spells.
 fn key_from<K: for<'de> Deserialize<'de>>(key: String) -> Result<K, Error> {
     let number = key.parse::<u64>().map(Number::from).ok();
@@ -209,14 +243,16 @@ fn key_from<K: for<'de> Deserialize<'de>>(key: String) -> Result<K, Error> {
     }
 }
 
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let mut m = Map::new();
+impl<K: MapKey, V: Serialize> Serialize for BTreeMap<K, V> {
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        w.begin('{');
         for (k, v) in self {
-            let key = key_string(k).map_err(ser::Error::custom)?;
-            m.push_unique(key, to_value(v).map_err(ser::Error::custom)?);
+            w.item();
+            k.write_key(w);
+            w.colon();
+            v.serialize(w);
         }
-        s.serialize_value(Value::Object(m))
+        w.end('}');
     }
 }
 

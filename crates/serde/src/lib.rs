@@ -1,32 +1,25 @@
-//! Offline stand-in for `serde`, used only to build the program under
-//! benchmark while the workspace still names registry crates.
+//! The workspace's serde: a direct JSON writer for output, and a value
+//! tree for input.
 //!
-//! The data model is a value tree: `Serialize` produces a [`Value`] and
-//! `Deserialize` consumes one. The trait and method names the workspace
-//! calls directly (`Serializer::collect_seq`, `Deserialize::deserialize`,
-//! `de::Error::custom`, `de::DeserializeOwned`) keep their upstream
-//! signatures; everything else goes through [`Serializer::serialize_value`]
-//! and [`Deserializer::into_value`]. The derive macros in `serde_derive`
-//! generate code against the hidden `__private` helpers below.
+//! `Serialize` appends a value's JSON straight to a `String` through one
+//! [`Writer`], compact or pretty; `#[derive(Serialize)]` writes field by
+//! field with pre-escaped keys, so no tree is built on output.
+//! `Deserialize` reads a [`Value`] tree, which `serde_json`'s parser
+//! builds; the derives generate that code against the hidden `__private`
+//! helpers below. The names the workspace calls directly keep their
+//! upstream form (`Deserialize::deserialize`, `de::Error::custom`,
+//! `de::DeserializeOwned`).
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
 mod impls;
 mod value;
+mod writer;
 
+pub use impls::MapKey;
 pub use value::{Map, Number, Value};
-
-/// Serialization half of the data model.
-pub mod ser {
-    pub use crate::{Serialize, Serializer};
-
-    /// Errors a serializer can raise.
-    pub trait Error: Sized + std::fmt::Display + std::fmt::Debug {
-        /// An error carrying a free-form message.
-        fn custom<T: std::fmt::Display>(msg: T) -> Self;
-    }
-}
+pub use writer::Writer;
 
 /// Deserialization half of the data model.
 pub mod de {
@@ -44,34 +37,10 @@ pub mod de {
     impl<T: for<'de> Deserialize<'de>> DeserializeOwned for T {}
 }
 
-/// A type that can be turned into a [`Value`].
+/// A type that writes itself as JSON.
 pub trait Serialize {
-    /// Hand this value's tree to `serializer`.
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
-}
-
-/// A sink for one [`Value`] tree.
-pub trait Serializer: Sized {
-    /// What a successful serialization returns.
-    type Ok;
-    /// What a failed serialization returns.
-    type Error: ser::Error;
-
-    /// Accept a finished value tree.
-    fn serialize_value(self, value: Value) -> Result<Self::Ok, Self::Error>;
-
-    /// Serialize an iterator as a JSON array.
-    fn collect_seq<I>(self, iter: I) -> Result<Self::Ok, Self::Error>
-    where
-        I: IntoIterator,
-        I::Item: Serialize,
-    {
-        let mut items = Vec::new();
-        for item in iter {
-            items.push(__private::to_value(&item).map_err(ser::Error::custom)?);
-        }
-        self.serialize_value(Value::Array(items))
-    }
+    /// Append this value's JSON to `w`, pretty when `PRETTY`.
+    fn serialize<const PRETTY: bool>(&self, w: &mut Writer<'_, PRETTY>);
 }
 
 /// A type that can be built from a [`Value`].
@@ -89,14 +58,13 @@ pub trait Deserializer<'de>: Sized {
     fn into_value(self) -> Result<Value, Self::Error>;
 }
 
-/// Support code for the derive macros, `serde_json` and the telemetry
-/// event writer; not a public API.
+/// Support code for the `Deserialize` derive and `serde_json`; not a
+/// public API.
 #[doc(hidden)]
 pub mod __private {
     use std::fmt;
 
-    pub use crate::value::{write_compact, write_pretty, write_str};
-    use crate::{de, ser, Deserialize, Deserializer, Serialize, Serializer};
+    use crate::{de, Deserialize, Deserializer};
     pub use crate::{Map, Value};
 
     /// The error every value-tree conversion returns.
@@ -111,26 +79,9 @@ pub mod __private {
 
     impl std::error::Error for Error {}
 
-    impl ser::Error for Error {
-        fn custom<T: fmt::Display>(msg: T) -> Self {
-            Error(msg.to_string())
-        }
-    }
-
     impl de::Error for Error {
         fn custom<T: fmt::Display>(msg: T) -> Self {
             Error(msg.to_string())
-        }
-    }
-
-    /// A serializer that returns the tree it is given.
-    pub struct ValueSerializer;
-
-    impl Serializer for ValueSerializer {
-        type Ok = Value;
-        type Error = Error;
-        fn serialize_value(self, value: Value) -> Result<Value, Error> {
-            Ok(value)
         }
     }
 
@@ -144,19 +95,9 @@ pub mod __private {
         }
     }
 
-    /// Serialize `t` into a tree.
-    pub fn to_value<T: Serialize + ?Sized>(t: &T) -> Result<Value, Error> {
-        t.serialize(ValueSerializer)
-    }
-
     /// Build a `T` from a tree.
     pub fn from_value<T: for<'de> Deserialize<'de>>(v: Value) -> Result<T, Error> {
         T::deserialize(ValueDeserializer(v))
-    }
-
-    /// Hand a derive-built tree to the caller's serializer.
-    pub fn finish<S: Serializer>(s: S, v: Result<Value, Error>) -> Result<S::Ok, S::Error> {
-        s.serialize_value(v.map_err(ser::Error::custom)?)
     }
 
     /// Convert a derive-side error into the caller's deserializer error.
@@ -246,16 +187,6 @@ pub mod __private {
         }
     }
 
-    /// Serialize a field into `m` under `key`.
-    pub fn put_field<T: Serialize + ?Sized>(
-        m: &mut Map<String, Value>,
-        key: &str,
-        t: &T,
-    ) -> Result<(), Error> {
-        m.push_unique(key.to_string(), to_value(t)?);
-        Ok(())
-    }
-
     /// Split an externally tagged enum value into (variant, payload): a
     /// bare string is a unit variant, a one-key object carries a payload.
     pub fn external_variant(v: Value, expected: &str) -> Result<(String, Value), Error> {
@@ -281,13 +212,6 @@ pub mod __private {
             Some(other) => Err(invalid(&other, "variant name")),
             None => Err(Error(format!("missing field `{tag}`"))),
         }
-    }
-
-    /// A one-key object `{name: payload}`.
-    pub fn tagged(name: &str, payload: Value) -> Value {
-        let mut m = Map::new();
-        m.push_unique(name.to_string(), payload);
-        Value::Object(m)
     }
 
     /// The error for a variant name no arm matched.

@@ -1,6 +1,8 @@
-//! The value tree, its insertion-ordered object map, and the JSON writer.
+//! The value tree the parser builds and `Deserialize` reads, and its
+//! insertion-ordered object map.
 
-use std::fmt::{self, Write as _};
+use std::collections::HashMap;
+use std::fmt;
 
 /// A JSON value.
 #[derive(Debug, Clone)]
@@ -98,25 +100,44 @@ pub struct Map<K, V> {
 }
 
 impl Map<String, Value> {
-    /// An empty map.
-    pub fn new() -> Self {
-        Map {
-            entries: Vec::new(),
+    /// The map of `entries` in their order, where a repeated key keeps
+    /// its first place and takes its last value. Linear in the entries: a
+    /// short list is scanned, a longer one hashes each key once.
+    pub fn from_entries(mut entries: Vec<(String, Value)>) -> Self {
+        /// Longest list checked by scanning: the objects the workspace
+        /// reads are this short, and a scan costs them no hashing.
+        const SCAN_LEN: usize = 16;
+        // (first place, later place) of every repeated key.
+        let repeats: Vec<(usize, usize)> = if entries.len() <= SCAN_LEN {
+            (1..entries.len())
+                .filter_map(|i| {
+                    let key = &entries[i].0;
+                    Some((entries[..i].iter().position(|(k, _)| k == key)?, i))
+                })
+                .collect()
+        } else {
+            let mut first_place = HashMap::with_capacity(entries.len());
+            entries
+                .iter()
+                .enumerate()
+                .filter_map(|(i, (key, _))| {
+                    let first = *first_place.entry(key.as_str()).or_insert(i);
+                    (first != i).then_some((first, i))
+                })
+                .collect()
+        };
+        if !repeats.is_empty() {
+            for &(first, later) in &repeats {
+                entries[first].1 = std::mem::replace(&mut entries[later].1, Value::Null);
+            }
+            let mut later = repeats.iter().map(|&(_, later)| later).peekable();
+            let mut i = 0;
+            entries.retain(|_| {
+                i += 1;
+                later.next_if_eq(&(i - 1)).is_none()
+            });
         }
-    }
-
-    /// Insert or replace `key`.
-    pub fn insert(&mut self, key: String, value: Value) {
-        match self.entries.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.entries.push((key, value)),
-        }
-    }
-
-    /// Append `key`, which the caller knows is not present yet.
-    #[doc(hidden)]
-    pub fn push_unique(&mut self, key: String, value: Value) {
-        self.entries.push((key, value));
+        Map { entries }
     }
 
     /// Remove `key`, returning its value.
@@ -134,17 +155,6 @@ impl Map<String, Value> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Entries in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.entries.iter().map(|(k, v)| (k, v))
-    }
-}
-
-impl Default for Map<String, Value> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl IntoIterator for Map<String, Value> {
@@ -152,142 +162,5 @@ impl IntoIterator for Map<String, Value> {
     type IntoIter = std::vec::IntoIter<(String, Value)>;
     fn into_iter(self) -> Self::IntoIter {
         self.entries.into_iter()
-    }
-}
-
-impl From<f64> for Value {
-    /// NaN and infinities become `null`, as upstream.
-    fn from(x: f64) -> Value {
-        Number::from_f64(x).map_or(Value::Null, Value::Number)
-    }
-}
-
-/// Each byte's JSON escape: 0 for a byte written as it is, `u` for
-/// `\u00xx`, otherwise the character after the backslash.
-const ESCAPE: [u8; 256] = {
-    let mut table = [0; 256];
-    let mut b = 0;
-    while b < 0x20 {
-        table[b] = b'u';
-        b += 1;
-    }
-    table[b'"' as usize] = b'"';
-    table[b'\\' as usize] = b'\\';
-    table[b'\n' as usize] = b'n';
-    table[b'\r' as usize] = b'r';
-    table[b'\t' as usize] = b't';
-    table[0x08] = b'b';
-    table[0x0c] = b'f';
-    table
-};
-
-/// Append `s` as a JSON string literal: `"`, `\` and the bytes below
-/// 0x20 escaped (the short form where JSON has one, lowercase `\u00xx`
-/// otherwise), every other byte as it is.
-pub fn write_str(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.reserve(s.len() + 2);
-    out.push('"');
-    let mut start = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        let escape = ESCAPE[usize::from(b)];
-        if escape == 0 {
-            continue;
-        }
-        out.push_str(&s[start..i]);
-        out.push('\\');
-        out.push(char::from(escape));
-        if escape == b'u' {
-            out.push_str("00");
-            out.push(char::from(HEX[usize::from(b >> 4)]));
-            out.push(char::from(HEX[usize::from(b & 0xf)]));
-        }
-        start = i + 1;
-    }
-    out.push_str(&s[start..]);
-    out.push('"');
-}
-
-fn write_scalar(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::String(s) => write_str(out, s),
-        Value::Array(_) | Value::Object(_) => unreachable!("containers are not scalars"),
-    }
-}
-
-/// Append `v` as compact JSON.
-pub fn write_compact(out: &mut String, v: &Value) {
-    match v {
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(m) => {
-            out.push('{');
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_str(out, k);
-                out.push(':');
-                write_compact(out, item);
-            }
-            out.push('}');
-        }
-        scalar => write_scalar(out, scalar),
-    }
-}
-
-fn newline(out: &mut String, depth: usize) {
-    out.push('\n');
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-/// Append `v` as JSON indented by two spaces per level, starting at `depth`.
-pub fn write_pretty(out: &mut String, v: &Value, depth: usize) {
-    match v {
-        Value::Array(items) if items.is_empty() => out.push_str("[]"),
-        Value::Object(m) if m.is_empty() => out.push_str("{}"),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, depth + 1);
-                write_pretty(out, item, depth + 1);
-            }
-            newline(out, depth);
-            out.push(']');
-        }
-        Value::Object(m) => {
-            out.push('{');
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, depth + 1);
-                write_str(out, k);
-                out.push_str(": ");
-                write_pretty(out, item, depth + 1);
-            }
-            newline(out, depth);
-            out.push('}');
-        }
-        scalar => write_scalar(out, scalar),
     }
 }

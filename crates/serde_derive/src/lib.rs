@@ -1,12 +1,14 @@
-//! `#[derive(Serialize, Deserialize)]` for the value-tree serde stand-in.
+//! `#[derive(Serialize, Deserialize)]` for the workspace's serde: a
+//! `Serialize` impl writes JSON field by field through `serde::Writer`,
+//! and a `Deserialize` impl reads a `serde::Value` tree.
 //!
 //! The item is parsed straight from its token stream. Supported: structs
 //! (named, tuple, unit), enums (unit, newtype, tuple and struct variants),
 //! lifetime, type and const generics without `where` clauses, and the
 //! attributes the workspace uses: `default`, `default = "path"`,
-//! `skip_serializing_if`, `rename_all = "snake_case"` (on enums), `tag` and
-//! `untagged`. Anything else is a compile error naming the attribute, so a
-//! gap cannot pass silently.
+//! `skip_serializing_if`, `rename_all = "snake_case"` (on enums), `tag` (on
+//! enums of unit and struct variants) and `untagged`. Anything else is a
+//! compile error naming the attribute, so a gap cannot pass silently.
 
 use proc_macro::{Delimiter, Spacing, TokenStream, TokenTree};
 
@@ -146,7 +148,9 @@ fn parse_serde_args(group: TokenStream, attrs: &mut Attrs) -> Result<(), String>
             ("default", v) => attrs.default = Some(v),
             ("skip_serializing_if", Some(v)) => attrs.skip_if = Some(v),
             ("rename_all", Some(v)) if v == "snake_case" => attrs.snake_case = true,
-            ("tag", Some(v)) => attrs.tag = Some(v),
+            ("tag", Some(v)) if !v.contains(['"', '\\']) && !v.contains(char::is_control) => {
+                attrs.tag = Some(v)
+            }
             ("untagged", None) => attrs.untagged = true,
             _ => {
                 return Err(format!(
@@ -340,6 +344,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 // ------------------------------------------------------------ generation
 
 const P: &str = "::serde::__private";
+const SER: &str = "::serde::Serialize";
 const OK: &str = "::core::result::Result::Ok";
 const RESULT: &str = "::core::result::Result";
 
@@ -394,97 +399,112 @@ fn type_generics(params: &[Param]) -> String {
     }
 }
 
-/// Statements filling map `__m` from named fields; `access(name)` yields
-/// an expression of type `&FieldType`.
-fn ser_named(fields: &[Field], access: &dyn Fn(&str) -> String) -> String {
-    let mut out = String::new();
+/// `name` as a JSON object key and its colon, for `Writer::field`. Field
+/// and variant names are Rust identifiers and a `tag` is checked where it
+/// is parsed, so none needs an escape.
+fn json_key(name: &str) -> String {
+    format!("\"{name}\":")
+}
+
+/// Statements writing an object: the `(tag, variant key)` entry first
+/// when given, then the named fields, each skipped when its
+/// `skip_serializing_if` holds; `access(name)` yields an expression of
+/// type `&FieldType`.
+fn ser_object(
+    tag: Option<(&str, &str)>,
+    fields: &[Field],
+    access: &dyn Fn(&str) -> String,
+) -> String {
+    let mut out = String::from("__w.begin('{');");
+    if let Some((tag, key)) = tag {
+        out.push_str(&format!(
+            "__w.field({:?}); __w.str({key:?});",
+            json_key(tag)
+        ));
+    }
     for f in fields {
         let name = field_name(f);
-        let put = format!("{P}::put_field(&mut __m, {name:?}, {})?;", access(name));
+        let write = format!(
+            "__w.field({:?}); {SER}::serialize({}, __w);",
+            json_key(name),
+            access(name)
+        );
         match &f.attrs.skip_if {
-            Some(pred) => out.push_str(&format!("if !{pred}({}) {{ {put} }}", access(name))),
-            None => out.push_str(&put),
+            Some(pred) => out.push_str(&format!("if !{pred}({}) {{ {write} }}", access(name))),
+            None => out.push_str(&write),
         }
     }
+    out.push_str("__w.end('}');");
     out
 }
 
-/// `Value` expression for tuple fields bound as `__b0, __b1, ...`.
+/// `__b0, __b1, ...` for `n` tuple fields.
+fn tuple_binds(n: usize) -> String {
+    (0..n)
+        .map(|i| format!("__b{i}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Statements writing tuple fields bound as `__b0, __b1, ...`: one field
+/// as itself, more as an array.
 fn ser_tuple(n: usize) -> String {
     if n == 1 {
-        return format!("{P}::to_value(__b0)?");
+        return format!("{SER}::serialize(__b0, __w);");
     }
-    let items: Vec<String> = (0..n).map(|i| format!("{P}::to_value(__b{i})?")).collect();
-    format!("{P}::Value::Array(::std::vec![{}])", items.join(", "))
+    let items: String = (0..n)
+        .map(|i| format!("__w.item(); {SER}::serialize(__b{i}, __w);"))
+        .collect();
+    format!("__w.begin('['); {items} __w.end(']');")
 }
 
 fn gen_serialize(item: &Item) -> Result<String, String> {
     let body = match &item.data {
-        Data::Struct(Body::Named(fields)) => {
-            let fill = ser_named(fields, &|n| format!("&self.{n}"));
-            format!("let mut __m = {P}::Map::new(); {fill} {OK}({P}::Value::Object(__m))")
-        }
-        Data::Struct(Body::Tuple(fields)) => {
-            let binds: Vec<String> = (0..fields.len()).map(|i| format!("__b{i}")).collect();
-            format!(
-                "let {name}({}) = self; {OK}({})",
-                binds.join(", "),
-                ser_tuple(fields.len()),
-                name = item.name
-            )
-        }
-        Data::Struct(Body::Unit) => format!("{OK}({P}::Value::Null)"),
+        Data::Struct(Body::Named(fields)) => ser_object(None, fields, &|n| format!("&self.{n}")),
+        Data::Struct(Body::Tuple(fields)) => format!(
+            "let {}({}) = self; {}",
+            item.name,
+            tuple_binds(fields.len()),
+            ser_tuple(fields.len())
+        ),
+        Data::Struct(Body::Unit) => "__w.null();".to_string(),
         Data::Enum(variants) => {
             let mut arms = String::new();
+            let access = |n: &str| format!("__f_{n}");
             for v in variants {
                 let key = variant_key(v, item.attrs.snake_case);
-                let (pattern, payload) = match &v.body {
-                    Body::Unit => (String::new(), None),
-                    Body::Tuple(fields) => {
-                        let binds: Vec<String> =
-                            (0..fields.len()).map(|i| format!("__b{i}")).collect();
-                        (
-                            format!("({})", binds.join(", ")),
-                            Some(ser_tuple(fields.len())),
-                        )
+                let tag = item.attrs.tag.as_deref().map(|tag| (tag, key.as_str()));
+                let (pattern, write) = match &v.body {
+                    Body::Tuple(_) if tag.is_some() => {
+                        return Err(format!(
+                            "serde stand-in: internally tagged tuple variant {}",
+                            v.name
+                        ))
                     }
-                    Body::Named(fields) => {
-                        let binds: Vec<String> = fields
+                    Body::Unit if tag.is_some() => (String::new(), ser_object(tag, &[], &access)),
+                    Body::Unit if item.attrs.untagged => (String::new(), "__w.null();".into()),
+                    Body::Unit => (String::new(), format!("__w.str({key:?});")),
+                    Body::Tuple(f) => (format!("({})", tuple_binds(f.len())), ser_tuple(f.len())),
+                    Body::Named(f) => {
+                        let binds: Vec<String> = f
                             .iter()
-                            .map(|f| {
-                                let n = field_name(f);
-                                format!("{n}: __f_{n}")
-                            })
+                            .map(|f| format!("{0}: __f_{0}", field_name(f)))
                             .collect();
-                        let fill = ser_named(fields, &|n| format!("__f_{n}"));
-                        (format!("{{ {} }}", binds.join(", ")), Some(format!("{{ let mut __m = {P}::Map::new(); {fill} {P}::Value::Object(__m) }}")))
+                        let fields = ser_object(tag, f, &access);
+                        (format!("{{ {} }}", binds.join(", ")), fields)
                     }
                 };
-                let value = if item.attrs.untagged {
-                    payload.unwrap_or_else(|| format!("{P}::Value::Null"))
-                } else if let Some(tag) = &item.attrs.tag {
-                    let tag_value =
-                        format!("{P}::Value::String(::std::string::String::from({key:?}))");
-                    match (&v.body, payload) {
-                        (Body::Tuple(f), _) if f.len() != 1 => {
-                            return Err(format!("serde stand-in: internally tagged tuple variant {}", v.name))
-                        }
-                        (_, None) => format!(
-                            "{{ let mut __m = {P}::Map::new(); __m.push_unique(::std::string::String::from({tag:?}), {tag_value}); {P}::Value::Object(__m) }}"
-                        ),
-                        (_, Some(payload)) => format!(
-                            "{{ let mut __m = {P}::Map::new(); __m.push_unique(::std::string::String::from({tag:?}), {tag_value}); \
-                             for (__k, __x) in {P}::take_object({payload}, \"an object payload\")? {{ __m.insert(__k, __x); }} {P}::Value::Object(__m) }}"
-                        ),
-                    }
-                } else {
-                    match payload {
-                        None => format!("{P}::Value::String(::std::string::String::from({key:?}))"),
-                        Some(payload) => format!("{P}::tagged({key:?}, {payload})"),
-                    }
+                // An externally tagged payload sits under its variant key.
+                let external = tag.is_none() && !item.attrs.untagged;
+                let write = match &v.body {
+                    Body::Tuple(_) | Body::Named(_) if external => format!(
+                        "__w.begin('{{'); __w.field({:?}); {write} __w.end('}}');",
+                        json_key(&key)
+                    ),
+                    _ => write,
                 };
                 arms.push_str(&format!(
-                    "{}::{}{pattern} => {OK}({value}),",
+                    "{}::{}{pattern} => {{ {write} }}",
                     item.name, v.name
                 ));
             }
@@ -496,13 +516,10 @@ fn gen_serialize(item: &Item) -> Result<String, String> {
         }
     };
     Ok(format!(
-        "#[automatically_derived] impl{ig} ::serde::Serialize for {name}{tg} {{
-            fn serialize<__S: ::serde::Serializer>(&self, __s: __S) -> {RESULT}<__S::Ok, __S::Error> {{
-                let __v = (|| -> {RESULT}<{P}::Value, {P}::Error> {{ {body} }})();
-                {P}::finish(__s, __v)
-            }}
+        "#[automatically_derived] impl{ig} {SER} for {name}{tg} {{
+            fn serialize<const __P: bool>(&self, __w: &mut ::serde::Writer<'_, __P>) {{ {body} }}
         }}",
-        ig = impl_generics(&item.params, "::serde::Serialize", ""),
+        ig = impl_generics(&item.params, SER, ""),
         name = item.name,
         tg = type_generics(&item.params),
     ))

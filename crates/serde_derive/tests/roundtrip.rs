@@ -1,18 +1,23 @@
 //! Round trips through the derives and `serde_json`: one per `#[serde]`
-//! attribute the workspace uses, plus a generic struct. Each pins the JSON
-//! text too, since the wire format and the result files depend on it.
+//! attribute the workspace uses, plus a generic struct and a nested one.
+//! Each pins the compact and the pretty JSON text too, since the wire
+//! format and the result files depend on them.
 
 use serde::{Deserialize, Serialize};
 
-/// Serialize, check the text, and read it back.
-fn round_trip<T>(value: &T, json: &str)
+/// Serialize compact and pretty, check both texts, and read each back.
+fn round_trip<T>(value: &T, json: &str, pretty: &str)
 where
     T: Serialize + for<'de> Deserialize<'de> + PartialEq + std::fmt::Debug,
 {
     let text = serde_json::to_string(value).unwrap();
     assert_eq!(text, json);
-    let back: T = serde_json::from_str(&text).unwrap();
-    assert_eq!(&back, value);
+    let indented = serde_json::to_string_pretty(value).unwrap();
+    assert_eq!(indented, pretty);
+    for text in [text, indented] {
+        let back: T = serde_json::from_str(&text).unwrap();
+        assert_eq!(&back, value);
+    }
 }
 
 fn three() -> u32 {
@@ -35,7 +40,11 @@ fn field_default_fills_missing_fields() {
         count: 7,
         retries: 9,
     };
-    round_trip(&full, r#"{"name":"a","count":7,"retries":9}"#);
+    round_trip(
+        &full,
+        r#"{"name":"a","count":7,"retries":9}"#,
+        "{\n  \"name\": \"a\",\n  \"count\": 7,\n  \"retries\": 9\n}",
+    );
     let sparse: FieldDefaults = serde_json::from_str(r#"{"name":"b"}"#).unwrap();
     assert_eq!(
         sparse,
@@ -72,6 +81,7 @@ fn container_default_fills_from_the_default_value() {
             depth: 4,
         },
         r#"{"period_s":1.5,"depth":4}"#,
+        "{\n  \"period_s\": 1.5,\n  \"depth\": 4\n}",
     );
     let sparse: ContainerDefault = serde_json::from_str(r#"{"depth":9}"#).unwrap();
     assert_eq!(
@@ -101,6 +111,7 @@ fn skip_serializing_if_omits_empty_fields() {
             tags: Vec::new(),
         },
         r#"{"id":1}"#,
+        "{\n  \"id\": 1\n}",
     );
     round_trip(
         &Skips {
@@ -109,6 +120,7 @@ fn skip_serializing_if_omits_empty_fields() {
             tags: vec!["x".into()],
         },
         r#"{"id":2,"cap_w":95.0,"tags":["x"]}"#,
+        "{\n  \"id\": 2,\n  \"cap_w\": 95.0,\n  \"tags\": [\n    \"x\"\n  ]\n}",
     );
 }
 
@@ -122,14 +134,19 @@ enum Action {
 
 #[test]
 fn rename_all_snake_case_renames_variants() {
-    round_trip(&Action::HoldSteady, r#""hold_steady""#);
-    round_trip(&Action::SetMax(2.2), r#"{"set_max":2.2}"#);
+    round_trip(&Action::HoldSteady, r#""hold_steady""#, r#""hold_steady""#);
+    round_trip(
+        &Action::SetMax(2.2),
+        r#"{"set_max":2.2}"#,
+        "{\n  \"set_max\": 2.2\n}",
+    );
     round_trip(
         &Action::Window {
             lo_ghz: 0.8,
             hi_ghz: 2.2,
         },
         r#"{"window":{"lo_ghz":0.8,"hi_ghz":2.2}}"#,
+        "{\n  \"window\": {\n    \"lo_ghz\": 0.8,\n    \"hi_ghz\": 2.2\n  }\n}",
     );
     assert!(serde_json::from_str::<Action>(r#""HoldSteady""#).is_err());
 }
@@ -143,10 +160,15 @@ enum Governor {
 
 #[test]
 fn tag_puts_the_variant_name_beside_the_fields() {
-    round_trip(&Governor::Stock, r#"{"type":"stock"}"#);
+    round_trip(
+        &Governor::Stock,
+        r#"{"type":"stock"}"#,
+        "{\n  \"type\": \"stock\"\n}",
+    );
     round_trip(
         &Governor::FixedUncore { ghz: 1.2 },
         r#"{"type":"fixed_uncore","ghz":1.2}"#,
+        "{\n  \"type\": \"fixed_uncore\",\n  \"ghz\": 1.2\n}",
     );
     let reordered: Governor = serde_json::from_str(r#"{"ghz":0.8,"type":"fixed_uncore"}"#).unwrap();
     assert_eq!(reordered, Governor::FixedUncore { ghz: 0.8 });
@@ -166,11 +188,11 @@ enum Field {
 
 #[test]
 fn untagged_picks_the_first_variant_that_fits() {
-    round_trip(&Field::Bool(true), "true");
-    round_trip(&Field::U64(3), "3");
-    round_trip(&Field::I64(-3), "-3");
-    round_trip(&Field::F64(3.5), "3.5");
-    round_trip(&Field::Str("x".into()), r#""x""#);
+    round_trip(&Field::Bool(true), "true", "true");
+    round_trip(&Field::U64(3), "3", "3");
+    round_trip(&Field::I64(-3), "-3", "-3");
+    round_trip(&Field::F64(3.5), "3.5", "3.5");
+    round_trip(&Field::Str("x".into()), r#""x""#, r#""x""#);
     assert!(serde_json::from_str::<Field>("null").is_err());
 }
 
@@ -188,6 +210,7 @@ fn generic_struct_round_trips_for_each_parameter() {
             right: 2,
         },
         r#"{"left":1,"right":2}"#,
+        "{\n  \"left\": 1,\n  \"right\": 2\n}",
     );
     round_trip(
         &Pair {
@@ -195,5 +218,75 @@ fn generic_struct_round_trips_for_each_parameter() {
             right: String::from("b"),
         },
         r#"{"left":"a","right":"b"}"#,
+        "{\n  \"left\": \"a\",\n  \"right\": \"b\"\n}",
+    );
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Empty {}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Nested {
+    empty: Empty,
+    items: Vec<u32>,
+    pairs: Vec<(u32, f64)>,
+    governor: Governor,
+    action: Action,
+    field: Field,
+    cap_w: Option<f64>,
+    inner: Pair<Pair<u32>>,
+}
+
+#[test]
+fn nesting_indents_every_level_and_writes_empty_containers_flat() {
+    round_trip(&Empty {}, "{}", "{}");
+    round_trip(&Vec::<u32>::new(), "[]", "[]");
+    round_trip(
+        &Nested {
+            empty: Empty {},
+            items: Vec::new(),
+            pairs: vec![(1, 0.5)],
+            governor: Governor::Stock,
+            action: Action::SetMax(2.2),
+            field: Field::Str("x".into()),
+            cap_w: None,
+            inner: Pair {
+                left: Pair { left: 1, right: 2 },
+                right: Pair { left: 3, right: 4 },
+            },
+        },
+        concat!(
+            r#"{"empty":{},"items":[],"pairs":[[1,0.5]],"governor":{"type":"stock"},"#,
+            r#""action":{"set_max":2.2},"field":"x","cap_w":null,"#,
+            r#""inner":{"left":{"left":1,"right":2},"right":{"left":3,"right":4}}}"#,
+        ),
+        r#"{
+  "empty": {},
+  "items": [],
+  "pairs": [
+    [
+      1,
+      0.5
+    ]
+  ],
+  "governor": {
+    "type": "stock"
+  },
+  "action": {
+    "set_max": 2.2
+  },
+  "field": "x",
+  "cap_w": null,
+  "inner": {
+    "left": {
+      "left": 1,
+      "right": 2
+    },
+    "right": {
+      "left": 3,
+      "right": 4
+    }
+  }
+}"#,
     );
 }

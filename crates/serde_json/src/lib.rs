@@ -1,17 +1,18 @@
-//! Offline stand-in for `serde_json`, covering what the workspace calls:
-//! `to_string`, `to_string_pretty`, `to_vec`, `from_str`, `from_slice` and
-//! `Error`, as a JSON reader and writer over the value tree of the `serde`
-//! stand-in.
+//! JSON text for the workspace's serde: `to_string`, `to_string_pretty`,
+//! `to_vec` and [`append`] write through its direct writer, and
+//! `from_str` and `from_slice` parse into its value tree, which
+//! `Deserialize` then reads.
 //!
 //! Output follows upstream's shape (compact, or pretty with two-space
 //! indents; struct fields in declaration order; NaN and infinities as
 //! `null`). Floats are written as the shortest text that reads back to the
-//! same bits, so every f64 round-trips exactly.
+//! same bits, so every f64 round-trips exactly. The parser rejects nesting
+//! deeper than 128 levels and reads an object in time linear in its size.
 
 use std::fmt;
 
-use serde::__private::{write_compact, write_pretty, ValueDeserializer};
-use serde::{Deserialize, Map, Number, Serialize, Value};
+use serde::__private::ValueDeserializer;
+use serde::{Deserialize, Map, Number, Serialize, Value, Writer};
 
 /// Nesting deeper than this is rejected, as upstream.
 const MAX_DEPTH: usize = 128;
@@ -60,17 +61,27 @@ impl From<serde::__private::Error> for Error {
 /// `Result` with this crate's [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// Append `value`'s JSON to `out`: indented as [`to_string_pretty`]
+/// writes it when `pretty`, compact as [`to_string`] writes it otherwise.
+pub fn append<T: Serialize + ?Sized>(out: &mut String, value: &T, pretty: bool) {
+    if pretty {
+        value.serialize(&mut Writer::<true>::new(out));
+    } else {
+        value.serialize(&mut Writer::<false>::new(out));
+    }
+}
+
 /// Compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_compact(&mut out, &serde::__private::to_value(value)?);
+    append(&mut out, value, false);
     Ok(out)
 }
 
 /// Indented JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_pretty(&mut out, &serde::__private::to_value(value)?, 0);
+    append(&mut out, value, true);
     Ok(out)
 }
 
@@ -199,11 +210,11 @@ impl<'a> Parser<'a> {
 
     fn parse_object(&mut self) -> Result<Value> {
         self.pos += 1;
-        let mut m = Map::new();
+        let mut entries = Vec::new();
         self.skip_ws();
         if self.bytes.get(self.pos) == Some(&b'}') {
             self.pos += 1;
-            return Ok(Value::Object(m));
+            return Ok(Value::Object(Map::from_entries(entries)));
         }
         loop {
             self.skip_ws();
@@ -221,13 +232,13 @@ impl<'a> Parser<'a> {
             }
             self.skip_ws();
             let v = self.parse_value()?;
-            m.insert(key, v);
+            entries.push((key, v));
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(m));
+                    return Ok(Value::Object(Map::from_entries(entries)));
                 }
                 None => return Err(self.eof("an object")),
                 Some(_) => return Err(self.error("expected `,` or `}`")),
@@ -469,6 +480,33 @@ mod tests {
                 err.to_string().contains("recursion limit exceeded"),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn repeated_keys_keep_the_first_place_and_the_last_value() {
+        // Below and above the length where repeats stop being found by a
+        // scan.
+        for n in [3, 40] {
+            let mut text = String::from("{");
+            for i in 0..n {
+                text.push_str(&format!("\"k{i}\":{i},"));
+            }
+            text.push_str(r#""k1":100,"k0":200,"k1":300}"#);
+            let Value::Object(m) = parse(&text).unwrap() else {
+                panic!("{text} is an object");
+            };
+            let got: Vec<(String, u64)> = m
+                .into_iter()
+                .map(|(k, v)| match v {
+                    Value::Number(x) => (k, x.as_u64().unwrap()),
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            let mut want: Vec<(String, u64)> = (0..n).map(|i| (format!("k{i}"), i)).collect();
+            want[0].1 = 200;
+            want[1].1 = 300;
+            assert_eq!(got, want, "{n} keys");
         }
     }
 

@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use serde::__private::write_str;
 use serde::{Deserialize, Serialize};
 
 /// Default cap on buffered events per [`EventLog`].
@@ -51,28 +50,6 @@ pub enum FieldValue {
     /// Symbolic value (trend / action names): borrowed when built from a
     /// literal, owned when read back from JSON.
     Str(Cow<'static, str>),
-}
-
-impl FieldValue {
-    /// Append the value as `serde_json` writes it: integers as they are, a
-    /// finite float as the shortest text that reads back to the same bits
-    /// (`{:?}`), NaN and the infinities as `null`, a string escaped.
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Self::U64(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Self::I64(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Self::F64(x) if x.is_finite() => {
-                let _ = write!(out, "{x:?}");
-            }
-            Self::F64(_) => out.push_str("null"),
-            Self::Str(s) => write_str(out, s),
-        }
-    }
 }
 
 impl From<bool> for FieldValue {
@@ -121,8 +98,8 @@ impl From<String> for FieldValue {
 /// borrowed from the literals emitters pass to [`Event::new`] and
 /// [`Event::with`], so building an event allocates only its field map,
 /// and owned when an event is read back from JSON (the result cache).
-/// [`Event::write_json`] renders the JSONL form; the serde derive serves
-/// the documents that embed events (cache entries, `run --json`).
+/// Its serde derive writes every form: JSONL lines, cache entries and
+/// `run --json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Simulation timestamp (µs since node construction).
@@ -149,25 +126,6 @@ impl Event {
     pub fn with(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
         self.fields.insert(Cow::Borrowed(name), value.into());
         self
-    }
-
-    /// Append the event as one compact JSON object: exactly the bytes
-    /// `serde_json::to_string(self)` gives (`{"t_us":…,"kind":…,"fields":{…}}`,
-    /// fields in name order), written straight from the event rather than
-    /// through a value tree. The JSONL renderers use it.
-    pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"t_us\":{},\"kind\":", self.t_us);
-        write_str(out, &self.kind);
-        out.push_str(",\"fields\":{");
-        for (i, (name, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(out, name);
-            out.push(':');
-            value.write_json(out);
-        }
-        out.push_str("}}");
     }
 }
 
@@ -603,35 +561,39 @@ mod tests {
             0 => FieldValue::Bool(bits & 1 == 1),
             1 => FieldValue::U64(bits >> (bits % 64)),
             2 => FieldValue::I64((bits as i64) >> (bits % 64)),
-            // Raw bit patterns: every exponent, subnormals, NaN, ±∞.
-            3 => FieldValue::F64(f64::from_bits(bits)),
+            // Raw bit patterns: every exponent and subnormals. NaN and ±∞
+            // write as `null`, which no field reads back.
+            3 if f64::from_bits(bits).is_finite() => FieldValue::F64(f64::from_bits(bits)),
             _ => FieldValue::from(random_string(state)),
         }
     }
 
-    /// `write_json` appends exactly the derive's `serde_json` bytes.
-    fn assert_writer_matches_derive(event: &Event) {
-        const PREFIX: &str = "{\"node\":0,";
-        let mut out = String::from(PREFIX);
-        event.write_json(&mut out);
-        let derived = serde_json::to_string(event).expect("serialize");
-        assert_eq!(&out[PREFIX.len()..], derived, "{event:?}");
-    }
-
-    #[test]
-    fn event_writer_matches_the_serde_derive() {
-        let nasty: String = (0u8..0x20)
+    /// Every byte below 0x20, `"`, `\`, `/`, DEL and multi-byte UTF-8.
+    fn nasty() -> String {
+        (0u8..0x20)
             .map(char::from)
             .chain("\"\\/\u{7f}é€😀".chars())
-            .collect();
+            .collect()
+    }
+
+    /// [`nasty`] as a JSON string's contents.
+    const NASTY_JSON: &str = concat!(
+        r"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f",
+        r"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017",
+        r"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f",
+        "\\\"\\\\/\u{7f}é€😀",
+    );
+
+    #[test]
+    fn events_write_their_exact_json_bytes() {
         let mut owned = Event {
             t_us: u64::MAX,
-            kind: Cow::Owned(format!("kind{nasty}")),
+            kind: Cow::Owned(format!("kind{}", nasty())),
             fields: BTreeMap::new(),
         };
         owned
             .fields
-            .insert(Cow::Owned(nasty.clone()), FieldValue::from(nasty.clone()));
+            .insert(Cow::Owned(nasty()), FieldValue::from(nasty()));
         owned
             .fields
             .insert(Cow::Owned("plain".into()), FieldValue::from("static"));
@@ -651,12 +613,36 @@ mod tests {
             .with("i_minus_one", -1i64)
             .with("i_max", i64::MAX)
             .with("flag", true);
-        for event in [Event::new(7, "empty"), owned, edges] {
-            assert_writer_matches_derive(&event);
+        let n = NASTY_JSON;
+        for (event, json) in [
+            (
+                Event::new(7, "empty"),
+                r#"{"t_us":7,"kind":"empty","fields":{}}"#.to_string(),
+            ),
+            (
+                owned,
+                format!(
+                    r#"{{"t_us":18446744073709551615,"kind":"kind{n}","fields":{{"{n}":"{n}","plain":"static"}}}}"#
+                ),
+            ),
+            (
+                edges,
+                concat!(
+                    r#"{"t_us":0,"kind":"edges","fields":{"f_1e-7":1e-7,"f_1e16":1e16,"#,
+                    r#""f_inf":null,"f_max":1.7976931348623157e308,"f_nan":null,"#,
+                    r#""f_neg_inf":null,"f_neg_zero":-0.0,"f_subnormal":5e-324,"f_zero":0.0,"#,
+                    r#""flag":true,"i_max":9223372036854775807,"#,
+                    r#""i_min":-9223372036854775808,"i_minus_one":-1,"#,
+                    r#""u_max":18446744073709551615,"u_zero":0}}"#,
+                )
+                .to_string(),
+            ),
+        ] {
+            assert_eq!(serde_json::to_string(&event).unwrap(), json, "{event:?}");
         }
-        let json = serde_json::to_string(&Event::new(1, "x").with("n", f64::NAN)).unwrap();
-        assert_eq!(json, r#"{"t_us":1,"kind":"x","fields":{"n":null}}"#);
 
+        // Generated events: the text reads back to an event that writes the
+        // same text again.
         for case in 0..2_000u64 {
             let mut state = case;
             let mut event = Event {
@@ -670,7 +656,9 @@ mod tests {
                     .fields
                     .insert(Cow::Owned(random_string(&mut state)), value);
             }
-            assert_writer_matches_derive(&event);
+            let json = serde_json::to_string(&event).unwrap();
+            let back: Event = serde_json::from_str(&json).expect("reads back");
+            assert_eq!(serde_json::to_string(&back).unwrap(), json, "case {case}");
         }
     }
 

@@ -179,8 +179,11 @@ fn serve(out: &mut impl Write, cfg: ServeConfig) -> Result<(), Box<dyn Error>> {
 /// The fleet summary's file rendering, shared by every path that writes
 /// one (`ctl drive --summary`, `ctl snapshot`, `fleet --summary`) so the
 /// CI system test can byte-compare daemon and batch output.
-fn summary_json(summary: &FleetSummary) -> Result<String, serde_json::Error> {
-    Ok(format!("{}\n", serde_json::to_string_pretty(summary)?))
+fn summary_json(summary: &FleetSummary) -> String {
+    let mut out = String::new();
+    serde_json::append(&mut out, summary, true);
+    out.push('\n');
+    out
 }
 
 /// Write `contents` to `path`, creating parent directories as needed.
@@ -247,7 +250,7 @@ fn run_ctl(out: &mut impl Write, addr: &str, action: CtlAction) -> Result<(), Bo
             let snap = CtlClient::connect(addr)?.snapshot()?;
             eprintln!("[ctl] epoch {}", snap.epoch);
             match &snap.summary {
-                Some(summary) => write!(out, "{}", summary_json(summary)?)?,
+                Some(summary) => write!(out, "{}", summary_json(summary))?,
                 None => writeln!(out, "null")?,
             }
         }
@@ -322,7 +325,7 @@ fn drive(
         write_file(path, &jsonl)?;
     }
     if let Some(path) = summary_path {
-        write_file(path, &summary_json(&summary)?)?;
+        write_file(path, &summary_json(&summary))?;
     }
     if let Some(path) = metrics {
         write_file(path, &snap.prometheus)?;
@@ -394,7 +397,7 @@ fn fleet(
         );
     }
     if let Some(path) = summary_path {
-        write_file(path, &summary_json(&run.summary)?)?;
+        write_file(path, &summary_json(&run.summary))?;
     }
     Ok(())
 }

@@ -7,6 +7,9 @@
 
 use std::path::{Path, PathBuf};
 
+mod golden;
+use golden::assert_matches_golden;
+
 use magus_suite::experiments::drivers::{MagusDriver, RuntimeDriver, UpsDriver};
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
 use magus_suite::experiments::fleet::{run_fleet_with_telemetry, FleetSpec};
@@ -217,32 +220,6 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Compare `actual` with the committed golden `name` byte for byte,
-/// naming the first line that differs.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let golden = std::fs::read_to_string(fixture(name)).expect("golden fixture");
-    if actual == golden {
-        return;
-    }
-    // The first differing line, or the first line only one side has.
-    let line = golden
-        .lines()
-        .zip(actual.lines())
-        .position(|(want, got)| want != got)
-        .unwrap_or_else(|| golden.lines().count().min(actual.lines().count()));
-    let want = golden.lines().nth(line).unwrap_or("<end of file>");
-    let got = actual.lines().nth(line).unwrap_or("<end of file>");
-    panic!(
-        "{name}: {} bytes / {} lines rendered, golden has {} bytes / {} lines; \
-         first difference at line {}:\n golden: {want}\n actual: {got}",
-        actual.len(),
-        actual.lines().count(),
-        golden.len(),
-        golden.lines().count(),
-        line + 1,
-    );
-}
-
 /// Telemetry bytes stay what the committed goldens under
 /// `tests/fixtures/telemetry/` say, across versions, not just across two
 /// renderings by one build. They cover both line prefixes (`{"trial":…,`
@@ -271,7 +248,7 @@ fn telemetry_jsonl_matches_the_committed_goldens() {
     ] {
         let engine = Engine::ephemeral().with_faults(plan).with_telemetry();
         let _ = engine.run(&TrialSpec::new(SystemId::IntelA100, AppId::Srad, governor));
-        assert_matches_golden(golden, &engine.telemetry_jsonl());
+        assert_matches_golden(&fixture(golden), &engine.telemetry_jsonl());
     }
 
     let traffic = load_traffic_spec(&fixture("traffic.json")).expect("traffic spec");
@@ -282,5 +259,5 @@ fn telemetry_jsonl_matches_the_committed_goldens() {
     }
     .with_traffic(traffic);
     let (_, jsonl) = run_fleet_with_telemetry(&spec);
-    assert_matches_golden("fleet_traffic.jsonl", &jsonl);
+    assert_matches_golden(&fixture("fleet_traffic.jsonl"), &jsonl);
 }
