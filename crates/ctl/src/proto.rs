@@ -180,7 +180,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
 /// Serialize `msg` and write it as one frame.
 pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ProtoError> {
     let mut payload = String::new();
-    serde_json::append(&mut payload, msg, false);
+    serde_json::append(&mut payload, msg);
     write_frame(w, payload.as_bytes())
 }
 

@@ -923,7 +923,7 @@ impl Engine {
         for (trial, json, places) in export_order(&state.events) {
             for place in places {
                 out.push_str("{\"trial\":");
-                serde_json::append(&mut out, &trial.label, false);
+                serde_json::append(&mut out, &trial.label);
                 out.push(',');
                 out.push_str(&json[place.start + 1..place.end]);
                 out.push('\n');
@@ -1082,7 +1082,7 @@ fn export_order(trials: &[TrialEvents]) -> Vec<(&TrialEvents, String, Vec<Range<
                         json.push(',');
                     }
                     let start = json.len();
-                    serde_json::append(&mut json, e, false);
+                    serde_json::append(&mut json, e);
                     start..json.len()
                 })
                 .collect();

@@ -252,7 +252,7 @@ pub fn fleet_telemetry_jsonl(fleet: &mut FleetSim) -> String {
             // The event's object continues this line's: its `{` becomes
             // the `,` after the node.
             let at = out.len();
-            serde_json::append(&mut out, &event, false);
+            serde_json::append(&mut out, &event);
             out.replace_range(at..=at, ",");
             out.push('\n');
         }

@@ -101,31 +101,19 @@ pub struct Map<K, V> {
 
 impl Map<String, Value> {
     /// The map of `entries` in their order, where a repeated key keeps
-    /// its first place and takes its last value. Linear in the entries: a
-    /// short list is scanned, a longer one hashes each key once.
+    /// its first place and takes its last value. Linear in the entries:
+    /// each key is hashed once.
     pub fn from_entries(mut entries: Vec<(String, Value)>) -> Self {
-        /// Longest list checked by scanning: the objects the workspace
-        /// reads are this short, and a scan costs them no hashing.
-        const SCAN_LEN: usize = 16;
         // (first place, later place) of every repeated key.
-        let repeats: Vec<(usize, usize)> = if entries.len() <= SCAN_LEN {
-            (1..entries.len())
-                .filter_map(|i| {
-                    let key = &entries[i].0;
-                    Some((entries[..i].iter().position(|(k, _)| k == key)?, i))
-                })
-                .collect()
-        } else {
-            let mut first_place = HashMap::with_capacity(entries.len());
-            entries
-                .iter()
-                .enumerate()
-                .filter_map(|(i, (key, _))| {
-                    let first = *first_place.entry(key.as_str()).or_insert(i);
-                    (first != i).then_some((first, i))
-                })
-                .collect()
-        };
+        let mut first_place = HashMap::with_capacity(entries.len());
+        let repeats: Vec<(usize, usize)> = entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (key, _))| {
+                let first = *first_place.entry(key.as_str()).or_insert(i);
+                (first != i).then_some((first, i))
+            })
+            .collect();
         if !repeats.is_empty() {
             for &(first, later) in &repeats {
                 entries[first].1 = std::mem::replace(&mut entries[later].1, Value::Null);

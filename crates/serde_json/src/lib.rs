@@ -61,27 +61,22 @@ impl From<serde::__private::Error> for Error {
 /// `Result` with this crate's [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Append `value`'s JSON to `out`: indented as [`to_string_pretty`]
-/// writes it when `pretty`, compact as [`to_string`] writes it otherwise.
-pub fn append<T: Serialize + ?Sized>(out: &mut String, value: &T, pretty: bool) {
-    if pretty {
-        value.serialize(&mut Writer::<true>::new(out));
-    } else {
-        value.serialize(&mut Writer::<false>::new(out));
-    }
+/// Append `value`'s compact JSON, as [`to_string`] writes it, to `out`.
+pub fn append<T: Serialize + ?Sized>(out: &mut String, value: &T) {
+    value.serialize(&mut Writer::<false>::new(out));
 }
 
 /// Compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    append(&mut out, value, false);
+    append(&mut out, value);
     Ok(out)
 }
 
 /// Indented JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    append(&mut out, value, true);
+    value.serialize(&mut Writer::<true>::new(&mut out));
     Ok(out)
 }
 
@@ -485,8 +480,6 @@ mod tests {
 
     #[test]
     fn repeated_keys_keep_the_first_place_and_the_last_value() {
-        // Below and above the length where repeats stop being found by a
-        // scan.
         for n in [3, 40] {
             let mut text = String::from("{");
             for i in 0..n {

@@ -179,11 +179,10 @@ fn serve(out: &mut impl Write, cfg: ServeConfig) -> Result<(), Box<dyn Error>> {
 /// The fleet summary's file rendering, shared by every path that writes
 /// one (`ctl drive --summary`, `ctl snapshot`, `fleet --summary`) so the
 /// CI system test can byte-compare daemon and batch output.
-fn summary_json(summary: &FleetSummary) -> String {
-    let mut out = String::new();
-    serde_json::append(&mut out, summary, true);
+fn summary_json(summary: &FleetSummary) -> Result<String, serde_json::Error> {
+    let mut out = serde_json::to_string_pretty(summary)?;
     out.push('\n');
-    out
+    Ok(out)
 }
 
 /// Write `contents` to `path`, creating parent directories as needed.
@@ -250,7 +249,7 @@ fn run_ctl(out: &mut impl Write, addr: &str, action: CtlAction) -> Result<(), Bo
             let snap = CtlClient::connect(addr)?.snapshot()?;
             eprintln!("[ctl] epoch {}", snap.epoch);
             match &snap.summary {
-                Some(summary) => write!(out, "{}", summary_json(summary))?,
+                Some(summary) => write!(out, "{}", summary_json(summary)?)?,
                 None => writeln!(out, "null")?,
             }
         }
@@ -325,7 +324,7 @@ fn drive(
         write_file(path, &jsonl)?;
     }
     if let Some(path) = summary_path {
-        write_file(path, &summary_json(&summary))?;
+        write_file(path, &summary_json(&summary)?)?;
     }
     if let Some(path) = metrics {
         write_file(path, &snap.prometheus)?;
@@ -397,7 +396,7 @@ fn fleet(
         );
     }
     if let Some(path) = summary_path {
-        write_file(path, &summary_json(&run.summary))?;
+        write_file(path, &summary_json(&run.summary)?)?;
     }
     Ok(())
 }
