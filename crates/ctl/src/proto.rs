@@ -24,7 +24,6 @@ use std::io::{self, IoSlice, Read, Write};
 use magus_experiments::harness::SystemId;
 use magus_hetsim::fleet::FleetSummary;
 use magus_workloads::{AppId, TrafficSpec};
-use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 /// Protocol revision spoken by this build. A [`Request::Hello`] carrying a
@@ -180,16 +179,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
 /// Serialize `msg` and write it as one frame.
 pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ProtoError> {
     let mut payload = String::new();
-    serde_json::append(&mut payload, msg);
+    serde::append(&mut payload, msg);
     write_frame(w, payload.as_bytes())
 }
 
 /// Read one frame and parse it as a `T`. `Ok(None)` is a clean
 /// end-of-stream, exactly as in [`read_frame`].
-pub fn read_message<T: DeserializeOwned>(r: &mut impl Read) -> Result<Option<T>, ProtoError> {
+pub fn read_message<T: Deserialize>(r: &mut impl Read) -> Result<Option<T>, ProtoError> {
     match read_frame(r)? {
         None => Ok(None),
-        Some(payload) => serde_json::from_slice(&payload)
+        Some(payload) => serde::from_slice(&payload)
             .map(Some)
             .map_err(|e| ProtoError::Malformed(e.to_string())),
     }
@@ -356,7 +355,7 @@ mod tests {
     use super::*;
 
     /// Round-trip a message through the codec over an in-memory pipe.
-    fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + core::fmt::Debug>(msg: &T) {
+    fn roundtrip<T: Serialize + Deserialize + PartialEq + core::fmt::Debug>(msg: &T) {
         let mut buf = Vec::new();
         write_message(&mut buf, msg).unwrap();
         let got: T = read_message(&mut buf.as_slice()).unwrap().unwrap();
@@ -393,7 +392,7 @@ mod tests {
         // `start_offset_us` has a serde default, so hand-written clients
         // can omit it.
         let req: Request =
-            serde_json::from_str(r#"{"type":"join_node","system":"IntelA100","count":2}"#).unwrap();
+            serde::from_str(r#"{"type":"join_node","system":"IntelA100","count":2}"#).unwrap();
         assert_eq!(
             req,
             Request::JoinNode {
@@ -410,7 +409,7 @@ mod tests {
         // `{"node":…,"app":…}` with no `traffic` key; both optional fields
         // have serde defaults so that wire shape keeps working.
         let req: Request =
-            serde_json::from_str(r#"{"type":"submit_workload","node":3,"app":"Bfs"}"#).unwrap();
+            serde::from_str(r#"{"type":"submit_workload","node":3,"app":"Bfs"}"#).unwrap();
         match &req {
             Request::SubmitWorkload { node, app, traffic } => {
                 assert_eq!(*node, 3);

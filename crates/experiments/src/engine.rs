@@ -410,7 +410,7 @@ fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
 /// Stable 128-bit content hash of a spec under a salt, as 32 hex chars.
 ///
 /// The spec is hashed through its canonical JSON encoding (field order is
-/// declaration order, `serde_json`'s float round-tripping is exact), so
+/// declaration order, and every float reads back to the same bits), so
 /// equal specs hash equal across processes and any field change produces
 /// a new hash. The workspace's dependency policy has no cryptographic
 /// hash crate; two independent FNV-1a-64 lanes are ample for cache
@@ -418,7 +418,7 @@ fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
 /// equality check on load).
 #[must_use]
 pub fn spec_hash(spec: &TrialSpec, salt: &str) -> String {
-    let json = serde_json::to_string(spec).expect("TrialSpec serialises");
+    let json = serde::to_string(spec);
     let mut data = Vec::with_capacity(salt.len() + 1 + json.len());
     data.extend_from_slice(salt.as_bytes());
     data.push(0);
@@ -430,7 +430,7 @@ pub fn spec_hash(spec: &TrialSpec, salt: &str) -> String {
 
 /// Result of one engine trial: metrics plus trace handles, and where it
 /// came from.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrialOutcome {
     /// The spec that produced this outcome.
     pub spec: TrialSpec,
@@ -449,7 +449,7 @@ pub struct TrialOutcome {
 /// reductions (fig 4, fig 7, fleet sweeps) consume, minus the recorded
 /// time series. Built inside the worker via [`Engine::run_brief`], so the
 /// sample vectors never accumulate across a suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrialBrief {
     /// Human-readable spec label.
     pub label: String,
@@ -466,16 +466,13 @@ pub struct TrialBrief {
     /// High-frequency lock fraction (MAGUS-family governors only).
     pub high_freq_fraction: Option<f64>,
     /// Counts of injected faults, by kind (all zero on clean trials).
-    #[serde(default)]
     pub fault_counters: FaultCounters,
     /// Jobs carrying deadlines (traffic workloads only; 0 otherwise).
-    #[serde(default)]
     pub deadline_jobs: u64,
     /// Jobs that missed their deadline. For a solo trial the node either
     /// completed its whole trace (job finish times estimated through the
     /// mean stretch factor) or hit its budget (every job counted missed —
     /// `RunSummary` carries no partial-progress field).
-    #[serde(default)]
     pub deadline_misses: u64,
     /// Served from the on-disk cache.
     pub cached: bool,
@@ -571,7 +568,7 @@ impl RunManifest {
 }
 
 /// One trial's buffered decision-event stream, labeled for export.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrialEvents {
     /// Human-readable spec label ([`TrialSpec::label`]).
     pub label: String,
@@ -923,7 +920,7 @@ impl Engine {
         for (trial, json, places) in export_order(&state.events) {
             for place in places {
                 out.push_str("{\"trial\":");
-                serde_json::append(&mut out, &trial.label);
+                serde::append(&mut out, &trial.label);
                 out.push(',');
                 out.push_str(&json[place.start + 1..place.end]);
                 out.push('\n');
@@ -949,7 +946,7 @@ impl Engine {
         let dir = self.cache_dir.as_ref()?;
         let bytes = fs::read(dir.join(format!("{hash}.json"))).ok()?;
         // A corrupt or foreign file is a miss, never an error.
-        let entry: CacheEntry = serde_json::from_slice(&bytes).ok()?;
+        let entry: CacheEntry = serde::from_slice(&bytes).ok()?;
         (entry.salt == self.salt && entry.spec == *spec).then_some(entry)
     }
 
@@ -969,13 +966,7 @@ impl Engine {
             high_freq_fraction,
             result: result.clone(),
         };
-        let json = match serde_json::to_vec(&entry) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("[engine] cache serialise failed for {hash}: {e}");
-                return;
-            }
-        };
+        let json = serde::to_string(&entry);
         if let Err(e) = fs::create_dir_all(dir) {
             eprintln!("[engine] cannot create cache dir {}: {e}", dir.display());
             return;
@@ -1032,8 +1023,7 @@ impl Engine {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let json = serde_json::to_string_pretty(&self.manifest()).map_err(std::io::Error::other)?;
-        fs::write(path, json)
+        fs::write(path, serde::to_string_pretty(&self.manifest()))
     }
 
     /// One-line run summary for logs.
@@ -1082,7 +1072,7 @@ fn export_order(trials: &[TrialEvents]) -> Vec<(&TrialEvents, String, Vec<Range<
                         json.push(',');
                     }
                     let start = json.len();
-                    serde_json::append(&mut json, e);
+                    serde::append(&mut json, e);
                     start..json.len()
                 })
                 .collect();
@@ -1303,8 +1293,8 @@ mod tests {
         let spec = TrialSpec::hybrid(GovernorSpec::ups_default(), Some(105.0))
             .recorded()
             .replicate(2);
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: TrialSpec = serde_json::from_str(&json).unwrap();
+        let json = serde::to_string(&spec);
+        let back: TrialSpec = serde::from_str(&json).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.content_hash(), spec.content_hash());
     }

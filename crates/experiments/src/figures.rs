@@ -14,7 +14,7 @@
 
 use magus_runtime::MagusConfig;
 use magus_workloads::{fig4a_suite, fig4b_suite, fig4c_suite, table1_suite, AppId, Platform};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::{Engine, GovernorSpec, TrialBrief, TrialSpec};
 use crate::harness::{SystemId, TrialResult};
@@ -32,7 +32,7 @@ pub fn fig1_unet_profile(engine: &Engine) -> TrialResult {
 }
 
 /// Fig 2 data: UNet under fixed max vs fixed min uncore frequency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig2Data {
     /// Run with the uncore pinned at maximum (2.2 GHz).
     pub max_uncore: TrialResult,
@@ -92,7 +92,7 @@ pub fn fig2_unet_extremes(engine: &Engine) -> Fig2Data {
 }
 
 /// One application's Fig 4 row: MAGUS and UPS against the stock baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AppEval {
     /// Application name.
     pub app: String,
@@ -159,7 +159,7 @@ pub fn fig4(engine: &Engine, system: SystemId) -> Vec<AppEval> {
 }
 
 /// Fig 5: SRAD memory-throughput traces under four policies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig5Data {
     /// Uncore pinned at maximum.
     pub max_uncore: TrialResult,
@@ -197,7 +197,7 @@ pub fn fig5_srad_case_study(engine: &Engine) -> Fig5Data {
 }
 
 /// Derived §6.2 case-study statistics (the numbers quoted in the text).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SradStats {
     /// MAGUS vs baseline.
     pub magus: Comparison,
@@ -252,7 +252,7 @@ pub fn table1_jaccard(engine: &Engine) -> Vec<(String, f64)> {
 }
 
 /// One Fig 7 sweep result for an application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepResult {
     /// Application name.
     pub app: String,
@@ -356,7 +356,7 @@ pub fn table2_overheads(engine: &Engine, duration_s: f64) -> Vec<OverheadReport>
 
 /// Ablation: MAGUS with and without the high-frequency lock on an
 /// oscillating workload (the Algorithm 2 design choice).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HighFreqAblation {
     /// Full MAGUS vs baseline.
     pub with_lock: Comparison,

@@ -114,7 +114,7 @@ impl FleetSpec {
 }
 
 /// A completed fleet run: the spec that produced it and its summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetRun {
     /// The spec that ran.
     pub spec: FleetSpec,
@@ -123,7 +123,7 @@ pub struct FleetRun {
     pub summary: FleetSummary,
     /// Per-shard counters (shard-count dependent, so they live outside
     /// the summary).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub shard_stats: Vec<ShardStats>,
 }
 
@@ -252,7 +252,7 @@ pub fn fleet_telemetry_jsonl(fleet: &mut FleetSim) -> String {
             // The event's object continues this line's: its `{` becomes
             // the `,` after the node.
             let at = out.len();
-            serde_json::append(&mut out, &event);
+            serde::append(&mut out, &event);
             out.replace_range(at..=at, ",");
             out.push('\n');
         }
@@ -356,7 +356,7 @@ mod tests {
     fn spec_serde_defaults_cover_pre_shard_specs() {
         // Pre-shard serialized specs carry neither `shards` nor `path`.
         let legacy = r#"{"system":"IntelA100","governor":"Default","nodes":2,"max_s":60.0}"#;
-        let spec: FleetSpec = serde_json::from_str(legacy).unwrap();
+        let spec: FleetSpec = serde::from_str(legacy).unwrap();
         assert_eq!(spec.shards, 1);
         assert_eq!(spec.path, StepMode::Fast);
         assert!(spec.faults.is_none());
@@ -367,7 +367,7 @@ mod tests {
         // its two removed switches: they still parse, to the same spec and
         // the same fleet.
         let switched = include_str!("../tests/fixtures/fleet_spec_sharing_switches.json");
-        let old: FleetSpec = serde_json::from_str(switched).unwrap();
+        let old: FleetSpec = serde::from_str(switched).unwrap();
         assert_eq!(old, spec);
         assert_eq!(run_fleet(&old).summary, run_fleet(&spec).summary);
     }

@@ -580,10 +580,9 @@ mod tests {
         // Old serialized specs carry no `path` field; they must keep
         // deserializing and pick up the fast path.
         let legacy = r#"{"record_interval_us":0,"max_s":600.0}"#;
-        let opts: TrialOpts = serde_json::from_str(legacy).unwrap();
+        let opts: TrialOpts = serde::from_str(legacy).unwrap();
         assert_eq!(opts.path, StepMode::Fast);
-        let json =
-            serde_json::to_string(&TrialOpts::default().with_path(StepMode::Reference)).unwrap();
+        let json = serde::to_string(&TrialOpts::default().with_path(StepMode::Reference));
         assert!(json.contains("\"reference\""), "{json}");
     }
 

@@ -2,10 +2,10 @@
 //! all relative to the stock baseline — plus the §6.3 Jaccard burst score.
 
 use magus_hetsim::{RunSummary, TraceSample};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One method's results compared to the baseline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Comparison {
     /// Percentage increase in execution time vs baseline (positive = slower).
     pub perf_loss_pct: f64,

@@ -69,7 +69,7 @@ pub fn take_switch(args: &mut Vec<String>, switch: &str) -> bool {
 fn load_fault_plan(path: &Path) -> Result<FaultPlan, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("--faults: cannot read {}: {e}", path.display()))?;
-    let plan: FaultPlan = serde_json::from_str(&text)
+    let plan: FaultPlan = serde::from_str(&text)
         .map_err(|e| format!("--faults: {} is not a fault plan: {e}", path.display()))?;
     plan.validate()
         .map_err(|e| format!("--faults: invalid plan in {}: {e}", path.display()))?;
@@ -242,7 +242,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let write_plan = |name: &str, plan: &FaultPlan| {
             let path = dir.join(name);
-            std::fs::write(&path, serde_json::to_string(plan).unwrap()).unwrap();
+            std::fs::write(&path, serde::to_string(plan)).unwrap();
             path.display().to_string()
         };
         let plan = FaultPlan::builder()

@@ -13,13 +13,13 @@
 //!
 //! [`WorkloadSel::Idle`]: crate::engine::WorkloadSel::Idle
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::{Engine, GovernorSpec, TrialOutcome, TrialSpec};
 use crate::harness::SystemId;
 
 /// Table 2 row for one runtime on one system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OverheadReport {
     /// System name.
     pub system: String,

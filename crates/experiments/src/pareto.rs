@@ -1,10 +1,10 @@
 //! Pareto-frontier extraction for the §6.4 threshold sensitivity analysis.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One configuration's outcome in (runtime, energy) space, both
 /// to-be-minimised.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ParetoPoint {
     /// Configuration label, e.g. `"inc=300 dec=500 hf=0.4"`.
     pub label: String,

@@ -14,12 +14,12 @@
 
 use magus_hetsim::AppTrace;
 use magus_workloads::spec::{BurstTrainSpec, Segment, UtilSpec, WorkloadSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::{Engine, GovernorSpec, TrialSpec};
 
 /// One (cap, policy) cell of the study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PowercapCell {
     /// Per-socket PL1 limit (W); `None` = uncapped.
     pub cap_w: Option<f64>,

@@ -14,14 +14,14 @@
 //! is independently cached and scheduled.
 
 use magus_workloads::AppId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::{Engine, GovernorSpec, TrialSpec};
 use crate::harness::SystemId;
 use crate::metrics::Comparison;
 
 /// Mean and sample standard deviation of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Stat {
     /// Arithmetic mean.
     pub mean: f64,
@@ -53,7 +53,7 @@ impl Stat {
 }
 
 /// Replicated evaluation of MAGUS vs the baseline for one application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ReplicatedEval {
     /// Application name.
     pub app: String,

@@ -18,7 +18,7 @@
 
 use magus_hetsim::FaultPlan;
 use magus_workloads::{fig4a_suite, AppId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::{Engine, TrialSpec};
 use crate::figures::AppEval;
@@ -30,7 +30,7 @@ use crate::report::render_fig4_table;
 /// seeded [`FaultPlan`] (see [`FaultIntensity::plan`]), so the study is
 /// reproducible bit-for-bit and each tier hashes to distinct cache
 /// entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultIntensity {
     /// No injected faults: the Fig 4a evaluation, reused as the anchor.
     Clean,
@@ -101,7 +101,7 @@ impl FaultIntensity {
 
 /// One tier's evaluation: the per-app Fig 4-style rows (each governor vs
 /// the same-tier stock baseline) plus the injected-fault volume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RobustnessEval {
     /// The fault tier these rows ran under.
     pub intensity: FaultIntensity,
@@ -112,7 +112,7 @@ pub struct RobustnessEval {
 }
 
 /// Suite-mean digest of one tier, with deltas against the clean tier.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct RobustnessSummary {
     /// The fault tier.
     pub intensity: FaultIntensity,

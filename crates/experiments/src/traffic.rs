@@ -20,7 +20,7 @@
 //! ```
 
 use magus_workloads::TrafficSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::GovernorSpec;
 use crate::fleet::{run_fleet, FleetSpec};
@@ -28,7 +28,7 @@ use crate::fleet::{run_fleet, FleetSpec};
 /// One rung of the traffic-shape ladder. Every tier maps to a fixed,
 /// seeded [`TrafficSpec`] (see [`TrafficTier::spec`]), so the study is
 /// bit-reproducible and each tier's trials hash to distinct cache entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TrafficTier {
     /// Few tenants, no colocation, long gaps: a mostly idle fleet.
     Light,
@@ -96,7 +96,7 @@ impl TrafficTier {
 
 /// One governor's numbers under one traffic tier, compared against the
 /// same-tier stock baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GovernorRow {
     /// Governor display name.
     pub governor: String,
@@ -133,7 +133,7 @@ impl GovernorRow {
 }
 
 /// One tier's evaluation: a row per governor, stock baseline first.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrafficEval {
     /// The traffic tier these rows ran under.
     pub tier: TrafficTier,

@@ -10,10 +10,10 @@
 
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-socket CPU core-complex parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct CpuConfig {
     /// Physical cores per socket.
     pub cores: u32,
@@ -47,7 +47,7 @@ pub struct CpuConfig {
 }
 
 /// Per-socket uncore-domain parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct UncoreConfig {
     /// Minimum uncore frequency (GHz).
     pub freq_min_ghz: f64,
@@ -70,7 +70,7 @@ pub struct UncoreConfig {
 }
 
 /// Per-socket memory-subsystem parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MemoryConfig {
     /// Peak deliverable bandwidth per socket at maximum uncore frequency (GB/s).
     pub peak_bw_gbs: f64,
@@ -86,7 +86,7 @@ pub struct MemoryConfig {
 }
 
 /// Per-device GPU parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct GpuConfig {
     /// Idle board power (W). The paper reports ≈30 W for one A100-40GB and
     /// ≈200 W total for four A100-80GB.
@@ -102,7 +102,7 @@ pub struct GpuConfig {
 }
 
 /// Stock (hardware-default) uncore-governor parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct TdpGovernorConfig {
     /// Enable the TDP-coupled throttle (true on all Intel presets).
     pub enabled: bool,
@@ -124,7 +124,7 @@ impl Default for TdpGovernorConfig {
 
 /// How a node's uncore limit takes a write. The node decides *how* a
 /// governor's target lands; the governor decides *which* target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum UncoreActuation {
     /// Intel's uncore ratio-limit register `0x620`, written per package.
     Msr,
@@ -134,7 +134,7 @@ pub enum UncoreActuation {
 }
 
 /// Full node configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NodeConfig {
     /// Human-readable system name (e.g. `"Intel+A100"`).
     pub name: String,

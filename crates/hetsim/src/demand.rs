@@ -1,7 +1,6 @@
 //! Instantaneous resource demand presented to the node by a workload phase.
 
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Writer};
+use serde::{Deserialize, Serialize, Value, Writer};
 
 /// Maximum GPUs a single [`Demand`] can address.
 ///
@@ -163,11 +162,11 @@ impl Serialize for GpuUtilVec {
     }
 }
 
-impl<'de> Deserialize<'de> for GpuUtilVec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let vals = Vec::<f64>::deserialize(deserializer)?;
+impl Deserialize for GpuUtilVec {
+    fn deserialize(v: Value) -> Result<Self, serde::Error> {
+        let vals = Vec::<f64>::deserialize(v)?;
         if vals.len() > MAX_GPUS {
-            return Err(D::Error::custom(format!(
+            return Err(serde::Error::custom(format!(
                 "gpu_util holds {} entries; at most {MAX_GPUS} supported",
                 vals.len()
             )));
@@ -314,18 +313,18 @@ mod tests {
     #[test]
     fn gpu_util_vec_serialises_as_plain_array() {
         let d = Demand::new(10.0, 0.5, 0.2, 0.9);
-        let json = serde_json::to_string(&d).unwrap();
+        let json = serde::to_string(&d);
         assert!(json.contains("\"gpu_util\":[0.9]"), "{json}");
-        let back: Demand = serde_json::from_str(&json).unwrap();
+        let back: Demand = serde::from_str(&json).unwrap();
         assert_eq!(back, d);
     }
 
     #[test]
     fn gpu_util_vec_rejects_oversized_input() {
         let json = format!("[{}]", ["0.5"; MAX_GPUS + 1].join(","));
-        assert!(serde_json::from_str::<GpuUtilVec>(&json).is_err());
+        assert!(serde::from_str::<GpuUtilVec>(&json).is_err());
         let ok = format!("[{}]", ["0.5"; MAX_GPUS].join(","));
-        let v: GpuUtilVec = serde_json::from_str(&ok).unwrap();
+        let v: GpuUtilVec = serde::from_str(&ok).unwrap();
         assert_eq!(v.len(), MAX_GPUS);
     }
 

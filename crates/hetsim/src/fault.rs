@@ -526,11 +526,11 @@ mod tests {
             .pcm_dropout_every(6)
             .build()
             .unwrap();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
+        let json = serde::to_string(&plan);
+        let back: FaultPlan = serde::from_str(&json).unwrap();
         assert_eq!(plan, back);
         // Partial JSON (the `--faults` file format) defaults everything else.
-        let partial: FaultPlan = serde_json::from_str(r#"{"pcm": {"stale_every": 4}}"#).unwrap();
+        let partial: FaultPlan = serde::from_str(r#"{"pcm": {"stale_every": 4}}"#).unwrap();
         assert_eq!(partial.pcm.stale_every, Some(4));
         assert!(partial.msr.is_empty());
         assert!(partial.validate().is_ok());

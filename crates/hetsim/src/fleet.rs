@@ -651,7 +651,7 @@ fn representatives(keys: &[Option<(u32, usize)>], faults: Option<FleetFaults>) -
 /// [`FleetSummary`], which must be bit-identical across shard counts. A
 /// shard steps a contiguous run of the fleet's stepped nodes; the twins of
 /// those nodes are counted as its nodes but never stepped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
@@ -668,19 +668,15 @@ pub struct ShardStats {
     /// for `decisions`).
     pub node_steps: u64,
     /// Trajectories stepped: one per node this shard steps.
-    #[serde(default)]
     pub classes: u64,
     /// Macro-steps stepped: the same count as `rounds`.
-    #[serde(default)]
     pub rep_node_rounds: u64,
     /// Macro-steps copied: each stepped node's macro-steps times its twin
     /// count.
-    #[serde(default)]
     pub replayed_node_rounds: u64,
     /// Always 0: a node's twins are fixed when the fleet is built and never
     /// leave it. Kept only so the benchmark probe builds, until the next
     /// benchmark change drops it.
-    #[serde(default)]
     pub class_evictions: u64,
 }
 
@@ -690,7 +686,7 @@ pub struct ShardStats {
 /// phases under bandwidth contention, so a deadline check maps the job's
 /// work coordinate back onto the stretched wall clock (see
 /// [`deadline_missed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct JobDeadline {
     /// Where the job ends on the ideal timeline: trace work (s) that must
     /// complete for the job to finish.
@@ -702,7 +698,7 @@ pub struct JobDeadline {
 /// One tenant's share of a node, attached by the traffic layer through
 /// [`FleetBuilder::node_traffic`]; the summary multiplies node energy by
 /// these shares to attribute Joules per tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TenantShare {
     /// Tenant identifier (traffic-layer tenant id).
     pub tenant: u64,

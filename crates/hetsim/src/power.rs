@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Instantaneous node power, decomposed by domain (W).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct PowerBreakdown {
     /// Sum of core-domain power across sockets.
     pub core_w: f64,

@@ -34,7 +34,7 @@ pub struct TraceSample {
 }
 
 /// Records [`TraceSample`]s at a fixed interval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TraceRecorder {
     interval_us: u64,
     next_due_us: u64,

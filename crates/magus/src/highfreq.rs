@@ -11,10 +11,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Sliding-window detector over binary tune-event flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HighFreqDetector {
     window: VecDeque<bool>,
     capacity: usize,

@@ -20,7 +20,7 @@
 //! warm-up are therefore served at the idle frequency — the §6.3
 //! explanation for the low Jaccard scores of init-heavy applications.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::MagusConfig;
 use crate::highfreq::HighFreqDetector;
@@ -29,7 +29,7 @@ use crate::telemetry::{DecisionRecord, Telemetry};
 use crate::window::SampleWindow;
 
 /// Logical uncore level MAGUS drives between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum UncoreLevel {
     /// The hardware maximum (`uncore_freq_upper`).
     Upper,
@@ -38,7 +38,7 @@ pub enum UncoreLevel {
 }
 
 /// Action emitted by one decision cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MagusAction {
     /// Drive the uncore to its maximum frequency.
     SetUpper,

@@ -10,12 +10,12 @@
 //!   magnitude, 500; the comparison is against its negation.)
 //! * otherwise → hold, avoiding needless transitions ([`Trend::Stable`]).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::window::SampleWindow;
 
 /// Outcome of one trend prediction (Algorithm 1's {1, −1, 0}).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Trend {
     /// Sharp rise predicted: request maximum uncore frequency.
     Increase,

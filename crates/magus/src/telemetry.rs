@@ -4,13 +4,13 @@
 //! [`DecisionRecord`] is exposed by [`crate::MagusCore::last_record`], so
 //! a long run holds one record, not one per cycle.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::mdfs::MagusAction;
 use crate::predict::Trend;
 
 /// One decision cycle's record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DecisionRecord {
     /// Decision cycle index (0-based, including warm-up cycles).
     pub cycle: u64,
@@ -28,7 +28,7 @@ pub struct DecisionRecord {
 }
 
 /// Aggregate decision counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Telemetry {
     /// Total decision cycles (including warm-up).
     pub cycles: u64,

@@ -9,10 +9,10 @@
 //! so the Table 2 overhead numbers fall out of counting accesses rather than
 //! being asserted.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cost of a single counter/register access.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct AccessCost {
     /// Wall-clock latency of the access, in microseconds.
     pub latency_us: f64,
@@ -68,7 +68,7 @@ impl core::ops::AddAssign for AccessCost {
 ///
 /// The node simulator keeps one of these; the experiment drivers drain it
 /// per decision with [`CostLedger::drain`] to time each invocation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CostLedger {
     reads: u64,
     writes: u64,

@@ -5,7 +5,7 @@
 //! Xeon Scalable parts; the uncore ratio-limit layout is the one the paper's
 //! own `wrmsr` example uses.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// `UNCORE_RATIO_LIMIT`: per-package uncore frequency floor/ceiling.
 ///
@@ -56,7 +56,7 @@ pub const UNCORE_RATIO_STEP_GHZ: f64 = 0.1;
 /// assert_eq!(decoded.max_ghz(), 1.5);
 /// assert_eq!(decoded.min_ghz(), 0.8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct UncoreRatioLimit {
     /// Maximum uncore ratio, bits `[6:0]`, in 100 MHz units.
     pub max_ratio: u8,
@@ -128,7 +128,7 @@ pub fn ghz_to_ratio(ghz: f64) -> u8 {
 ///
 /// Each field is an exponent: the physical unit is `1 / 2^exp`. Default Intel
 /// server values are power `2^-3` W, energy `2^-14` J, time `2^-10` s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RaplPowerUnit {
     /// Power unit exponent, bits `[3:0]`.
     pub power_exp: u8,
@@ -202,7 +202,7 @@ impl RaplPowerUnit {
 /// assert!(decoded.enabled);
 /// assert_eq!(decoded.limit_w, 200.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PkgPowerLimit {
     /// Sustained power limit (W).
     pub limit_w: f64,

@@ -4,7 +4,7 @@
 //! `msr_write`) addresses every register by [`MsrScope`] and reports
 //! failures as [`MsrError`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which hardware unit a register instance is attached to.
 ///
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// the fixed performance counters are per-logical-core. Getting the scope
 /// wrong on real hardware reads the wrong bank, so every access names it
 /// and the node rejects mismatches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MsrScope {
     /// A CPU package (socket), identified by socket index.
     Package(u32),
@@ -31,7 +31,7 @@ impl MsrScope {
 }
 
 /// Errors surfaced by MSR access.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum MsrError {
     /// The register address is not implemented by the node.
     UnknownRegister(u32),

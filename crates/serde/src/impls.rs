@@ -1,12 +1,13 @@
 //! `Serialize` and `Deserialize` for the standard types the workspace's
-//! serialized types contain, with upstream `serde_json`'s JSON mapping.
+//! serialized types contain, with upstream serde's JSON mapping.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::__private::{from_value, invalid, lift, take_seq, Error};
-use crate::{de, Deserialize, Deserializer, Number, Serialize, Value, Writer};
+use crate::__private::{invalid, next_elem, take_seq};
+use crate::{Deserialize, Error, Number, Serialize, Value, Writer};
 
 /// A type that can key a JSON object, as upstream writes map keys: a
 /// string as it is, an integer as its digits in quotes.
@@ -29,17 +30,16 @@ macro_rules! integer {
                 w.str(&self.to_string());
             }
         }
-        impl<'de> Deserialize<'de> for $t {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let v = d.into_value()?;
+        impl Deserialize for $t {
+            fn deserialize(v: Value) -> Result<Self, Error> {
                 let n = match &v {
                     Value::Number(n) if !n.is_f64() => n,
-                    _ => return Err(de::Error::custom(invalid(&v, stringify!($t)))),
+                    _ => return Err(invalid(&v, stringify!($t))),
                 };
                 n.$as()
                     .and_then(|x| <$t>::try_from(x).ok())
                     .ok_or_else(|| {
-                        de::Error::custom(format!(
+                        Error::custom(format!(
                             "invalid value: integer `{n}`, expected {}",
                             stringify!($t)
                         ))
@@ -58,11 +58,11 @@ impl Serialize for f64 {
     }
 }
 
-impl<'de> Deserialize<'de> for f64 {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.into_value()? {
+impl Deserialize for f64 {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        match v {
             Value::Number(n) => Ok(n.as_f64()),
-            other => Err(de::Error::custom(invalid(&other, "f64"))),
+            other => Err(invalid(&other, "f64")),
         }
     }
 }
@@ -73,11 +73,11 @@ impl Serialize for bool {
     }
 }
 
-impl<'de> Deserialize<'de> for bool {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.into_value()? {
+impl Deserialize for bool {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        match v {
             Value::Bool(b) => Ok(b),
-            other => Err(de::Error::custom(invalid(&other, "a boolean"))),
+            other => Err(invalid(&other, "a boolean")),
         }
     }
 }
@@ -106,11 +106,11 @@ impl MapKey for String {
     }
 }
 
-impl<'de> Deserialize<'de> for String {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.into_value()? {
+impl Deserialize for String {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        match v {
             Value::String(s) => Ok(s),
-            other => Err(de::Error::custom(invalid(&other, "a string"))),
+            other => Err(invalid(&other, "a string")),
         }
     }
 }
@@ -134,12 +134,12 @@ impl<T: MapKey + ToOwned + ?Sized> MapKey for Cow<'_, T> {
 }
 
 /// Always owned: the value tree has nothing to borrow from.
-impl<'de, T: ToOwned + ?Sized> Deserialize<'de> for Cow<'_, T>
+impl<T: ToOwned + ?Sized> Deserialize for Cow<'_, T>
 where
-    T::Owned: Deserialize<'de>,
+    T::Owned: Deserialize,
 {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        T::Owned::deserialize(d).map(Cow::Owned)
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        T::Owned::deserialize(v).map(Cow::Owned)
     }
 }
 
@@ -149,9 +149,9 @@ impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     }
 }
 
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for Arc<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        T::deserialize(d).map(Arc::new)
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        T::deserialize(v).map(Arc::new)
     }
 }
 
@@ -164,11 +164,11 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Option<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.into_value()? {
+impl<T: Deserialize> Deserialize for Option<T> {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        match v {
             Value::Null => Ok(None),
-            v => lift::<D, _>(from_value(v)).map(Some),
+            v => T::deserialize(v).map(Some),
         }
     }
 }
@@ -199,13 +199,11 @@ macro_rules! sequence {
                 write_seq(w, self);
             }
         }
-        impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for $c<T> {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                match d.into_value()? {
-                    Value::Array(items) => {
-                        lift::<D, _>(items.into_iter().map(from_value).collect())
-                    }
-                    other => Err(de::Error::custom(invalid(&other, "a sequence"))),
+        impl<T: Deserialize> Deserialize for $c<T> {
+            fn deserialize(v: Value) -> Result<Self, Error> {
+                match v {
+                    Value::Array(items) => items.into_iter().map(T::deserialize).collect(),
+                    other => Err(invalid(&other, "a sequence")),
                 }
             }
         }
@@ -224,22 +222,19 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     }
 }
 
-impl<'de, A: for<'a> Deserialize<'a>, B: for<'a> Deserialize<'a>> Deserialize<'de> for (A, B) {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
-        let mut it = lift::<D, _>(take_seq(v, 2, "a tuple"))?;
-        let a = lift::<D, A>(crate::__private::next_elem(&mut it))?;
-        let b = lift::<D, B>(crate::__private::next_elem(&mut it))?;
-        Ok((a, b))
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        let mut it = take_seq(v, 2, "a tuple")?;
+        Ok((next_elem(&mut it)?, next_elem(&mut it)?))
     }
 }
 
 /// Read a map key back: as a string first, then as the integer it spells.
-fn key_from<K: for<'de> Deserialize<'de>>(key: String) -> Result<K, Error> {
+fn key_from<K: Deserialize>(key: String) -> Result<K, Error> {
     let number = key.parse::<u64>().map(Number::from).ok();
-    match from_value(Value::String(key)) {
+    match K::deserialize(Value::String(key)) {
         Ok(k) => Ok(k),
-        Err(e) => number.map_or(Err(e), |n| from_value(Value::Number(n))),
+        Err(e) => number.map_or(Err(e), |n| K::deserialize(Value::Number(n))),
     }
 }
 
@@ -256,17 +251,20 @@ impl<K: MapKey, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
-impl<'de, K: for<'a> Deserialize<'a> + Ord, V: for<'a> Deserialize<'a>> Deserialize<'de>
-    for BTreeMap<K, V>
-{
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.into_value()? {
-            Value::Object(m) => lift::<D, _>(
-                m.into_iter()
-                    .map(|(k, v)| Ok((key_from(k)?, from_value(v)?)))
-                    .collect(),
-            ),
-            other => Err(de::Error::custom(invalid(&other, "a map"))),
+/// A repeated key keeps its last value: the entries are read from the
+/// last, so a value that a later entry overrides is never decoded.
+impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        let entries = match v {
+            Value::Object(entries) => entries,
+            other => return Err(invalid(&other, "a map")),
+        };
+        let mut map = BTreeMap::new();
+        for (k, v) in entries.into_iter().rev() {
+            if let Entry::Vacant(slot) = map.entry(key_from(k)?) {
+                slot.insert(V::deserialize(v)?);
+            }
         }
+        Ok(map)
     }
 }

@@ -1,41 +1,35 @@
-//! The workspace's serde: a direct JSON writer for output, and a value
-//! tree for input.
+//! The workspace's one JSON crate: a direct writer for output, and a
+//! parser and value tree for input.
 //!
 //! `Serialize` appends a value's JSON straight to a `String` through one
 //! [`Writer`], compact or pretty; `#[derive(Serialize)]` writes field by
-//! field with pre-escaped keys, so no tree is built on output.
-//! `Deserialize` reads a [`Value`] tree, which `serde_json`'s parser
-//! builds; the derives generate that code against the hidden `__private`
-//! helpers below. The names the workspace calls directly keep their
-//! upstream form (`Deserialize::deserialize`, `de::Error::custom`,
-//! `de::DeserializeOwned`).
+//! field with pre-escaped keys, so no tree is built on output. [`to_string`],
+//! [`to_string_pretty`] and [`append`] write upstream serde's JSON shape
+//! (compact, or pretty with two-space indents; struct fields in declaration
+//! order; NaN and infinities as `null`), with every float as the shortest
+//! text that reads back to the same bits.
+//!
+//! [`from_str`] and [`from_slice`] parse into a [`Value`] and hand it to
+//! `Deserialize` by value. The parser rejects nesting deeper than 128
+//! levels and keeps an object's entries in the order it reads them, repeats
+//! included. A repeated key's last value wins, and the values it overrides
+//! are never decoded: a derived struct keeps each field's last entry, an
+//! internal tag is the last `"type"` entry, and a map keeps a repeated
+//! key's last value. The derives come from `serde_derive`, re-exported
+//! here, and generate code against the hidden `__private` helpers below.
 
-#[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
 mod impls;
+mod parse;
 mod value;
 mod writer;
 
+use std::fmt;
+
 pub use impls::MapKey;
-pub use value::{Map, Number, Value};
+pub use value::{Number, Value};
 pub use writer::Writer;
-
-/// Deserialization half of the data model.
-pub mod de {
-    pub use crate::{Deserialize, Deserializer};
-
-    /// Errors a deserializer can raise.
-    pub trait Error: Sized + std::fmt::Display + std::fmt::Debug {
-        /// An error carrying a free-form message.
-        fn custom<T: std::fmt::Display>(msg: T) -> Self;
-    }
-
-    /// A type that deserializes without borrowing from its input.
-    pub trait DeserializeOwned: for<'de> Deserialize<'de> {}
-
-    impl<T: for<'de> Deserialize<'de>> DeserializeOwned for T {}
-}
 
 /// A type that writes itself as JSON.
 pub trait Serialize {
@@ -43,75 +37,84 @@ pub trait Serialize {
     fn serialize<const PRETTY: bool>(&self, w: &mut Writer<'_, PRETTY>);
 }
 
-/// A type that can be built from a [`Value`].
-pub trait Deserialize<'de>: Sized {
-    /// Build `Self` from the tree `deserializer` holds.
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
+/// A type that can be built from a parsed [`Value`].
+pub trait Deserialize: Sized {
+    /// Build `Self` from `v`.
+    fn deserialize(v: Value) -> Result<Self, Error>;
 }
 
-/// A source of one [`Value`] tree.
-pub trait Deserializer<'de>: Sized {
-    /// What a failed deserialization returns.
-    type Error: de::Error;
-
-    /// Give up the held value tree.
-    fn into_value(self) -> Result<Value, Self::Error>;
+/// A JSON syntax error, with its position in the text, or a data error.
+#[derive(Debug)]
+pub struct Error {
+    msg: String,
+    /// 1-based line and column of a syntax error; 0 for data errors.
+    line: usize,
+    column: usize,
 }
 
-/// Support code for the `Deserialize` derive and `serde_json`; not a
-/// public API.
+impl Error {
+    /// A data error: the value parsed but does not fit the type.
+    pub fn custom(msg: impl fmt::Display) -> Self {
+        Error {
+            msg: msg.to_string(),
+            line: 0,
+            column: 0,
+        }
+    }
+}
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.line == 0 {
+            f.write_str(&self.msg)
+        } else {
+            write!(
+                f,
+                "{} at line {} column {}",
+                self.msg, self.line, self.column
+            )
+        }
+    }
+}
+
+impl std::error::Error for Error {}
+
+/// Append `value`'s compact JSON, as [`to_string`] writes it, to `out`.
+pub fn append<T: Serialize + ?Sized>(out: &mut String, value: &T) {
+    value.serialize(&mut Writer::<false>::new(out));
+}
+
+/// Compact JSON text.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    append(&mut out, value);
+    out
+}
+
+/// Indented JSON text.
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.serialize(&mut Writer::<true>::new(&mut out));
+    out
+}
+
+/// Parse JSON text into a `T`.
+pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    from_slice(s.as_bytes())
+}
+
+/// Parse JSON bytes into a `T`.
+pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
+    T::deserialize(parse::parse(bytes)?)
+}
+
+/// Support code for the `Deserialize` derive; not a public API.
 #[doc(hidden)]
 pub mod __private {
-    use std::fmt;
-
-    use crate::{de, Deserialize, Deserializer};
-    pub use crate::{Map, Value};
-
-    /// The error every value-tree conversion returns.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct Error(pub String);
-
-    impl fmt::Display for Error {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str(&self.0)
-        }
-    }
-
-    impl std::error::Error for Error {}
-
-    impl de::Error for Error {
-        fn custom<T: fmt::Display>(msg: T) -> Self {
-            Error(msg.to_string())
-        }
-    }
-
-    /// A deserializer over an owned tree.
-    pub struct ValueDeserializer(pub Value);
-
-    impl<'de> Deserializer<'de> for ValueDeserializer {
-        type Error = Error;
-        fn into_value(self) -> Result<Value, Error> {
-            Ok(self.0)
-        }
-    }
-
-    /// Build a `T` from a tree.
-    pub fn from_value<T: for<'de> Deserialize<'de>>(v: Value) -> Result<T, Error> {
-        T::deserialize(ValueDeserializer(v))
-    }
-
-    /// Convert a derive-side error into the caller's deserializer error.
-    pub fn lift<'de, D: Deserializer<'de>, T>(r: Result<T, Error>) -> Result<T, D::Error> {
-        r.map_err(de::Error::custom)
-    }
-
-    /// The tree a deserializer holds, with its error converted.
-    pub fn take_value<'de, D: Deserializer<'de>>(d: D) -> Result<Value, Error> {
-        d.into_value().map_err(|e| Error(e.to_string()))
-    }
+    use crate::{Deserialize, Error, Value};
 
     /// A short name for the JSON type of `v`, for error messages.
-    pub fn kind(v: &Value) -> &'static str {
+    fn kind(v: &Value) -> &'static str {
         match v {
             Value::Null => "null",
             Value::Bool(_) => "boolean",
@@ -125,14 +128,52 @@ pub mod __private {
 
     /// The error for a value of the wrong JSON type.
     pub fn invalid(v: &Value, expected: &str) -> Error {
-        Error(format!("invalid type: {}, expected {expected}", kind(v)))
+        Error::custom(format!("invalid type: {}, expected {expected}", kind(v)))
     }
 
-    /// Unwrap an object, or fail naming what was expected.
-    pub fn take_object(v: Value, expected: &str) -> Result<Map<String, Value>, Error> {
+    /// Unwrap an object's entries, or fail naming what was expected.
+    pub fn take_object(v: Value, expected: &str) -> Result<Vec<(String, Value)>, Error> {
         match v {
-            Value::Object(m) => Ok(m),
+            Value::Object(entries) => Ok(entries),
             other => Err(invalid(&other, expected)),
+        }
+    }
+
+    /// The last value of each of `names` among `entries`, in the order of
+    /// `names`; every other entry is dropped undecoded.
+    pub fn fields<const N: usize>(
+        entries: Vec<(String, Value)>,
+        names: [&str; N],
+    ) -> [Option<Value>; N] {
+        let mut slots = [const { None }; N];
+        for (key, v) in entries {
+            if let Some(i) = names.iter().position(|name| *name == key) {
+                slots[i] = Some(v);
+            }
+        }
+        slots
+    }
+
+    /// Decode a struct field. A missing field reads as `null`, so `Option`
+    /// fields default to `None`; any other type reports the field as
+    /// missing.
+    pub fn field<T: Deserialize>(v: Option<Value>, key: &str) -> Result<T, Error> {
+        match v {
+            Some(v) => T::deserialize(v).map_err(|e| Error::custom(format!("field `{key}`: {e}"))),
+            None => T::deserialize(Value::Null)
+                .map_err(|_| Error::custom(format!("missing field `{key}`"))),
+        }
+    }
+
+    /// Decode a struct field, using `default` when it is missing.
+    pub fn field_or<T: Deserialize>(
+        v: Option<Value>,
+        key: &str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, Error> {
+        match v {
+            Some(v) => field(Some(v), key),
+            None => Ok(default()),
         }
     }
 
@@ -144,7 +185,7 @@ pub mod __private {
     ) -> Result<std::vec::IntoIter<Value>, Error> {
         match v {
             Value::Array(items) if items.len() == len => Ok(items.into_iter()),
-            Value::Array(items) => Err(Error(format!(
+            Value::Array(items) => Err(Error::custom(format!(
                 "invalid length {}, expected {expected} of {len} elements",
                 items.len()
             ))),
@@ -152,71 +193,48 @@ pub mod __private {
         }
     }
 
-    /// Deserialize the next element of a sequence.
-    pub fn next_elem<T: for<'de> Deserialize<'de>>(
-        it: &mut std::vec::IntoIter<Value>,
-    ) -> Result<T, Error> {
-        from_value(
-            it.next()
-                .ok_or_else(|| Error("sequence too short".into()))?,
-        )
-    }
-
-    /// Remove and deserialize a struct field. A missing field reads as
-    /// `null`, so `Option` fields default to `None`; any other type
-    /// reports the field as missing.
-    pub fn take_field<T: for<'de> Deserialize<'de>>(
-        m: &mut Map<String, Value>,
-        key: &str,
-    ) -> Result<T, Error> {
-        match m.remove(key) {
-            Some(v) => from_value(v).map_err(|e| Error(format!("field `{key}`: {e}"))),
-            None => from_value(Value::Null).map_err(|_| Error(format!("missing field `{key}`"))),
-        }
-    }
-
-    /// Remove and deserialize a struct field, using `default` when absent.
-    pub fn take_field_or<T: for<'de> Deserialize<'de>>(
-        m: &mut Map<String, Value>,
-        key: &str,
-        default: impl FnOnce() -> T,
-    ) -> Result<T, Error> {
-        match m.remove(key) {
-            Some(v) => from_value(v).map_err(|e| Error(format!("field `{key}`: {e}"))),
-            None => Ok(default()),
-        }
+    /// Decode the next element of an array [`take_seq`] unwrapped.
+    pub fn next_elem<T: Deserialize>(it: &mut std::vec::IntoIter<Value>) -> Result<T, Error> {
+        T::deserialize(it.next().expect("take_seq checked the length"))
     }
 
     /// Split an externally tagged enum value into (variant, payload): a
-    /// bare string is a unit variant, a one-key object carries a payload.
+    /// bare string is a unit variant, and an object of one key (perhaps
+    /// repeated) carries its last value as the payload.
     pub fn external_variant(v: Value, expected: &str) -> Result<(String, Value), Error> {
         match v {
             Value::String(name) => Ok((name, Value::Null)),
-            Value::Object(m) if m.len() == 1 => {
-                let (k, v) = m.into_iter().next().expect("one entry");
-                Ok((k, v))
+            Value::Object(mut entries)
+                if entries
+                    .last()
+                    .is_some_and(|(last, _)| entries.iter().all(|(k, _)| k == last)) =>
+            {
+                Ok(entries.pop().expect("one entry"))
             }
             other => Err(invalid(&other, expected)),
         }
     }
 
-    /// Split an internally tagged enum value into (variant, other fields).
+    /// Split an internally tagged enum value into (variant, entries): the
+    /// variant is the last `tag` entry's string.
     pub fn internal_variant(
         v: Value,
         tag: &str,
         expected: &str,
-    ) -> Result<(String, Map<String, Value>), Error> {
-        let mut m = take_object(v, expected)?;
-        match m.remove(tag) {
-            Some(Value::String(name)) => Ok((name, m)),
-            Some(other) => Err(invalid(&other, "variant name")),
-            None => Err(Error(format!("missing field `{tag}`"))),
+    ) -> Result<(String, Vec<(String, Value)>), Error> {
+        let mut entries = take_object(v, expected)?;
+        let Some(i) = entries.iter().rposition(|(k, _)| k == tag) else {
+            return Err(Error::custom(format!("missing field `{tag}`")));
+        };
+        match std::mem::replace(&mut entries[i].1, Value::Null) {
+            Value::String(name) => Ok((name, entries)),
+            other => Err(invalid(&other, "variant name")),
         }
     }
 
     /// The error for a variant name no arm matched.
     pub fn unknown_variant(name: &str, expected: &[&str]) -> Error {
-        Error(format!(
+        Error::custom(format!(
             "unknown variant `{name}`, expected one of {expected:?}"
         ))
     }

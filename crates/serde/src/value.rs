@@ -1,10 +1,9 @@
-//! The value tree the parser builds and `Deserialize` reads, and its
-//! insertion-ordered object map.
+//! The value tree the parser builds and `Deserialize` reads.
 
-use std::collections::HashMap;
 use std::fmt;
 
-/// A JSON value.
+/// A JSON value. An object is its entries in the order the parser read
+/// them, a repeated key once for each time it appears.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
@@ -12,7 +11,7 @@ pub enum Value {
     Number(Number),
     String(String),
     Array(Vec<Value>),
-    Object(Map<String, Value>),
+    Object(Vec<(String, Value)>),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -90,65 +89,5 @@ impl fmt::Display for Number {
             // bits, and always carries a `.` or an exponent.
             N::Float(x) => write!(f, "{x:?}"),
         }
-    }
-}
-
-/// A JSON object that keeps its keys in insertion order.
-#[derive(Debug, Clone)]
-pub struct Map<K, V> {
-    entries: Vec<(K, V)>,
-}
-
-impl Map<String, Value> {
-    /// The map of `entries` in their order, where a repeated key keeps
-    /// its first place and takes its last value. Linear in the entries:
-    /// each key is hashed once.
-    pub fn from_entries(mut entries: Vec<(String, Value)>) -> Self {
-        // (first place, later place) of every repeated key.
-        let mut first_place = HashMap::with_capacity(entries.len());
-        let repeats: Vec<(usize, usize)> = entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (key, _))| {
-                let first = *first_place.entry(key.as_str()).or_insert(i);
-                (first != i).then_some((first, i))
-            })
-            .collect();
-        if !repeats.is_empty() {
-            for &(first, later) in &repeats {
-                entries[first].1 = std::mem::replace(&mut entries[later].1, Value::Null);
-            }
-            let mut later = repeats.iter().map(|&(_, later)| later).peekable();
-            let mut i = 0;
-            entries.retain(|_| {
-                i += 1;
-                later.next_if_eq(&(i - 1)).is_none()
-            });
-        }
-        Map { entries }
-    }
-
-    /// Remove `key`, returning its value.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let i = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(i).1)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl IntoIterator for Map<String, Value> {
-    type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
     }
 }

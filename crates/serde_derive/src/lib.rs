@@ -1,14 +1,15 @@
 //! `#[derive(Serialize, Deserialize)]` for the workspace's serde: a
 //! `Serialize` impl writes JSON field by field through `serde::Writer`,
-//! and a `Deserialize` impl reads a `serde::Value` tree.
+//! and a `Deserialize` impl decodes a parsed `serde::Value`.
 //!
 //! The item is parsed straight from its token stream. Supported: structs
 //! (named, tuple, unit), enums (unit, newtype, tuple and struct variants),
 //! lifetime, type and const generics without `where` clauses, and the
 //! attributes the workspace uses: `default`, `default = "path"`,
 //! `skip_serializing_if`, `rename_all = "snake_case"` (on enums), `tag` (on
-//! enums of unit and struct variants) and `untagged`. Anything else is a
-//! compile error naming the attribute, so a gap cannot pass silently.
+//! enums of unit and struct variants) and `untagged` (on enums of unit and
+//! newtype variants, to deserialize). Anything else is a compile error
+//! naming the attribute or variant, so a gap cannot pass silently.
 
 use proc_macro::{Delimiter, Spacing, TokenStream, TokenTree};
 
@@ -346,6 +347,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 const P: &str = "::serde::__private";
 const SER: &str = "::serde::Serialize";
 const OK: &str = "::core::result::Result::Ok";
+const ERR: &str = "::core::result::Result::Err";
 const RESULT: &str = "::core::result::Result";
 
 /// A variant's name on the wire.
@@ -525,30 +527,45 @@ fn gen_serialize(item: &Item) -> Result<String, String> {
     ))
 }
 
-/// Expression reading one named field out of map `__m`.
-fn de_field(f: &Field, container_default: bool) -> String {
+/// Expression decoding named field `f` from its slot `__f{i}`.
+fn de_field(i: usize, f: &Field, container_default: bool) -> String {
     let name = field_name(f);
     let fallback = match (&f.attrs.default, container_default) {
         (Some(Some(path)), _) => path.clone(),
         (Some(None), _) => "::core::default::Default::default".to_string(),
         (None, true) => format!("|| __dflt.{name}"),
-        (None, false) => return format!("{P}::take_field(&mut __m, {name:?})?"),
+        (None, false) => return format!("{P}::field(__f{i}, {name:?})?"),
     };
-    format!("{P}::take_field_or(&mut __m, {name:?}, {fallback})?")
+    format!("{P}::field_or(__f{i}, {name:?}, {fallback})?")
 }
 
-fn de_named(path: &str, fields: &[Field], container_default: bool) -> String {
+/// Expression building struct or struct variant `path` from the object
+/// entries `entries`: one pass keeps each field's last value, then the
+/// fields decode in declaration order.
+fn de_named(path: &str, fields: &[Field], entries: &str, container_default: bool) -> String {
+    let slots: Vec<String> = (0..fields.len()).map(|i| format!("__f{i}")).collect();
+    let names: Vec<&str> = fields.iter().map(field_name).collect();
+    let dflt = if container_default {
+        "let __dflt: Self = ::core::default::Default::default();"
+    } else {
+        ""
+    };
     let inits: Vec<String> = fields
         .iter()
-        .map(|f| format!("{}: {}", field_name(f), de_field(f, container_default)))
+        .enumerate()
+        .map(|(i, f)| format!("{}: {}", field_name(f), de_field(i, f, container_default)))
         .collect();
-    format!("{path} {{ {} }}", inits.join(", "))
+    format!(
+        "{{ let [{}] = {P}::fields({entries}, {names:?}); {dflt} {path} {{ {} }} }}",
+        slots.join(", "),
+        inits.join(", ")
+    )
 }
 
 /// Expression building tuple variant/struct `path` from `Value` `__p`.
 fn de_tuple(path: &str, n: usize, what: &str) -> String {
     if n == 1 {
-        return format!("{path}({P}::from_value(__p)?)");
+        return format!("{path}(::serde::Deserialize::deserialize(__p)?)");
     }
     let elems: Vec<String> = (0..n)
         .map(|_| format!("{P}::next_elem(&mut __it)?"))
@@ -559,96 +576,98 @@ fn de_tuple(path: &str, n: usize, what: &str) -> String {
     )
 }
 
+/// Statements trying each variant of untagged enum `name` on `__v` in
+/// turn, returning the first that decodes.
+fn de_untagged(name: &str, variants: &[Variant]) -> Result<String, String> {
+    let mut tries = String::new();
+    for (i, v) in variants.iter().enumerate() {
+        let path = format!("{name}::{}", v.name);
+        // Every attempt but the last decodes a copy.
+        let value = if i + 1 == variants.len() {
+            "__v"
+        } else {
+            "__v.clone()"
+        };
+        tries.push_str(&match &v.body {
+            Body::Unit => {
+                format!("if matches!(__v, ::serde::Value::Null) {{ return {OK}({path}); }}")
+            }
+            Body::Tuple(f) if f.len() == 1 => format!(
+                "if let {OK}(__x) = ::serde::Deserialize::deserialize({value}) {{ return {OK}({path}(__x)); }}"
+            ),
+            _ => {
+                return Err(format!(
+                    "serde stand-in: untagged variant {} is neither a unit nor a newtype variant",
+                    v.name
+                ))
+            }
+        });
+    }
+    Ok(format!(
+        "{tries} {ERR}(::serde::Error::custom(\"data did not match any variant of untagged enum {name}\"))"
+    ))
+}
+
 fn gen_deserialize(item: &Item) -> Result<String, String> {
     let name = &item.name;
     let what = format!("struct {name}");
     let body = match &item.data {
         Data::Struct(Body::Named(fields)) => {
-            let dflt = if item.attrs.default.is_some() {
-                format!("let __dflt: {name} = ::core::default::Default::default();")
-            } else {
-                String::new()
-            };
-            let build = de_named(name, fields, item.attrs.default.is_some());
-            format!("let mut __m = {P}::take_object(__v, {what:?})?; {dflt} {OK}({build})")
+            let entries = format!("{P}::take_object(__v, {what:?})?");
+            let build = de_named(name, fields, &entries, item.attrs.default.is_some());
+            format!("{OK}({build})")
         }
         Data::Struct(Body::Tuple(fields)) => {
             format!("let __p = __v; {OK}({})", de_tuple(name, fields.len(), &what))
         }
         Data::Struct(Body::Unit) => format!(
-            "match __v {{ {P}::Value::Null => {OK}({name}), __o => ::core::result::Result::Err({P}::invalid(&__o, \"unit struct\")) }}"
+            "match __v {{ ::serde::Value::Null => {OK}({name}), __o => {ERR}({P}::invalid(&__o, \"unit struct\")) }}"
         ),
+        Data::Enum(variants) if item.attrs.untagged => de_untagged(name, variants)?,
         Data::Enum(variants) => {
-            let keys: Vec<String> = variants.iter().map(|v| variant_key(v, item.attrs.snake_case)).collect();
-            let build = |v: &Variant, fields_from: &str| -> Result<String, String> {
+            let keys: Vec<String> = variants
+                .iter()
+                .map(|v| variant_key(v, item.attrs.snake_case))
+                .collect();
+            let mut arms = String::new();
+            for (v, key) in variants.iter().zip(&keys) {
                 let path = format!("{name}::{}", v.name);
-                Ok(match &v.body {
-                    Body::Unit => path,
-                    Body::Tuple(f) => de_tuple(&path, f.len(), &format!("tuple variant {path}")),
-                    Body::Named(f) => format!(
-                        "{{ let mut __m = {fields_from}; {} }}",
-                        de_named(&path, f, false)
-                    ),
-                })
-            };
-            if item.attrs.untagged {
-                let mut tries = String::new();
-                for v in variants {
-                    let attempt = match &v.body {
-                        Body::Unit => format!(
-                            "if matches!(__p, {P}::Value::Null) {{ {OK}({name}::{}) }} else {{ ::core::result::Result::Err({P}::invalid(&__p, \"unit\")) }}",
+                let built = match (&v.body, &item.attrs.tag) {
+                    (Body::Unit, _) => path,
+                    (Body::Named(f), Some(_)) => de_named(&path, f, "__m", false),
+                    (Body::Named(f), None) => {
+                        de_named(&path, f, &format!("{P}::take_object(__p, \"a map\")?"), false)
+                    }
+                    (Body::Tuple(_), Some(_)) => {
+                        return Err(format!(
+                            "serde stand-in: internally tagged tuple variant {}",
                             v.name
-                        ),
-                        _ => format!("{OK}({})", build(v, &format!("{P}::take_object(__p, \"a map\")?"))?),
-                    };
-                    tries.push_str(&format!(
-                        "{{ let __p = __v.clone(); let __r = (|| -> {RESULT}<Self, {P}::Error> {{ {attempt} }})(); if let {OK}(__x) = __r {{ return {OK}(__x); }} }}"
-                    ));
-                }
-                format!(
-                    "{tries} ::core::result::Result::Err({P}::Error(::std::string::String::from(\"data did not match any variant of untagged enum {name}\")))"
-                )
-            } else {
-                let mut arms = String::new();
-                for (v, key) in variants.iter().zip(&keys) {
-                    let built = if item.attrs.tag.is_some() {
-                        match &v.body {
-                            Body::Named(_) => build(v, "__m")?,
-                            Body::Unit => build(v, "")?,
-                            Body::Tuple(_) => format!(
-                                "{{ let __p = {P}::Value::Object(__m); {} }}",
-                                build(v, "")?
-                            ),
-                        }
-                    } else {
-                        build(v, &format!("{P}::take_object(__p, \"a map\")?"))?
-                    };
-                    arms.push_str(&format!("{key:?} => {OK}({built}),"));
-                }
-                let head = match &item.attrs.tag {
-                    Some(tag) => format!(
-                        "#[allow(unused_mut)] let (__name, mut __m) = {P}::internal_variant(__v, {tag:?}, \"enum {name}\")?;"
-                    ),
-                    None => format!("let (__name, __p) = {P}::external_variant(__v, \"enum {name}\")?;"),
+                        ))
+                    }
+                    (Body::Tuple(f), None) => {
+                        de_tuple(&path, f.len(), &format!("tuple variant {path}"))
+                    }
                 };
-                format!(
-                    "{head} match __name.as_str() {{ {arms} __other => ::core::result::Result::Err({P}::unknown_variant(__other, &{keys:?})) }}"
-                )
+                arms.push_str(&format!("{key:?} => {OK}({built}),"));
             }
+            let head = match &item.attrs.tag {
+                Some(tag) => format!(
+                    "let (__name, __m) = {P}::internal_variant(__v, {tag:?}, \"enum {name}\")?;"
+                ),
+                None => format!(
+                    "let (__name, __p) = {P}::external_variant(__v, \"enum {name}\")?;"
+                ),
+            };
+            format!(
+                "{head} match __name.as_str() {{ {arms} __other => {ERR}({P}::unknown_variant(__other, &{keys:?})) }}"
+            )
         }
     };
     Ok(format!(
-        "#[automatically_derived] impl{ig} ::serde::Deserialize<'de> for {name}{tg} {{
-            fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) -> {RESULT}<Self, __D::Error> {{
-                #[allow(unused_variables, clippy::redundant_closure_call)]
-                let __r = (move || -> {RESULT}<Self, {P}::Error> {{
-                    let __v = {P}::take_value(__d)?;
-                    {body}
-                }})();
-                __r.map_err(<__D::Error as ::serde::de::Error>::custom)
-            }}
+        "#[automatically_derived] impl{ig} ::serde::Deserialize for {name}{tg} {{
+            fn deserialize(__v: ::serde::Value) -> {RESULT}<Self, ::serde::Error> {{ {body} }}
         }}",
-        ig = impl_generics(&item.params, "::serde::de::DeserializeOwned", "'de"),
+        ig = impl_generics(&item.params, "::serde::Deserialize", ""),
         tg = type_generics(&item.params),
     ))
 }

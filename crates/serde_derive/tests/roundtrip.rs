@@ -1,4 +1,4 @@
-//! Round trips through the derives and `serde_json`: one per `#[serde]`
+//! Round trips through the derives and serde's JSON: one per `#[serde]`
 //! attribute the workspace uses, plus a generic struct and a nested one.
 //! Each pins the compact and the pretty JSON text too, since the wire
 //! format and the result files depend on them.
@@ -8,14 +8,14 @@ use serde::{Deserialize, Serialize};
 /// Serialize compact and pretty, check both texts, and read each back.
 fn round_trip<T>(value: &T, json: &str, pretty: &str)
 where
-    T: Serialize + for<'de> Deserialize<'de> + PartialEq + std::fmt::Debug,
+    T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
 {
-    let text = serde_json::to_string(value).unwrap();
+    let text = serde::to_string(value);
     assert_eq!(text, json);
-    let indented = serde_json::to_string_pretty(value).unwrap();
+    let indented = serde::to_string_pretty(value);
     assert_eq!(indented, pretty);
     for text in [text, indented] {
-        let back: T = serde_json::from_str(&text).unwrap();
+        let back: T = serde::from_str(&text).unwrap();
         assert_eq!(&back, value);
     }
 }
@@ -45,7 +45,7 @@ fn field_default_fills_missing_fields() {
         r#"{"name":"a","count":7,"retries":9}"#,
         "{\n  \"name\": \"a\",\n  \"count\": 7,\n  \"retries\": 9\n}",
     );
-    let sparse: FieldDefaults = serde_json::from_str(r#"{"name":"b"}"#).unwrap();
+    let sparse: FieldDefaults = serde::from_str(r#"{"name":"b"}"#).unwrap();
     assert_eq!(
         sparse,
         FieldDefaults {
@@ -54,7 +54,7 @@ fn field_default_fills_missing_fields() {
             retries: 3,
         }
     );
-    assert!(serde_json::from_str::<FieldDefaults>("{}").is_err());
+    assert!(serde::from_str::<FieldDefaults>("{}").is_err());
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -83,7 +83,7 @@ fn container_default_fills_from_the_default_value() {
         r#"{"period_s":1.5,"depth":4}"#,
         "{\n  \"period_s\": 1.5,\n  \"depth\": 4\n}",
     );
-    let sparse: ContainerDefault = serde_json::from_str(r#"{"depth":9}"#).unwrap();
+    let sparse: ContainerDefault = serde::from_str(r#"{"depth":9}"#).unwrap();
     assert_eq!(
         sparse,
         ContainerDefault {
@@ -148,7 +148,7 @@ fn rename_all_snake_case_renames_variants() {
         r#"{"window":{"lo_ghz":0.8,"hi_ghz":2.2}}"#,
         "{\n  \"window\": {\n    \"lo_ghz\": 0.8,\n    \"hi_ghz\": 2.2\n  }\n}",
     );
-    assert!(serde_json::from_str::<Action>(r#""HoldSteady""#).is_err());
+    assert!(serde::from_str::<Action>(r#""HoldSteady""#).is_err());
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -170,10 +170,10 @@ fn tag_puts_the_variant_name_beside_the_fields() {
         r#"{"type":"fixed_uncore","ghz":1.2}"#,
         "{\n  \"type\": \"fixed_uncore\",\n  \"ghz\": 1.2\n}",
     );
-    let reordered: Governor = serde_json::from_str(r#"{"ghz":0.8,"type":"fixed_uncore"}"#).unwrap();
+    let reordered: Governor = serde::from_str(r#"{"ghz":0.8,"type":"fixed_uncore"}"#).unwrap();
     assert_eq!(reordered, Governor::FixedUncore { ghz: 0.8 });
-    assert!(serde_json::from_str::<Governor>(r#"{"ghz":0.8}"#).is_err());
-    assert!(serde_json::from_str::<Governor>(r#"{"type":"turbo"}"#).is_err());
+    assert!(serde::from_str::<Governor>(r#"{"ghz":0.8}"#).is_err());
+    assert!(serde::from_str::<Governor>(r#"{"type":"turbo"}"#).is_err());
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -193,7 +193,7 @@ fn untagged_picks_the_first_variant_that_fits() {
     round_trip(&Field::I64(-3), "-3", "-3");
     round_trip(&Field::F64(3.5), "3.5", "3.5");
     round_trip(&Field::Str("x".into()), r#""x""#, r#""x""#);
-    assert!(serde_json::from_str::<Field>("null").is_err());
+    assert!(serde::from_str::<Field>("null").is_err());
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -289,4 +289,38 @@ fn nesting_indents_every_level_and_writes_empty_containers_flat() {
   }
 }"#,
     );
+}
+
+#[derive(Debug, PartialEq, Deserialize)]
+struct FirstKeys {
+    k0: u64,
+    k1: u64,
+    k2: u64,
+}
+
+#[test]
+fn repeated_keys_keep_the_last_value() {
+    for n in [3, 40] {
+        let mut text = String::from("{");
+        for i in 0..n {
+            text.push_str(&format!("\"k{i}\":{i},"));
+        }
+        text.push_str(r#""k1":100,"k0":200,"k1":300}"#);
+        let keys: FirstKeys = serde::from_str(&text).unwrap();
+        assert_eq!(
+            keys,
+            FirstKeys {
+                k0: 200,
+                k1: 300,
+                k2: 2
+            },
+            "{n} keys"
+        );
+        let map: std::collections::BTreeMap<String, u64> = serde::from_str(&text).unwrap();
+        let mut want: std::collections::BTreeMap<String, u64> =
+            (0..n).map(|i| (format!("k{i}"), i)).collect();
+        want.insert("k0".into(), 200);
+        want.insert("k1".into(), 300);
+        assert_eq!(map, want, "{n} keys");
+    }
 }

@@ -198,7 +198,7 @@ impl EventLog {
 }
 
 /// One registered metric value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[serde(tag = "type", rename_all = "snake_case")]
 pub enum MetricValue {
     /// Monotonically increasing count.
@@ -314,7 +314,7 @@ impl Registry {
 }
 
 /// Point-in-time copy of a [`Registry`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Snapshot {
     /// Metric name → value, sorted by name.
     pub metrics: BTreeMap<String, MetricValue>,
@@ -518,11 +518,11 @@ mod tests {
             .with("trend", "increase")
             .with("tune_event", true)
             .with("delta", -2i64);
-        let json = serde_json::to_string(&ev).expect("serialize");
-        let back: Event = serde_json::from_str(&json).expect("deserialize");
+        let json = serde::to_string(&ev);
+        let back: Event = serde::from_str(&json).expect("deserialize");
         assert_eq!(back, ev);
         // Canonical: serializing twice yields identical bytes.
-        assert_eq!(json, serde_json::to_string(&back).expect("serialize"));
+        assert_eq!(json, serde::to_string(&back));
         // Untagged ordering: unsigned stays U64, negative I64, fraction F64.
         assert_eq!(back.fields.get("cycle"), Some(&FieldValue::U64(3)));
         assert_eq!(back.fields.get("delta"), Some(&FieldValue::I64(-2)));
@@ -638,7 +638,7 @@ mod tests {
                 .to_string(),
             ),
         ] {
-            assert_eq!(serde_json::to_string(&event).unwrap(), json, "{event:?}");
+            assert_eq!(serde::to_string(&event), json, "{event:?}");
         }
 
         // Generated events: the text reads back to an event that writes the
@@ -656,9 +656,9 @@ mod tests {
                     .fields
                     .insert(Cow::Owned(random_string(&mut state)), value);
             }
-            let json = serde_json::to_string(&event).unwrap();
-            let back: Event = serde_json::from_str(&json).expect("reads back");
-            assert_eq!(serde_json::to_string(&back).unwrap(), json, "case {case}");
+            let json = serde::to_string(&event);
+            let back: Event = serde::from_str(&json).expect("reads back");
+            assert_eq!(serde::to_string(&back), json, "case {case}");
         }
     }
 
@@ -674,10 +674,10 @@ mod tests {
 
     #[test]
     fn node_counters_serde_defaults_missing_fields() {
-        let nc: NodeCounters = serde_json::from_str("{}").expect("defaults");
+        let nc: NodeCounters = serde::from_str("{}").expect("defaults");
         assert_eq!(nc, NodeCounters::default());
         let nc: NodeCounters =
-            serde_json::from_str(r#"{"uncore_msr_writes":2,"residency_us":[[18,20000]]}"#)
+            serde::from_str(r#"{"uncore_msr_writes":2,"residency_us":[[18,20000]]}"#)
                 .expect("partial");
         assert_eq!(nc.uncore_msr_writes, 2);
         assert_eq!(nc.residency_total_us(), 20_000);

@@ -20,12 +20,12 @@
 //! lowering the uncore after second 15 while MAGUS's high-frequency
 //! detector has locked the uncore at maximum.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::UpsConfig;
 
 /// What UPS decided in one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UpsDecision {
     /// The uncore max-limit target (GHz) after this cycle.
     pub target_ghz: f64,

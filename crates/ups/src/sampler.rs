@@ -15,10 +15,10 @@ use magus_msr::{
     MsrError, MsrScope, RaplPowerUnit, IA32_FIXED_CTR0, IA32_FIXED_CTR1, MSR_DRAM_ENERGY_STATUS,
     MSR_RAPL_POWER_UNIT,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One completed measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UpsSample {
     /// Mean IPC across busy cores since the previous sweep.
     pub mean_ipc: f64,

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::spec::{BurstTrainSpec, FluctuationSpec, InitSpec, Segment, UtilSpec, WorkloadSpec};
 
 /// Target platform for a workload instantiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Platform {
     /// 2× Xeon 8380 + 1× A100-40GB (CUDA).
     IntelA100,

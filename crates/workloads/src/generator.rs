@@ -381,7 +381,7 @@ impl TrafficSpecBuilder {
 
 /// One generated job in a tenant's queue, in ideal-timeline terms (the
 /// time axis of the superposed node trace, where demand is always met).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantJob {
     /// Submitting tenant.
     pub tenant: u32,
@@ -1010,11 +1010,11 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let spec = small_spec();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: TrafficSpec = serde_json::from_str(&json).unwrap();
+        let json = serde::to_string(&spec);
+        let back: TrafficSpec = serde::from_str(&json).unwrap();
         assert_eq!(back, spec);
         // Old/partial encodings fill defaults and still validate.
-        let sparse: TrafficSpec = serde_json::from_str(r#"{"seed":9,"tenants":3}"#).unwrap();
+        let sparse: TrafficSpec = serde::from_str(r#"{"seed":9,"tenants":3}"#).unwrap();
         assert_eq!(sparse.seed, 9);
         assert_eq!(sparse.tenants, 3);
         sparse.validate().unwrap();

@@ -26,7 +26,7 @@ pub enum LoadError {
     /// Filesystem failure.
     Io(std::io::Error),
     /// JSON parse failure.
-    Parse(serde_json::Error),
+    Parse(serde::Error),
     /// Structurally valid JSON describing an invalid workload.
     Invalid(String),
 }
@@ -49,8 +49,8 @@ impl From<std::io::Error> for LoadError {
     }
 }
 
-impl From<serde_json::Error> for LoadError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<serde::Error> for LoadError {
+    fn from(e: serde::Error) -> Self {
         LoadError::Parse(e)
     }
 }
@@ -96,26 +96,26 @@ pub fn validate_trace(trace: &AppTrace) -> Result<(), LoadError> {
 /// Save an expanded trace as JSON.
 pub fn save_trace(trace: &AppTrace, path: &Path) -> Result<(), LoadError> {
     validate_trace(trace)?;
-    fs::write(path, serde_json::to_string_pretty(trace)?)?;
+    fs::write(path, serde::to_string_pretty(trace))?;
     Ok(())
 }
 
 /// Load and validate an expanded trace from JSON.
 pub fn load_trace(path: &Path) -> Result<AppTrace, LoadError> {
-    let trace: AppTrace = serde_json::from_str(&fs::read_to_string(path)?)?;
+    let trace: AppTrace = serde::from_str(&fs::read_to_string(path)?)?;
     validate_trace(&trace)?;
     Ok(trace)
 }
 
 /// Save a parametric specification as JSON.
 pub fn save_spec(spec: &WorkloadSpec, path: &Path) -> Result<(), LoadError> {
-    fs::write(path, serde_json::to_string_pretty(spec)?)?;
+    fs::write(path, serde::to_string_pretty(spec))?;
     Ok(())
 }
 
 /// Load a parametric specification and build (and validate) its trace.
 pub fn load_spec(path: &Path) -> Result<(WorkloadSpec, AppTrace), LoadError> {
-    let spec: WorkloadSpec = serde_json::from_str(&fs::read_to_string(path)?)?;
+    let spec: WorkloadSpec = serde::from_str(&fs::read_to_string(path)?)?;
     let trace = spec.build();
     validate_trace(&trace)?;
     Ok((spec, trace))
@@ -126,7 +126,7 @@ pub fn load_spec(path: &Path) -> Result<(WorkloadSpec, AppTrace), LoadError> {
 pub fn save_traffic_spec(spec: &TrafficSpec, path: &Path) -> Result<(), LoadError> {
     spec.validate()
         .map_err(|e| LoadError::Invalid(e.to_string()))?;
-    fs::write(path, serde_json::to_string_pretty(spec)?)?;
+    fs::write(path, serde::to_string_pretty(spec))?;
     Ok(())
 }
 
@@ -135,7 +135,7 @@ pub fn save_traffic_spec(spec: &TrafficSpec, path: &Path) -> Result<(), LoadErro
 /// `#[serde(default)]`), and builder invariants are re-checked so a
 /// hand-written file cannot smuggle in a malformed spec.
 pub fn load_traffic_spec(path: &Path) -> Result<TrafficSpec, LoadError> {
-    let spec: TrafficSpec = serde_json::from_str(&fs::read_to_string(path)?)?;
+    let spec: TrafficSpec = serde::from_str(&fs::read_to_string(path)?)?;
     spec.validate()
         .map_err(|e| LoadError::Invalid(e.to_string()))?;
     Ok(spec)

@@ -179,10 +179,10 @@ fn serve(out: &mut impl Write, cfg: ServeConfig) -> Result<(), Box<dyn Error>> {
 /// The fleet summary's file rendering, shared by every path that writes
 /// one (`ctl drive --summary`, `ctl snapshot`, `fleet --summary`) so the
 /// CI system test can byte-compare daemon and batch output.
-fn summary_json(summary: &FleetSummary) -> Result<String, serde_json::Error> {
-    let mut out = serde_json::to_string_pretty(summary)?;
+fn summary_json(summary: &FleetSummary) -> String {
+    let mut out = serde::to_string_pretty(summary);
     out.push('\n');
-    Ok(out)
+    out
 }
 
 /// Write `contents` to `path`, creating parent directories as needed.
@@ -249,7 +249,7 @@ fn run_ctl(out: &mut impl Write, addr: &str, action: CtlAction) -> Result<(), Bo
             let snap = CtlClient::connect(addr)?.snapshot()?;
             eprintln!("[ctl] epoch {}", snap.epoch);
             match &snap.summary {
-                Some(summary) => write!(out, "{}", summary_json(summary)?)?,
+                Some(summary) => write!(out, "{}", summary_json(summary))?,
                 None => writeln!(out, "null")?,
             }
         }
@@ -324,7 +324,7 @@ fn drive(
         write_file(path, &jsonl)?;
     }
     if let Some(path) = summary_path {
-        write_file(path, &summary_json(&summary)?)?;
+        write_file(path, &summary_json(&summary))?;
     }
     if let Some(path) = metrics {
         write_file(path, &snap.prometheus)?;
@@ -396,7 +396,7 @@ fn fleet(
         );
     }
     if let Some(path) = summary_path {
-        write_file(path, &summary_json(&run.summary)?)?;
+        write_file(path, &summary_json(&run.summary))?;
     }
     Ok(())
 }
@@ -443,7 +443,7 @@ fn run(
     let outcome = engine.run(&spec);
     let r = outcome.result;
     if json {
-        writeln!(out, "{}", serde_json::to_string_pretty(&r)?)?;
+        writeln!(out, "{}", serde::to_string_pretty(&r))?;
         return Ok(());
     }
     writeln!(

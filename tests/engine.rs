@@ -246,7 +246,7 @@ fn finish_writes_a_manifest_next_to_the_cache() {
     engine.finish("itest");
     let path = dir.join("itest.manifest.json");
     let raw = fs::read_to_string(&path).expect("manifest written");
-    let manifest: RunManifest = serde_json::from_str(&raw).expect("manifest parses");
+    let manifest: RunManifest = serde::from_str(&raw).expect("manifest parses");
     assert_eq!(manifest.trials.len(), 1);
     assert_eq!(manifest.cache_misses, 1);
     assert_eq!(manifest.salt, ENGINE_SALT);

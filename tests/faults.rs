@@ -300,7 +300,7 @@ fn magus_fleet_applies_the_faults_flag_and_serve_refuses_it() {
         .expect("run magus fleet");
     assert!(fleet.status.success(), "{fleet:?}");
     let summary: FleetSummary =
-        serde_json::from_str(&fs::read_to_string(&summary).expect("summary written"))
+        serde::from_str(&fs::read_to_string(&summary).expect("summary written"))
             .expect("summary parses");
     assert!(summary.crashed >= 1, "crash_every=4 hits node 4 of 4");
     assert!(

@@ -142,7 +142,7 @@ fn ctl_frames() -> String {
 fn json_output_matches_the_committed_goldens() {
     let telemetry = |name| fixture("telemetry", name);
     let plan: FaultPlan =
-        serde_json::from_str(&std::fs::read_to_string(telemetry("faults.json")).unwrap())
+        serde::from_str(&std::fs::read_to_string(telemetry("faults.json")).unwrap())
             .expect("fault plan");
     let spec = FleetSpec {
         max_s: 10.0,
@@ -151,7 +151,7 @@ fn json_output_matches_the_committed_goldens() {
         ..FleetSpec::new(GovernorSpec::magus_default(), 16)
     }
     .with_traffic(load_traffic_spec(&telemetry("traffic.json")).expect("traffic spec"));
-    let mut summary = serde_json::to_string_pretty(&run_fleet(&spec).summary).unwrap();
+    let mut summary = serde::to_string_pretty(&run_fleet(&spec).summary);
     summary.push('\n');
     assert_matches_golden(&fixture("json", "fleet_summary.json"), &summary);
 
@@ -161,7 +161,7 @@ fn json_output_matches_the_committed_goldens() {
         AppId::Srad,
         GovernorSpec::ups_default(),
     );
-    let mut run = serde_json::to_string_pretty(&engine.run(&spec.recorded()).result).unwrap();
+    let mut run = serde::to_string_pretty(&engine.run(&spec.recorded()).result);
     run.push('\n');
     assert_matches_golden(&fixture("json", "run_srad_ups.json"), &run);
 
@@ -179,12 +179,12 @@ fn padded_request(tag: &str, pad: usize, tail: &str) -> String {
     text
 }
 
-/// Decode `text` as a ctl request twice: with `serde_json::from_str`, and
+/// Decode `text` as a ctl request twice: with `serde::from_str`, and
 /// as a wire frame through `proto::read_message`; both must agree, and the
 /// two together must take under `limit`.
 fn decode_request(text: &str, limit: Duration) -> Request {
     let start = Instant::now();
-    let direct: Request = serde_json::from_str(text).expect("request parses");
+    let direct: Request = serde::from_str(text).expect("request parses");
     let mut frame = Vec::new();
     write_frame(&mut frame, text.as_bytes()).expect("in-memory write");
     let framed: Request = read_message(&mut frame.as_slice())

@@ -5,6 +5,7 @@
 use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 
+use magus_suite::ctl::Request;
 use magus_suite::experiments::drivers::{MagusDriver, NoopDriver, RuntimeDriver};
 use magus_suite::experiments::engine::{Engine, GovernorSpec, TrialSpec};
 use magus_suite::experiments::fleet::FleetSpec;
@@ -208,13 +209,13 @@ fn mutations(fixture: &[u8]) -> Vec<Vec<u8>> {
 /// Decode `input` as every JSON input type and validate what decodes. Any
 /// outcome is fine except a panic.
 fn decode_all(input: &[u8]) {
-    if let Ok(plan) = serde_json::from_slice::<FaultPlan>(input) {
+    if let Ok(plan) = serde::from_slice::<FaultPlan>(input) {
         let _ = plan.validate();
     }
-    if let Ok(traffic) = serde_json::from_slice::<TrafficSpec>(input) {
+    if let Ok(traffic) = serde::from_slice::<TrafficSpec>(input) {
         let _ = traffic.validate();
     }
-    let _ = serde_json::from_slice::<FleetSpec>(input);
+    let _ = serde::from_slice::<FleetSpec>(input);
 }
 
 /// Truncated, byte-flipped and number-bloated fault plans, traffic specs
@@ -225,9 +226,9 @@ fn mutated_json_inputs_never_panic() {
     // The unmutated fixtures decode as their own types, so the mutations
     // start from valid inputs.
     let [faults, traffic, fleet] = JSON_FIXTURES;
-    serde_json::from_str::<FaultPlan>(faults).expect("fault plan fixture decodes");
-    serde_json::from_str::<TrafficSpec>(traffic).expect("traffic fixture decodes");
-    serde_json::from_str::<FleetSpec>(fleet).expect("fleet spec fixture decodes");
+    serde::from_str::<FaultPlan>(faults).expect("fault plan fixture decodes");
+    serde::from_str::<TrafficSpec>(traffic).expect("traffic fixture decodes");
+    serde::from_str::<FleetSpec>(fleet).expect("fleet spec fixture decodes");
     let mut inputs = 0;
     for (f, fixture) in JSON_FIXTURES.iter().enumerate() {
         for (m, input) in mutations(fixture.as_bytes()).iter().enumerate() {
@@ -242,6 +243,58 @@ fn mutated_json_inputs_never_panic() {
     }
     let bytes: usize = JSON_FIXTURES.iter().map(|f| f.len()).sum();
     assert_eq!(inputs, bytes * (1 + REPLACEMENTS.len() + 1));
+}
+
+/// Every decode outcome of the mutation corpus, pinned: each mutation of
+/// the [`JSON_FIXTURES`] decoded as a `FaultPlan`, a `TrafficSpec` and a
+/// `FleetSpec`, then each mutation of the nine request frames of
+/// `fixtures/json/ctl_frames.jsonl` (internally tagged enums) decoded as a
+/// ctl `Request`. Each outcome is written `ok {value:?}` or `err {error}`
+/// and folded, with a 0 byte after it, into one FNV-1a-64 digest.
+///
+/// The constants were computed by this test on the reader of commit
+/// `f3c450d`, which indexed every object's keys in a hash table; a change
+/// to the reader must leave every decoded value and every error text, and
+/// so the digest and both counts, as they are.
+#[test]
+fn decode_outcomes_match_the_parent() {
+    const DIGEST: u64 = 0x7b2d_b8ed_3764_7d01;
+    const OKS: usize = 11_653;
+    const ERRS: usize = 25_643;
+    fn outcome<T: std::fmt::Debug>(r: Result<T, serde::Error>) -> String {
+        match r {
+            Ok(value) => format!("ok {value:?}"),
+            Err(error) => format!("err {error}"),
+        }
+    }
+    let mut outcomes = Vec::new();
+    for fixture in JSON_FIXTURES {
+        for input in mutations(fixture.as_bytes()) {
+            outcomes.push(outcome(serde::from_slice::<FaultPlan>(&input)));
+            outcomes.push(outcome(serde::from_slice::<TrafficSpec>(&input)));
+            outcomes.push(outcome(serde::from_slice::<FleetSpec>(&input)));
+        }
+    }
+    let frames = include_str!("fixtures/json/ctl_frames.jsonl");
+    for frame in frames.lines().take(9) {
+        serde::from_str::<Request>(frame).expect("a request frame decodes");
+        for input in mutations(frame.as_bytes()) {
+            outcomes.push(outcome(serde::from_slice::<Request>(&input)));
+        }
+    }
+    let digest = outcomes
+        .iter()
+        .flat_map(|o| o.bytes().chain([0]))
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    let oks = outcomes.iter().filter(|o| o.starts_with("ok ")).count();
+    let errs = outcomes.len() - oks;
+    assert_eq!(
+        (digest, oks, errs),
+        (DIGEST, OKS, ERRS),
+        "decode outcomes changed: digest {digest:#018x}, {oks} ok, {errs} err"
+    );
 }
 
 /// A reader that closes the CLI's stdout early (`magus list | head -1`)

@@ -20,7 +20,7 @@ use magus_suite::workloads::io::load_traffic_spec;
 use magus_suite::workloads::AppId;
 
 fn events_json(r: &TrialResult) -> String {
-    serde_json::to_string(&r.events).expect("events serialise")
+    serde::to_string(&r.events)
 }
 
 /// An armed bfs trial on the Intel+A100 testbed.
@@ -202,7 +202,7 @@ fn write_telemetry_emits_parseable_jsonl_and_prometheus_text() {
             line.starts_with(r#"{"trial":"bfs/Intel+A100/MAGUS","#),
             "{line}"
         );
-        let event: Event = serde_json::from_str(line).expect("each line is an event");
+        let event: Event = serde::from_str(line).expect("each line is an event");
         assert!(!event.kind.is_empty(), "{line}");
     }
     let prom = std::fs::read_to_string(path.with_extension("prom")).unwrap();
@@ -240,7 +240,7 @@ fn fixture(name: &str) -> PathBuf {
 #[test]
 fn telemetry_jsonl_matches_the_committed_goldens() {
     let plan: FaultPlan =
-        serde_json::from_str(&std::fs::read_to_string(fixture("faults.json")).unwrap())
+        serde::from_str(&std::fs::read_to_string(fixture("faults.json")).unwrap())
             .expect("fault plan");
     for (governor, golden) in [
         (GovernorSpec::magus_default(), "srad_magus_faulted.jsonl"),
