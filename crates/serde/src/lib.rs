@@ -14,9 +14,10 @@
 //! levels and keeps an object's entries in the order it reads them, repeats
 //! included. A repeated key's last value wins, and the values it overrides
 //! are never decoded: a derived struct keeps each field's last entry, an
-//! internal tag is the last `"type"` entry, and a map keeps a repeated
-//! key's last value. The derives come from `serde_derive`, re-exported
-//! here, and generate code against the hidden `__private` helpers below.
+//! internally tagged enum reads the tag key's last entry (`"type"` in this
+//! workspace), and a map keeps a repeated key's last value. The derives
+//! come from `serde_derive`, re-exported here, and generate code against
+//! the hidden `__private` helpers below.
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -370,19 +370,18 @@ fn field_name(f: &Field) -> &str {
 }
 
 /// `impl<...>` generics, adding `bound` to every type parameter.
-fn impl_generics(params: &[Param], bound: &str, leading: &str) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if !leading.is_empty() {
-        parts.push(leading.to_string());
-    }
-    for p in params {
-        if p.is_type {
-            let sep = if p.decl.contains(':') { " +" } else { ":" };
-            parts.push(format!("{}{sep} {bound}", p.decl));
-        } else {
-            parts.push(p.decl.clone());
-        }
-    }
+fn impl_generics(params: &[Param], bound: &str) -> String {
+    let parts: Vec<String> = params
+        .iter()
+        .map(|p| {
+            if p.is_type {
+                let sep = if p.decl.contains(':') { " +" } else { ":" };
+                format!("{}{sep} {bound}", p.decl)
+            } else {
+                p.decl.clone()
+            }
+        })
+        .collect();
     format!("<{}>", parts.join(", "))
 }
 
@@ -521,7 +520,7 @@ fn gen_serialize(item: &Item) -> Result<String, String> {
         "#[automatically_derived] impl{ig} {SER} for {name}{tg} {{
             fn serialize<const __P: bool>(&self, __w: &mut ::serde::Writer<'_, __P>) {{ {body} }}
         }}",
-        ig = impl_generics(&item.params, SER, ""),
+        ig = impl_generics(&item.params, SER),
         name = item.name,
         tg = type_generics(&item.params),
     ))
@@ -667,7 +666,7 @@ fn gen_deserialize(item: &Item) -> Result<String, String> {
         "#[automatically_derived] impl{ig} ::serde::Deserialize for {name}{tg} {{
             fn deserialize(__v: ::serde::Value) -> {RESULT}<Self, ::serde::Error> {{ {body} }}
         }}",
-        ig = impl_generics(&item.params, "::serde::Deserialize", ""),
+        ig = impl_generics(&item.params, "::serde::Deserialize"),
         tg = type_generics(&item.params),
     ))
 }
