@@ -1,5 +1,6 @@
-//! `Serialize` and `Deserialize` for the standard types the workspace's
-//! serialized types contain, with upstream serde's JSON mapping.
+//! `Serialize` for the standard types the workspace's serialized types
+//! contain, and `Deserialize` for those its decoded types contain, with
+//! upstream serde's JSON mapping.
 
 use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -49,7 +50,7 @@ macro_rules! integer {
     )*};
 }
 integer!(u64, as_u64: u8, u16, u32, u64, usize);
-integer!(i64, as_i64: i32, i64);
+integer!(i64, as_i64: i64);
 
 impl Serialize for f64 {
     /// NaN and infinities become `null`, as upstream.
@@ -149,12 +150,6 @@ impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Arc<T> {
-    fn deserialize(v: Value) -> Result<Self, Error> {
-        T::deserialize(v).map(Arc::new)
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
         match self {
@@ -192,24 +187,26 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-macro_rules! sequence {
-    ($($c:ident),*) => {$(
-        impl<T: Serialize> Serialize for $c<T> {
-            fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
-                write_seq(w, self);
-            }
-        }
-        impl<T: Deserialize> Deserialize for $c<T> {
-            fn deserialize(v: Value) -> Result<Self, Error> {
-                match v {
-                    Value::Array(items) => items.into_iter().map(T::deserialize).collect(),
-                    other => Err(invalid(&other, "a sequence")),
-                }
-            }
-        }
-    )*};
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        write_seq(w, self);
+    }
 }
-sequence!(Vec, VecDeque);
+
+impl<T: Serialize> Serialize for VecDeque<T> {
+    fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
+        write_seq(w, self);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(v: Value) -> Result<Self, Error> {
+        match v {
+            Value::Array(items) => items.into_iter().map(T::deserialize).collect(),
+            other => Err(invalid(&other, "a sequence")),
+        }
+    }
+}
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize<const P: bool>(&self, w: &mut Writer<'_, P>) {
