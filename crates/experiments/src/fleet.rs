@@ -25,6 +25,8 @@
 //! waves the same way it phases catalog waves — repeated tenant sets share
 //! one trace allocation and one run.
 
+use std::ops::Range;
+
 use magus_hetsim::fault::FaultPlan;
 use magus_hetsim::fleet::{FleetSim, FleetSummary, NodeDecider, RunOpts, ShardStats, StepMode};
 use magus_hetsim::{JobDeadline, TenantShare};
@@ -174,6 +176,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetRun {
 #[must_use]
 pub fn build_fleet(spec: &FleetSpec) -> FleetSim {
     let platform = spec.system.platform();
+    let config = spec.system.node_config();
     let mut builder = FleetSim::builder(spec.max_s).shards(spec.shards);
     if let Some(traffic) = &spec.traffic {
         // Traffic fleet: node i runs expansion slot i; one wave = the
@@ -183,7 +186,7 @@ pub fn build_fleet(spec: &FleetSpec) -> FleetSim {
         for (i, profile) in fleet.profiles.into_iter().enumerate() {
             let offset_us = ((i / wave_len) as u64).saturating_mul(spec.stagger_us);
             builder = builder
-                .node_at(spec.system.node_config(), profile.trace, offset_us)
+                .node_at(config.clone(), profile.trace, offset_us)
                 .node_traffic(
                     profile
                         .jobs
@@ -208,7 +211,7 @@ pub fn build_fleet(spec: &FleetSpec) -> FleetSim {
             // Wave w = i / catalog starts at w × stagger_us: nodes sharing
             // an app land in different waves.
             let offset_us = ((i / catalog) as u64).saturating_mul(spec.stagger_us);
-            builder = builder.node_at(spec.system.node_config(), trace, offset_us);
+            builder = builder.node_at(config.clone(), trace, offset_us);
         }
     }
     if let Some(plan) = &spec.faults {
@@ -242,20 +245,42 @@ fn run_built(spec: &FleetSpec, mut fleet: FleetSim) -> (FleetRun, FleetSim) {
 /// shard counts and stepping modes) and is exactly what the control-plane
 /// daemon streams to subscribers, so the CI system test can `diff` daemon
 /// output against a batch run.
+///
+/// Each class's stream is rendered once, as its first node's lines; every
+/// later node of the class writes its own `{"node":N` and copies the rest
+/// of each of those lines.
 #[must_use]
 pub fn fleet_telemetry_jsonl(fleet: &mut FleetSim) -> String {
     use std::fmt::Write;
+    let events = fleet.take_class_events();
+    // Where each class's first node wrote its lines in `out`.
+    let mut rendered: Vec<Option<Range<usize>>> = vec![None; events.len()];
     let mut out = String::new();
-    for (node, events) in fleet.take_node_events().into_iter().enumerate() {
-        for event in events {
+    for node in 0..fleet.len() {
+        let class = fleet.class(node);
+        if let Some(lines) = rendered[class].clone() {
+            let mut at = lines.start;
+            while at < lines.end {
+                // A line's `{"node":N` prefix ends at its first comma.
+                let body = at + out[at..].find(',').expect("a line holds an event");
+                let end = body + out[body..].find('\n').expect("a line ends in a newline") + 1;
+                let _ = write!(out, "{{\"node\":{node}");
+                out.extend_from_within(body..end);
+                at = end;
+            }
+            continue;
+        }
+        let start = out.len();
+        for event in &events[class] {
             let _ = write!(out, "{{\"node\":{node}");
             // The event's object continues this line's: its `{` becomes
             // the `,` after the node.
             let at = out.len();
-            serde::append(&mut out, &event);
+            serde::append(&mut out, event);
             out.replace_range(at..=at, ",");
             out.push('\n');
         }
+        rendered[class] = Some(start..out.len());
     }
     out
 }

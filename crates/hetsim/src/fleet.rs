@@ -14,19 +14,22 @@
 //!   [`StepMode`] in between. The single-node trial harness calls it, and so
 //!   does every stepped fleet node, from its start to its finish; a fleet
 //!   node is a trial by construction.
-//! * **One run per trajectory.** Nodes added with [`FleetBuilder::node`] or
-//!   [`FleetBuilder::node_at`] carry a trajectory key: their config
-//!   (interned bit for bit by [`FleetBuilder`]), the address of their shared
-//!   trace, and whether the fleet fault plan crashes or stalls them. Under
-//!   a [`RunOpts::uniform`] decider factory, which never sees the node
-//!   index, two nodes with one key start in the same state and take the
-//!   same decisions, so they end in the same state. [`FleetSim::run`]
-//!   therefore steps only the lowest-index node of each key and gives
-//!   every twin a clone of its final `Simulation`. Start offsets, job
-//!   deadlines and tenant shares stay out of the key: they never reach a
-//!   node's own timeline, only the summary. Nodes added with
-//!   [`FleetBuilder::sim`], and runs whose factory takes the index
-//!   ([`RunOpts::new`], [`RunOpts::from_fn`]), never share.
+//! * **One simulation per trajectory.** Nodes added with
+//!   [`FleetBuilder::node`] or [`FleetBuilder::node_at`] carry a trajectory
+//!   key: their config (interned bit for bit by [`FleetBuilder`]), the
+//!   address of their shared trace, and whether the fleet fault plan
+//!   crashes or stalls them. Under a [`RunOpts::uniform`] decider factory,
+//!   which never sees the node index, two nodes with one key start in the
+//!   same state and take the same decisions, so they end in the same
+//!   state. [`FleetBuilder::build`] therefore builds one `Simulation` per
+//!   key (a *class*), and a node is an index into the classes plus what
+//!   stays out of the key: its start offset, job deadlines and tenant
+//!   shares, which never reach a node's own timeline, only the summary.
+//!   [`FleetSim::run`] steps each class once, as its lowest-index node.
+//!   Nodes added with [`FleetBuilder::sim`] are classes of their own, and
+//!   a run whose factory takes the index ([`RunOpts::new`],
+//!   [`RunOpts::from_fn`]) first gives every node its own copy of its
+//!   class.
 //! * **Shards are runs of nodes, not clocks.** The stepped nodes are
 //!   partitioned into contiguous runs of ascending index, one per shard,
 //!   each on its own scoped thread, which runs its nodes one after another.
@@ -42,19 +45,20 @@
 //!   *local* clock, exactly as alone; only the fleet makespan sees its
 //!   offset.
 //!
-//! Sharing copies whole runs, never rounds. A twin is not stepped, decided
-//! or checked; it costs one clone when its representative finishes. The
-//! per-round dedup this kernel once had replayed rounds instead, so every
-//! follower still decided and was verified each round, which cost more
-//! than stepping it (DESIGN.md, "Fleet kernel"). With twins copying whole
-//! runs, a lockstep shard clock has nothing left to synchronize: it would
-//! only cut each node's spans at its neighbours' deadlines.
+//! Sharing covers whole runs, never rounds. A twin is not built, stepped,
+//! decided, checked or copied: it reads its class. The per-round dedup
+//! this kernel once had replayed rounds instead, so every follower still
+//! decided and was verified each round, which cost more than stepping it
+//! (DESIGN.md, "Fleet kernel"). With twins sharing whole runs, a lockstep
+//! shard clock has nothing left to synchronize: it would only cut each
+//! node's spans at its neighbours' deadlines.
 //!
 //! Construction goes through the validating [`FleetBuilder`]; execution is
 //! a single [`FleetSim::run`] taking [`RunOpts`] (stepping mode + a
 //! [`NodeDecider`] factory). Traces are shared `Arc`s (see
 //! `magus_workloads::intern`), so a 100k-node fleet running the catalog
-//! holds one trace allocation per distinct workload, not per node.
+//! holds one trace allocation and one `Simulation` per distinct workload,
+//! not per node.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -248,7 +252,8 @@ pub struct RunOpts {
 
 impl RunOpts {
     /// Run options with a per-node decider factory (fast path by default).
-    /// The factory may depend on the index, so every node steps.
+    /// The factory may depend on the index, so every node steps its own
+    /// simulation.
     #[must_use]
     pub fn new(factory: impl Fn(usize) -> Box<dyn NodeDecider> + Send + Sync + 'static) -> Self {
         Self {
@@ -260,8 +265,8 @@ impl RunOpts {
 
     /// Run options whose factory never sees the node index: every node
     /// gets an identical decider, so [`FleetSim::run`] steps each distinct
-    /// trajectory once and copies its final state to the nodes that repeat
-    /// it (fast path by default).
+    /// trajectory once and the nodes that repeat it read its final state
+    /// (fast path by default).
     #[must_use]
     pub fn uniform(factory: impl Fn() -> Box<dyn NodeDecider> + Send + Sync + 'static) -> Self {
         Self {
@@ -400,15 +405,26 @@ impl From<FaultPlanError> for FleetBuildError {
     }
 }
 
+/// What a node runs, as added to a [`FleetBuilder`]: a config class and a
+/// shared trace, which `build` turns into one simulation per trajectory,
+/// or a pre-built simulation of its own (boxed, so that a trace node,
+/// the common case, stays a few words).
+#[derive(Debug)]
+enum Source {
+    Trace { config: u32, trace: Arc<AppTrace> },
+    Sim(Box<Simulation>),
+}
+
 /// Validating constructor for [`FleetSim`] — the only way to build a
 /// fleet. Collects nodes (from config + trace, or pre-built simulations),
 /// the shard count, the per-node budget, and an optional fault plan, then
-/// checks the lot in [`FleetBuilder::build`].
+/// checks the lot in [`FleetBuilder::build`]. Adding a node builds
+/// nothing: `build` makes one simulation per trajectory.
 #[derive(Debug)]
 pub struct FleetBuilder {
     budget_s: f64,
     shards: usize,
-    sims: Vec<Simulation>,
+    sources: Vec<Source>,
     faults: Option<FaultPlan>,
     /// Per-node start offset (µs) on the fleet clock; 0 for `node()` and
     /// `.sim()` nodes.
@@ -420,9 +436,6 @@ pub struct FleetBuilder {
     /// Per-node tenant energy shares (traffic metadata; empty for
     /// non-traffic nodes).
     tenant_shares: Vec<Vec<TenantShare>>,
-    /// Per-node trajectory key of `node`/`node_at` nodes: (config class,
-    /// trace address). `None` for `.sim()` nodes, which never share.
-    keys: Vec<Option<(u32, usize)>>,
     /// The config intern table: each distinct config, bit for bit, and its
     /// class.
     configs: HashMap<ConfigBits, u32>,
@@ -435,14 +448,23 @@ impl FleetBuilder {
         Self {
             budget_s,
             shards: 1,
-            sims: Vec::new(),
+            sources: Vec::new(),
             faults: None,
             offsets: Vec::new(),
             deadlines: Vec::new(),
             tenant_shares: Vec::new(),
-            keys: Vec::new(),
             configs: HashMap::new(),
         }
+    }
+
+    /// Whether [`FleetBuilder::build`] accepts `budget_s` as the per-node
+    /// budget of nodes that start at offset 0: positive and finite, and
+    /// short enough that a node's finish time stays below `u64::MAX` µs
+    /// on the fleet clock (budgets below `us_to_secs(u64::MAX)`, about
+    /// 18 446 744 073 709.55 s).
+    #[must_use]
+    pub fn accepts_budget(budget_s: f64) -> bool {
+        budget_s.is_finite() && budget_s > 0.0 && finish_fits(0, crate::secs_to_us(budget_s))
     }
 
     /// Partition the stepped nodes into `shards` contiguous runs stepped in
@@ -470,8 +492,8 @@ impl FleetBuilder {
     /// counts `start offset + runtime`.
     ///
     /// Nodes whose configs are equal bit for bit and whose traces are one
-    /// allocation share a trajectory key: under [`RunOpts::uniform`] the
-    /// fleet steps the first of them and copies its result to the others.
+    /// allocation share a trajectory key: the fleet builds and steps one
+    /// simulation for all of them (see [`RunOpts::uniform`]).
     #[must_use]
     pub fn node_at(
         mut self,
@@ -479,29 +501,18 @@ impl FleetBuilder {
         trace: impl Into<Arc<AppTrace>>,
         start_offset_us: u64,
     ) -> Self {
+        let classes = self.configs.len() as u32;
+        let config = *self.configs.entry(ConfigBits(config)).or_insert(classes);
         let trace = trace.into();
-        let config = ConfigBits(config);
-        let class = match self.configs.get(&config) {
-            Some(&class) => class,
-            None => {
-                let class = self.configs.len() as u32;
-                self.configs.insert(config.clone(), class);
-                class
-            }
-        };
-        let key = (class, Arc::as_ptr(&trace).addr());
-        let mut sim = Simulation::new(Node::new(config.0));
-        sim.load(trace);
-        self.push(sim, start_offset_us, Some(key))
+        self.push(Source::Trace { config, trace }, start_offset_us)
     }
 
     /// Append one node with empty traffic metadata.
-    fn push(mut self, sim: Simulation, start_offset_us: u64, key: Option<(u32, usize)>) -> Self {
-        self.keys.push(key);
+    fn push(mut self, source: Source, start_offset_us: u64) -> Self {
+        self.sources.push(source);
         self.offsets.push(start_offset_us);
         self.deadlines.push(Vec::new());
         self.tenant_shares.push(Vec::new());
-        self.sims.push(sim);
         self
     }
 
@@ -525,7 +536,7 @@ impl FleetBuilder {
 
     /// Add a pre-built simulation (custom recorder, pre-programmed power
     /// limit, ...) with a zero start offset. It must still be at t=0. Its
-    /// state is opaque to the fleet, so it never shares a run.
+    /// state is opaque to the fleet, so it is a class of its own.
     #[must_use]
     pub fn sim(self, sim: Simulation) -> Self {
         self.sim_at(sim, 0)
@@ -535,7 +546,7 @@ impl FleetBuilder {
     /// the fleet run, as [`FleetBuilder::node_at`] staggers a node.
     #[must_use]
     pub fn sim_at(self, sim: Simulation, start_offset_us: u64) -> Self {
-        self.push(sim, start_offset_us, None)
+        self.push(Source::Sim(Box::new(sim)), start_offset_us)
     }
 
     /// No-op: sharing depends only on the run's decider factory (see
@@ -563,7 +574,8 @@ impl FleetBuilder {
         self
     }
 
-    /// Validate and build the fleet.
+    /// Validate and build the fleet: one simulation per trajectory class
+    /// (see [`FleetSim::class`]), each with the node fault plan set once.
     ///
     /// # Errors
     ///
@@ -578,41 +590,61 @@ impl FleetBuilder {
         if self.shards == 0 {
             return Err(FleetBuildError::ZeroShards);
         }
-        if self.sims.is_empty() {
+        if self.sources.is_empty() {
             return Err(FleetBuildError::EmptyFleet);
         }
-        for (index, sim) in self.sims.iter().enumerate() {
-            let time_us = sim.node().time_us();
-            if time_us != 0 {
-                return Err(FleetBuildError::NodeClockNonzero { index, time_us });
+        for (index, source) in self.sources.iter().enumerate() {
+            if let Source::Sim(sim) = source {
+                let time_us = sim.node().time_us();
+                if time_us != 0 {
+                    return Err(FleetBuildError::NodeClockNonzero { index, time_us });
+                }
             }
         }
         let budget_us = crate::secs_to_us(self.budget_s);
         for (index, &offset_us) in self.offsets.iter().enumerate() {
-            // A node finishes on the fleet clock at `offset + runtime`, with
-            // the runtime at most the budget; keep that strictly below
-            // `u64::MAX`.
-            match offset_us.checked_add(budget_us) {
-                Some(end) if end < u64::MAX => {}
-                _ => return Err(FleetBuildError::StartOffsetOverflow { index, offset_us }),
+            if !finish_fits(offset_us, budget_us) {
+                return Err(FleetBuildError::StartOffsetOverflow { index, offset_us });
             }
         }
-        let mut sims = self.sims;
+        let mut node_plan = None;
         let mut fleet_faults = None;
         if let Some(plan) = self.faults {
             plan.validate()?;
             if !plan.is_empty() {
-                for sim in &mut sims {
-                    sim.node_mut().set_fault_plan(plan);
-                }
+                node_plan = Some(plan);
                 fleet_faults = (!plan.fleet.is_empty()).then_some(plan.fleet);
             }
+        }
+        let class = trajectory_classes(&self.sources, fleet_faults);
+        let mut configs: Vec<(ConfigBits, u32)> = self.configs.into_iter().collect();
+        configs.sort_unstable_by_key(|&(_, c)| c);
+        let configs: Vec<NodeConfig> = configs.into_iter().map(|(bits, _)| bits.0).collect();
+        let mut sims = Vec::new();
+        for (source, &c) in self.sources.into_iter().zip(&class) {
+            // Classes are numbered in order of their first node, so a node
+            // whose class is already built is a twin.
+            if c < sims.len() {
+                continue;
+            }
+            let mut sim = match source {
+                Source::Trace { config, trace } => {
+                    let mut sim = Simulation::new(Node::new(configs[config as usize].clone()));
+                    sim.load(trace);
+                    sim
+                }
+                Source::Sim(sim) => *sim,
+            };
+            if let Some(plan) = node_plan {
+                sim.node_mut().set_fault_plan(plan);
+            }
+            sims.push(sim);
         }
         Ok(FleetSim {
             runs: vec![NodeRun::default(); sims.len()],
             sims,
+            class,
             start_offset_us: self.offsets,
-            rep: representatives(&self.keys, fleet_faults),
             budget_us,
             shards: self.shards,
             fleet_faults,
@@ -623,17 +655,33 @@ impl FleetBuilder {
     }
 }
 
-/// Each node's representative: the lowest-index node with its trajectory
-/// key, or the node itself for a `.sim()` node. The key is the (config
-/// class, trace address) pair `FleetBuilder` recorded plus the node's fleet
-/// crash and stall membership, which hangs on its global index.
-fn representatives(keys: &[Option<(u32, usize)>], faults: Option<FleetFaults>) -> Vec<usize> {
+/// Whether a node starting `offset_us` into the fleet run finishes on the
+/// fleet clock: it ends at `offset + runtime`, with the runtime at most the
+/// budget, and that must stay strictly below `u64::MAX`.
+fn finish_fits(offset_us: u64, budget_us: u64) -> bool {
+    offset_us
+        .checked_add(budget_us)
+        .is_some_and(|end| end < u64::MAX)
+}
+
+/// Each node's trajectory class, numbered in order of the class's first
+/// (lowest-index) node. A `.sim()` node is a class of its own; the others
+/// key on the config class and trace address `FleetBuilder` recorded plus
+/// the node's fleet crash and stall membership, which hangs on its global
+/// index.
+fn trajectory_classes(sources: &[Source], faults: Option<FleetFaults>) -> Vec<usize> {
+    let mut classes = 0;
     let mut first = HashMap::new();
-    keys.iter()
+    let mut new_class = || {
+        classes += 1;
+        classes - 1
+    };
+    sources
+        .iter()
         .enumerate()
-        .map(|(i, key)| {
-            let Some((config, trace)) = *key else {
-                return i;
+        .map(|(i, source)| {
+            let Source::Trace { config, trace } = source else {
+                return new_class();
             };
             let faulted = faults.map(|f| {
                 (
@@ -641,7 +689,8 @@ fn representatives(keys: &[Option<(u32, usize)>], faults: Option<FleetFaults>) -
                     fault_scheduled(i, f.stall_every),
                 )
             });
-            *first.entry((config, trace, faulted)).or_insert(i)
+            let key = (*config, Arc::as_ptr(trace).addr(), faulted);
+            *first.entry(key).or_insert_with(&mut new_class)
         })
         .collect()
 }
@@ -649,8 +698,9 @@ fn representatives(keys: &[Option<(u32, usize)>], faults: Option<FleetFaults>) -
 /// Per-shard counters from one [`FleetSim::run`]. They depend on how the
 /// stepped nodes are partitioned, so they live here rather than in
 /// [`FleetSummary`], which must be bit-identical across shard counts. A
-/// shard steps a contiguous run of the fleet's stepped nodes; the twins of
-/// those nodes are counted as its nodes but never stepped.
+/// shard steps a contiguous run of the fleet's classes, each as its
+/// lowest-index node; the class's other nodes (its twins) are counted as
+/// the shard's nodes but never stepped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardStats {
     /// Shard index.
@@ -661,17 +711,17 @@ pub struct ShardStats {
     pub nodes: usize,
     /// Macro-steps the shard's stepped nodes took ([`NodeRun::macro_steps`]).
     pub rounds: u64,
-    /// Runtime decisions this shard fired. Twins copy theirs, so only
+    /// Runtime decisions this shard fired. Twins share theirs, so only
     /// [`FleetSummary::decisions`] counts every node's.
     pub decisions: u64,
-    /// Simulator ticks this shard advanced (twins' ticks are copied, as
-    /// for `decisions`).
+    /// Simulator ticks this shard advanced (twins share them, as they do
+    /// `decisions`).
     pub node_steps: u64,
-    /// Trajectories stepped: one per node this shard steps.
+    /// Trajectories stepped: one per class this shard steps.
     pub classes: u64,
     /// Macro-steps stepped: the same count as `rounds`.
     pub rep_node_rounds: u64,
-    /// Macro-steps copied: each stepped node's macro-steps times its twin
+    /// Macro-steps shared: each stepped class's macro-steps times its twin
     /// count.
     pub replayed_node_rounds: u64,
     /// Always 0: a node's twins are fixed when the fleet is built and never
@@ -837,20 +887,23 @@ fn fault_scheduled(idx: usize, every: Option<u64>) -> bool {
 /// N independent nodes stepped to completion across shards, each distinct
 /// trajectory once. Build with [`FleetBuilder`]; run with
 /// [`FleetSim::run`].
+///
+/// The fleet holds one [`Simulation`] per trajectory class (see
+/// [`FleetSim::class`]); a node is its class index, its start offset and
+/// its traffic metadata.
 #[derive(Debug)]
 pub struct FleetSim {
+    /// One simulation per class, in order of each class's first node.
     sims: Vec<Simulation>,
+    /// Each node's class: its index into `sims` and `runs`.
+    class: Vec<usize>,
     /// Per-node start offset (µs) on the fleet clock; see
     /// [`FleetBuilder::node_at`].
     start_offset_us: Vec<u64>,
-    /// Each node's representative: the lowest-index node with its
-    /// trajectory key (the node itself when it has none or is first).
-    rep: Vec<usize>,
-    /// Each node's outcome from the most recent run.
+    /// Each class's outcome from the most recent run.
     runs: Vec<NodeRun>,
     budget_us: u64,
-    /// Requested shard count (clamped to the stepped-node count at run
-    /// time).
+    /// Requested shard count (clamped to the class count at run time).
     shards: usize,
     /// Fleet-level fault schedules (node stall/crash); `None` = clean run,
     /// zero cost.
@@ -873,19 +926,27 @@ impl FleetSim {
     /// Number of nodes in the fleet.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sims.len()
+        self.class.len()
     }
 
     /// True when the fleet has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sims.is_empty()
+        self.class.is_empty()
     }
 
-    /// A node's simulation (read-only).
+    /// Node `idx`'s simulation (read-only): the one its class holds.
     #[must_use]
     pub fn sim(&self, idx: usize) -> &Simulation {
-        &self.sims[idx]
+        &self.sims[self.class[idx]]
+    }
+
+    /// Node `idx`'s trajectory class. Classes are numbered in order of
+    /// their lowest-index node, which is the node that steps the class;
+    /// every node of a class reads its one simulation.
+    #[must_use]
+    pub fn class(&self, idx: usize) -> usize {
+        self.class[idx]
     }
 
     /// Per-shard counters from the most recent [`FleetSim::run`] (empty
@@ -895,7 +956,7 @@ impl FleetSim {
         &self.shard_stats
     }
 
-    /// Arm every node's telemetry ([`Node::arm_telemetry`]) before
+    /// Arm every class's telemetry ([`Node::arm_telemetry`]) before
     /// [`FleetSim::run`], for callers that will read the event streams.
     /// An unarmed fleet records nothing per node.
     pub fn arm_telemetry(&mut self) {
@@ -904,11 +965,12 @@ impl FleetSim {
         }
     }
 
-    /// Drain every node's telemetry event buffer, in node-index order
-    /// (empty for unarmed nodes). Event streams are part of the
+    /// Drain every class's telemetry event buffer, in class order (empty
+    /// for unarmed classes): node `i`'s stream is the entry at
+    /// [`FleetSim::class`]`(i)`. Event streams are part of the
     /// bit-identity contract: byte-identical across shard counts and
     /// stepping modes.
-    pub fn take_node_events(&mut self) -> Vec<Vec<magus_telemetry::Event>> {
+    pub fn take_class_events(&mut self) -> Vec<Vec<magus_telemetry::Event>> {
         self.sims
             .iter_mut()
             .map(|s| {
@@ -920,61 +982,67 @@ impl FleetSim {
     }
 
     /// Run every node to completion (or its budget, or its crash): one
-    /// decider per stepped node, fired by [`run_node`] exactly as in a
+    /// decider per stepped class, fired by [`run_node`] exactly as in a
     /// single-node trial.
     ///
     /// Each node's trajectory is bit-identical to running it alone with the
     /// same decision schedule — for every shard count and both stepping
-    /// modes. With an index-free factory ([`RunOpts::uniform`]) only the
-    /// lowest-index node of each trajectory key steps, and every twin then
-    /// takes a clone of its final `Simulation` (telemetry and fault
-    /// counters included) and outcome: the twin would have computed exactly
-    /// that. Shards run disjoint contiguous runs of the stepped nodes, one
-    /// scoped thread each, node after node. A panic in a shard resumes on
-    /// the caller.
+    /// modes. With an index-free factory ([`RunOpts::uniform`]) each class
+    /// steps once, with the decider and [`NodeFaults`] of its lowest-index
+    /// node, and its other nodes read its final state (telemetry and fault
+    /// counters included) and outcome: each of them would have computed
+    /// exactly that. Any other factory may tell twins apart, so every node
+    /// first gets its own copy of its class's simulation and steps it.
+    /// Shards run disjoint contiguous runs of the classes, one scoped
+    /// thread each, class after class. A panic in a shard resumes on the
+    /// caller.
     pub fn run(&mut self, opts: &RunOpts) -> FleetSummary {
-        let n = self.sims.len();
-        let rep_of = |i: usize| if opts.index_free { self.rep[i] } else { i };
-        let mut twins = vec![0u64; n];
-        for i in 0..n {
-            if rep_of(i) != i {
-                twins[rep_of(i)] += 1;
-            }
+        let n = self.class.len();
+        if !opts.index_free && self.sims.len() < n {
+            // The deciders may tell twins apart: one class per node.
+            self.sims = self.class.iter().map(|&c| self.sims[c].clone()).collect();
+            self.runs = vec![NodeRun::default(); n];
+            self.class = (0..n).collect();
         }
-        // The builder rejects empty fleets, and node 0 always steps.
-        let stepped = n - twins.iter().sum::<u64>() as usize;
-        let shards = self.shards.clamp(1, stepped);
-        // Deal the stepped nodes to shards in ascending index order.
-        // Remainder nodes spread one-per-shard from the front, so no shard
-        // is empty and sizes differ by at most one.
-        let mut nodes = self
-            .sims
-            .iter_mut()
-            .zip(&mut self.runs)
-            .enumerate()
-            .filter(|&(i, _)| rep_of(i) == i);
+        // Each class's lowest-index node, which steps it, and its node
+        // count.
+        let classes = self.sims.len();
+        let mut first = vec![0; classes];
+        let mut size = vec![0u64; classes];
+        for (i, &c) in self.class.iter().enumerate().rev() {
+            first[c] = i;
+            size[c] += 1;
+        }
+        // The builder rejects empty fleets, so there is a class to step.
+        let shards = self.shards.clamp(1, classes);
+        // Deal the classes to shards in ascending order. Remainder classes
+        // spread one-per-shard from the front, so no shard is empty and
+        // sizes differ by at most one.
+        let mut items = self.sims.iter_mut().zip(&mut self.runs).enumerate();
         let parts: Vec<Vec<_>> = (0..shards)
             .map(|shard| {
-                let take = stepped / shards + usize::from(shard < stepped % shards);
-                nodes.by_ref().take(take).collect()
+                let take = classes / shards + usize::from(shard < classes % shards);
+                items.by_ref().take(take).collect()
             })
             .collect();
-        let (budget_us, faults, twins) = (self.budget_us, self.fleet_faults, &twins);
+        let (budget_us, faults) = (self.budget_us, self.fleet_faults);
+        let (first, size) = (&first, &size);
         let run_shard = |shard: usize, part: Vec<(usize, (&mut Simulation, &mut NodeRun))>| {
             let mut stats = ShardStats {
                 shard,
-                base: part[0].0,
-                nodes: part.iter().map(|&(i, _)| 1 + twins[i] as usize).sum(),
+                base: first[part[0].0],
+                nodes: part.iter().map(|&(c, _)| size[c] as usize).sum(),
                 classes: part.len() as u64,
                 ..ShardStats::default()
             };
-            for (idx, (sim, run)) in part {
+            for (c, (sim, run)) in part {
+                let idx = first[c];
                 let mut decider = (opts.deciders)(idx);
                 let faults = NodeFaults::of(idx, faults);
                 *run = run_node(sim, decider.as_mut(), opts.mode, budget_us, faults);
                 stats.rounds += run.macro_steps;
                 stats.rep_node_rounds += run.macro_steps;
-                stats.replayed_node_rounds += run.macro_steps * twins[idx];
+                stats.replayed_node_rounds += run.macro_steps * (size[c] - 1);
                 stats.decisions += run.decisions;
                 stats.node_steps += run.ticks;
             }
@@ -995,19 +1063,11 @@ impl FleetSim {
                     .collect()
             })
         };
-        // Twins follow their representative, which always has the lower
-        // index and so is final by the time the twin is reached.
-        for i in 0..n {
-            let r = rep_of(i);
-            if r != i {
-                self.sims[i] = self.sims[r].clone();
-                self.runs[i] = self.runs[r];
-            }
-        }
         self.summarize()
     }
 
-    /// Build the fleet summary from the current node states. The f64
+    /// Build the fleet summary from the current class states: one
+    /// `summary(0)` per class, copied to each of its nodes. The f64
     /// energy sums fold in node-index order (f64 addition is
     /// non-associative, and this order is part of the bit-identity
     /// contract); the makespan is an order-free max. Makespan
@@ -1015,7 +1075,8 @@ impl FleetSim {
     /// plus runtime (adding a zero offset is bit-exact for the non-negative
     /// runtimes, so zero-offset fleets are unchanged).
     fn summarize(&self) -> FleetSummary {
-        let nodes: Vec<RunSummary> = self.sims.iter().map(|s| s.summary(0)).collect();
+        let per_class: Vec<RunSummary> = self.sims.iter().map(|s| s.summary(0)).collect();
+        let nodes: Vec<RunSummary> = self.class.iter().map(|&c| per_class[c].clone()).collect();
         let makespan_s = nodes
             .iter()
             .zip(&self.start_offset_us)
@@ -1042,7 +1103,7 @@ impl FleetSim {
                 uncore_w.push(n.energy.uncore_j / n.energy.elapsed_s);
             }
             if have_deadlines {
-                let progress = self.sims[i].progress_s();
+                let progress = self.sim(i).progress_s();
                 let misses = self.deadlines[i]
                     .iter()
                     .filter(|d| deadline_missed(n.runtime_s, progress, d))
@@ -1055,14 +1116,13 @@ impl FleetSim {
                 *tenant_energy.entry(ts.tenant).or_insert(0.0) += n.energy.total_j() * ts.share;
             }
         }
-        let mut node_fault_counters: Vec<FaultCounters> = self
-            .sims
-            .iter()
-            .map(|s| s.node().fault_counters())
+        let mut node_fault_counters: Vec<FaultCounters> = (0..nodes.len())
+            .map(|i| self.sim(i).node().fault_counters())
             .collect();
         if fault_counters_all_zero(&node_fault_counters) {
             node_fault_counters.clear();
         }
+        let node_runs = || self.class.iter().map(|&c| &self.runs[c]);
         FleetSummary {
             deadline_jobs,
             deadline_misses,
@@ -1074,10 +1134,10 @@ impl FleetSim {
             total_j,
             uncore_power_w: Distribution::from_values(&uncore_w),
             makespan_s,
-            decisions: self.runs.iter().map(|r| r.decisions).sum(),
-            node_steps: self.runs.iter().map(|r| r.ticks).sum(),
-            node_progress_s: self.sims.iter().map(Simulation::progress_s).collect(),
-            crashed: self.runs.iter().filter(|r| r.crashed).count(),
+            decisions: node_runs().map(|r| r.decisions).sum(),
+            node_steps: node_runs().map(|r| r.ticks).sum(),
+            node_progress_s: (0..nodes.len()).map(|i| self.sim(i).progress_s()).collect(),
+            crashed: node_runs().filter(|r| r.crashed).count(),
             node_fault_counters,
             nodes,
         }
@@ -1086,6 +1146,8 @@ impl FleetSim {
 
 #[cfg(test)]
 mod tests {
+    use std::ptr;
+
     use super::*;
     use crate::config::NodeConfig;
     use crate::demand::Demand;
@@ -1291,6 +1353,41 @@ mod tests {
         assert_eq!(stats.replayed_node_rounds, 2 * stats.rep_node_rounds);
         assert_eq!((stats.decisions, s.decisions), (1, 3));
         assert_eq!(s.node_steps, 3 * stats.node_steps);
+    }
+
+    #[test]
+    fn a_twin_holds_no_simulation() {
+        let shared: Arc<AppTrace> = Arc::new(trace(1.0, 5.0));
+        let mut reseeded = NodeConfig::intel_a100();
+        reseeded.seed ^= 1;
+        let mut prebuilt = Simulation::new(Node::new(NodeConfig::intel_a100()));
+        prebuilt.load(Arc::clone(&shared));
+        // Nodes 0–2 are twins; node 3 is a `.sim()` node, node 4 differs
+        // in its config and node 5 in its trace allocation.
+        let mut fleet = fleet_of(3, 60.0, &shared)
+            .sim(prebuilt)
+            .node(reseeded, Arc::clone(&shared))
+            .node(NodeConfig::intel_a100(), trace(1.0, 5.0))
+            .build()
+            .unwrap();
+        let same = |fleet: &FleetSim, a: usize, b: usize| ptr::eq(fleet.sim(a), fleet.sim(b));
+        assert!(same(&fleet, 0, 1) && same(&fleet, 0, 2));
+        for own in 3..6 {
+            assert!(
+                !same(&fleet, 0, own),
+                "node {own} shares node 0's simulation"
+            );
+        }
+        // A factory that sees the index gives every node its own copy.
+        fleet.run(&RunOpts::from_fn(|_, _| Decision {
+            latency_us: 0,
+            rest_us: u64::MAX,
+        }));
+        for a in 0..fleet.len() {
+            for b in 0..a {
+                assert!(!same(&fleet, a, b), "nodes {b} and {a} share a simulation");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use magus_experiments::engine::GovernorSpec;
 use magus_experiments::harness::SystemId;
 use magus_experiments::opts::{take_flag, take_switch};
 use magus_experiments::report::FIGURES;
+use magus_hetsim::{us_to_secs, FleetBuilder};
 use magus_runtime::MagusConfig;
 use magus_workloads::AppId;
 
@@ -259,6 +260,21 @@ fn take_parsed<T: std::str::FromStr>(
         .map(|v| v.unwrap_or(default))
 }
 
+/// Take `--budget` (600 s by default) as the fleet builder accepts it:
+/// positive, and short enough that a node's finish time fits the fleet's
+/// µs clock.
+fn take_budget(rest: &mut Vec<String>) -> Result<f64, ParseError> {
+    let budget_s = take_parsed(rest, "--budget", 600.0)?;
+    if FleetBuilder::accepts_budget(budget_s) {
+        Ok(budget_s)
+    } else {
+        Err(ParseError(format!(
+            "--budget must be positive and below {} s",
+            us_to_secs(u64::MAX)
+        )))
+    }
+}
+
 /// Take a required flag and parse its value.
 fn take_required<T: std::str::FromStr>(
     rest: &mut Vec<String>,
@@ -365,10 +381,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
             let governor = parse_governor(
                 &take_flag(&mut rest, "--runtime").unwrap_or_else(|| "default".into()),
             )?;
-            let budget_s: f64 = take_parsed(&mut rest, "--budget", 600.0)?;
-            if !(budget_s.is_finite() && budget_s > 0.0) {
-                return Err(ParseError("--budget must be positive".into()));
-            }
+            let budget_s = take_budget(&mut rest)?;
             let shards: usize = take_parsed(&mut rest, "--shards", 1)?;
             if shards == 0 {
                 return Err(ParseError("--shards must be positive".into()));
@@ -459,10 +472,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
             let governor = parse_governor(
                 &take_flag(&mut rest, "--runtime").unwrap_or_else(|| "default".into()),
             )?;
-            let budget_s: f64 = take_parsed(&mut rest, "--budget", 600.0)?;
-            if !(budget_s.is_finite() && budget_s > 0.0) {
-                return Err(ParseError("--budget must be positive".into()));
-            }
+            let budget_s = take_budget(&mut rest)?;
             let shards: usize = take_parsed(&mut rest, "--shards", 1)?;
             if shards == 0 {
                 return Err(ParseError("--shards must be positive".into()));
@@ -841,6 +851,13 @@ mod tests {
             }
         );
         assert!(parse(&v(&["serve", "--budget", "0"])).is_err());
+        // A budget the fleet clock cannot hold fails here, not at every
+        // `advance`.
+        let err = parse(&v(&["serve", "--budget", "1e300"])).unwrap_err();
+        assert!(
+            err.to_string().contains("below 18446744073709.55 s"),
+            "{err}"
+        );
         assert!(parse(&v(&["serve", "--shards", "0"])).is_err());
     }
 
@@ -1016,6 +1033,17 @@ mod tests {
         );
         assert!(parse(&v(&["fleet"])).is_err(), "missing --nodes");
         assert!(parse(&v(&["fleet", "--nodes", "0"])).is_err());
+        assert!(parse(&v(&["fleet", "--nodes", "2", "--budget", "0"])).is_err());
+        // The largest budget is the builder's own: its µs count stays
+        // below `u64::MAX`.
+        for budget in ["1e300", "18446744073710"] {
+            let err = parse(&v(&["fleet", "--nodes", "2", "--budget", budget])).unwrap_err();
+            assert!(
+                err.to_string().contains("below 18446744073709.55 s"),
+                "{err}"
+            );
+        }
+        assert!(parse(&v(&["fleet", "--nodes", "2", "--budget", "18446744073709"])).is_ok());
     }
 
     #[test]

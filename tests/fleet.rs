@@ -18,10 +18,11 @@ use magus_suite::experiments::fleet::{
 };
 use magus_suite::experiments::harness::{run_trial, StepMode, SystemId, TrialOpts};
 use magus_suite::hetsim::{
-    AppTrace, Decision, FaultPlan, FleetSim, Node, NodeConfig, RunOpts, ShardStats, Simulation,
+    AppTrace, Decision, FaultPlan, FleetSim, JobDeadline, Node, NodeConfig, RunOpts, ShardStats,
+    Simulation, TenantShare,
 };
 use magus_suite::runtime::MagusConfig;
-use magus_suite::workloads::{app_trace, Platform};
+use magus_suite::workloads::{app_trace, Platform, TrafficSpec};
 
 fn governors() -> [GovernorSpec; 3] {
     [
@@ -549,4 +550,87 @@ fn index_dependent_deciders_step_every_node() {
     assert_ne!(summary.nodes[0], summary.nodes[1]);
     assert_eq!(summary.nodes[0], summary.nodes[2]);
     assert_eq!(summary.nodes[1], summary.nodes[3]);
+}
+
+/// Traffic twins keep their own metadata. A staggered traffic fleet whose
+/// tenant sets repeat, built by `build_fleet` (nodes with one tenant set
+/// share one trajectory), and the same node list built from `.sim_at()`
+/// nodes carrying the same deadlines and tenant shares (every node its own
+/// trajectory) give byte-equal summaries and armed JSONL for every shard
+/// count on both paths: each node's deadlines and shares are read against
+/// the state it shares, at its own offset.
+#[test]
+fn traffic_twins_keep_their_own_metadata() {
+    const NODES: usize = 12;
+    let traffic = TrafficSpec::builder()
+        .seed(9)
+        .tenants(6)
+        .colocate(2)
+        .jobs_per_tenant(3)
+        .mean_gap_s(2.0)
+        .build()
+        .expect("traffic spec is valid");
+    let distinct = traffic.distinct_profiles();
+    assert!(distinct < NODES, "tenant sets must repeat");
+    let spec = FleetSpec {
+        max_s: 20.0,
+        stagger_us: 700_000,
+        ..FleetSpec::new(GovernorSpec::magus_default(), NODES)
+    }
+    .with_traffic(traffic);
+    let profiles = traffic.expand(spec.system.platform(), NODES).profiles;
+    let unshared = |shards: usize| {
+        let mut b = FleetSim::builder(spec.max_s).shards(shards);
+        for (i, profile) in profiles.iter().enumerate() {
+            let mut sim = Simulation::new(Node::new(spec.system.node_config()));
+            sim.load(Arc::clone(&profile.trace));
+            let offset_us = (i / distinct) as u64 * spec.stagger_us;
+            let deadlines = profile
+                .jobs
+                .iter()
+                .map(|j| JobDeadline {
+                    work_end_s: j.work_end_s(),
+                    due_s: j.due_s,
+                })
+                .collect();
+            let shares = profile
+                .tenant_share
+                .iter()
+                .map(|&(tenant, share)| TenantShare { tenant, share })
+                .collect();
+            b = b.sim_at(sim, offset_us).node_traffic(deadlines, shares);
+        }
+        b.build().expect("traffic node list is valid")
+    };
+    let mut baseline = None;
+    for path in [StepMode::Fast, StepMode::Reference] {
+        let opts = governor_run_opts(&spec.governor, path);
+        for shards in [1, 2, 7] {
+            for shared in [true, false] {
+                let mut fleet = if shared {
+                    build_fleet(&spec.clone().with_shards(shards))
+                } else {
+                    unshared(shards)
+                };
+                fleet.arm_telemetry();
+                let summary = fleet.run(&opts);
+                let what = format!("shared={shared} shards={shards} path={path:?}");
+                let stepped = if shared { distinct } else { NODES };
+                assert_eq!(stat_sum(&fleet, |s| s.classes), stepped as u64, "{what}");
+                assert!(
+                    summary.deadline_misses > 0,
+                    "{what}: some deadline is missed"
+                );
+                assert!(!summary.tenant_energy_j.is_empty(), "{what}");
+                let outputs = (serde::to_string(&summary), telemetry_jsonl(&mut fleet));
+                assert!(
+                    !outputs.1.is_empty(),
+                    "{what}: an armed fleet records events"
+                );
+                let reference = baseline.get_or_insert_with(|| outputs.clone());
+                assert!(outputs.0 == reference.0, "{what}: summary diverged");
+                assert!(outputs.1 == reference.1, "{what}: telemetry diverged");
+            }
+        }
+    }
 }

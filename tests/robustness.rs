@@ -314,3 +314,17 @@ fn a_closed_stdout_ends_the_cli_quietly() {
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A `--budget` whose µs count does not fit the fleet clock is a usage
+/// error, not a panic: `magus fleet` exits 1 with an `error:` line.
+#[test]
+fn an_overflowing_fleet_budget_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_magus"))
+        .args(["--no-cache", "fleet", "--nodes", "1", "--budget", "1e300"])
+        .output()
+        .expect("spawn magus");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: --budget"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
