@@ -58,7 +58,9 @@ pub struct Subscription {
 
 impl Subscription {
     /// Block for the next pushed frame; `Ok(None)` once the daemon has
-    /// closed the stream (after a graceful shutdown's final frame).
+    /// closed the stream (after a graceful shutdown's final frame). A
+    /// daemon `error` frame in the stream (a telemetry frame too large to
+    /// send, say) is [`CtlError::Server`].
     pub fn next_event(&mut self) -> Result<Option<SubEvent>, CtlError> {
         match proto::read_message::<Response>(&mut self.reader)? {
             None => Ok(None),
@@ -66,6 +68,7 @@ impl Subscription {
                 Ok(Some(SubEvent::Telemetry { epoch, jsonl }))
             }
             Some(Response::ShuttingDown) => Ok(Some(SubEvent::ShuttingDown)),
+            Some(Response::Error { message }) => Err(CtlError::Server(message)),
             Some(other) => Err(CtlError::Unexpected(format!(
                 "subscription received a non-stream frame: {other:?}"
             ))),

@@ -5,10 +5,11 @@
 //!
 //! * [`proto`] — the length-prefixed JSON wire protocol: frame codec with
 //!   typed errors plus the validating request/response message types.
-//! * [`server`] — the daemon: a [`server::FleetDaemon`] owning a
-//!   [`magus_hetsim::roster::FleetRoster`] behind a TCP connection loop,
-//!   with round-boundary membership, per-epoch telemetry broadcast to
-//!   subscribers, graceful shutdown, and a minimal HTTP `/metrics`.
+//! * [`server`] — the daemon: a [`server::FleetDaemon`] holding the
+//!   fleet's members behind a TCP connection loop, with round-boundary
+//!   membership, per-epoch telemetry broadcast to subscribers, an `error`
+//!   frame in place of any frame too large to send, graceful shutdown,
+//!   and a minimal HTTP `/metrics`.
 //! * [`client`] — the typed blocking client ([`CtlClient`]) and
 //!   subscription stream the `magus ctl` CLI is built on.
 //!
@@ -22,7 +23,7 @@
 //! constraint the repo operates under.
 //!
 //! **Determinism contract.** An epoch advanced through the daemon is
-//! exactly a batch `FleetBuilder` run of the roster's membership at that
+//! exactly a batch `FleetBuilder` run of the daemon's membership at that
 //! round boundary: same node order, same interned traces, same kernel.
 //! Its `FleetSummary` is bit-identical and its telemetry JSONL
 //! byte-identical to the in-process equivalent, which `tests/ctl.rs` and

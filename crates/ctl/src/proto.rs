@@ -237,8 +237,8 @@ pub enum Request {
         #[serde(default, skip_serializing_if = "Option::is_none")]
         traffic: Option<TrafficSpec>,
     },
-    /// Run one epoch: snapshot the roster at the round boundary, build the
-    /// fleet, and run it to completion.
+    /// Run one epoch: add the members with a workload to a fleet at the
+    /// round boundary, and run it to completion.
     Advance,
     /// Switch this connection into a telemetry subscriber: the daemon
     /// pushes one [`Response::Telemetry`] frame for every epoch that starts
@@ -294,7 +294,7 @@ pub enum Response {
         /// The new node ids.
         nodes: Vec<u64>,
     },
-    /// Node removed from the roster.
+    /// Node removed from the fleet's members.
     Left {
         /// The departed node id.
         node: u64,

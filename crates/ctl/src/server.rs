@@ -1,12 +1,12 @@
-//! The control-plane daemon: a long-lived TCP server owning a fleet
-//! roster, plus a minimal HTTP listener serving `/metrics`.
+//! The control-plane daemon: a long-lived TCP server holding a fleet's
+//! members, plus a minimal HTTP listener serving `/metrics`.
 //!
 //! # Round-boundary membership and the determinism contract
 //!
 //! The daemon never mutates a running fleet. Joins, leaves, and workload
-//! submissions mutate only the [`FleetRoster`] (under a short-lived lock),
-//! and each [`Request::Advance`] is one **epoch**: the roster is
-//! snapshotted at that round boundary into a fresh `FleetBuilder` fleet —
+//! submissions change only its member table (under a short-lived lock),
+//! and each [`Request::Advance`] is one **epoch**: at that round boundary
+//! the members with a workload are added to a fresh `FleetBuilder` fleet —
 //! ascending node-id order, dormant members skipped — which runs to
 //! completion exactly as a batch run would. An epoch's `FleetSummary` and
 //! telemetry JSONL are therefore bit/byte-identical to building and
@@ -20,17 +20,19 @@
 //! channel the daemon pushes one [`Response::Telemetry`] frame into per
 //! epoch. An epoch arms its fleet's telemetry and renders the frame only
 //! if a subscriber was registered when it started, and queues one shared
-//! frame to all of them. Shutdown is graceful by ordering: the handler
-//! first waits for any in-flight epoch (so its telemetry is queued), then
-//! queues a final [`Response::ShuttingDown`] to every subscriber and drops
-//! the senders — each subscriber connection drains its queue fully before
-//! its socket closes — and finally wakes the accept loops so `run` can
-//! join every connection thread and return.
+//! frame to all of them. A reply or pushed frame too large for the wire
+//! goes out as an `error` frame naming its size, and the connection stays
+//! open. Shutdown is graceful by ordering: the handler first waits for any
+//! in-flight epoch (so its telemetry is queued), then queues a final
+//! [`Response::ShuttingDown`] to every subscriber and drops the senders —
+//! each subscriber connection drains its queue fully before its socket
+//! closes — and finally wakes the accept loops so `run` can join every
+//! connection thread and return.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
@@ -39,12 +41,16 @@ use magus_experiments::engine::GovernorSpec;
 use magus_experiments::fleet::governor_run_opts;
 use magus_experiments::harness::{StepMode, SystemId};
 use magus_hetsim::fleet::{FleetSim, FleetSummary};
-use magus_hetsim::roster::{FleetRoster, RosterBuildOpts};
+use magus_hetsim::workload::AppTrace;
 use magus_workloads::app_trace;
 
 use crate::metrics::fleet_prometheus;
-use crate::proto::{self, Request, Response, PROTOCOL_VERSION};
+use crate::proto::{self, ProtoError, Request, Response, PROTOCOL_VERSION};
 use crate::CtlError;
+
+/// Attempts per listener bind before [`serve_fleet`] gives up (loaded CI
+/// runners can transiently refuse binds).
+const BIND_RETRIES: u32 = 5;
 
 /// Configuration for [`serve_fleet`].
 #[derive(Debug, Clone)]
@@ -54,9 +60,6 @@ pub struct ServeConfig {
     pub ctl_addr: String,
     /// HTTP bind address for `/metrics` (`None` disables HTTP).
     pub http_addr: Option<String>,
-    /// Attempts per listener bind before giving up (loaded CI runners can
-    /// transiently refuse binds; retries back off 50 ms per attempt).
-    pub bind_retries: u32,
     /// Governor every fleet node runs.
     pub governor: GovernorSpec,
     /// Per-node simulated-time budget per epoch (s).
@@ -72,7 +75,6 @@ impl Default for ServeConfig {
         Self {
             ctl_addr: "127.0.0.1:0".into(),
             http_addr: Some("127.0.0.1:0".into()),
-            bind_retries: 5,
             governor: GovernorSpec::Default,
             budget_s: 600.0,
             shards: 1,
@@ -81,20 +83,52 @@ impl Default for ServeConfig {
     }
 }
 
-/// The control plane: a [`FleetRoster`] plus epoch state. Its locks
+/// The control plane: the fleet's members plus epoch state. Its locks
 /// ignore poisoning, so a connection that panics while holding one cannot
-/// wedge the roster for the others.
+/// wedge the daemon for the others.
 pub struct FleetDaemon {
     cfg: ServeConfig,
-    state: Mutex<RosterState>,
+    members: Mutex<Members>,
     /// Serializes epochs: `Advance` and `Shutdown` both take this first,
     /// so a shutdown always lets an in-flight round finish (and queue its
     /// telemetry) before draining subscribers.
     epoch_lock: Mutex<()>,
-    epochs: AtomicU64,
-    last_summary: Mutex<Option<FleetSummary>>,
+    last: Mutex<LastEpoch>,
     subscribers: Mutex<Subscribers>,
     stop: AtomicBool,
+}
+
+/// The fleet's members by id, and the id the next join gets: ids ascend
+/// and are never reused.
+#[derive(Default)]
+struct Members {
+    next_id: u64,
+    by_id: BTreeMap<u64, Member>,
+}
+
+/// One member: the preset it joined as, which resolves its submitted
+/// workload to a platform trace and gives its node config.
+struct Member {
+    system: SystemId,
+    /// Start offset on the fleet clock (µs).
+    start_offset_us: u64,
+    /// The submitted workload (`None`: dormant, skipped by every epoch).
+    trace: Option<Arc<AppTrace>>,
+}
+
+/// The last completed epoch: its number (0 before the first advance) and
+/// its summary, written together so a reader never mixes two epochs.
+#[derive(Default)]
+struct LastEpoch {
+    epoch: u64,
+    summary: Option<FleetSummary>,
+}
+
+impl LastEpoch {
+    /// The Prometheus text `/metrics` serves in this state.
+    fn prometheus(&self) -> String {
+        fleet_prometheus(self.epoch, self.summary.as_ref())
+    }
 }
 
 /// Telemetry subscribers, and the epoch count that decides which frames
@@ -108,55 +142,48 @@ struct Subscribers {
     senders: Vec<(u64, mpsc::Sender<Arc<Response>>)>,
 }
 
-/// Roster plus the per-node hardware preset (needed to resolve a catalog
-/// app to a platform trace at submit time).
-struct RosterState {
-    roster: FleetRoster,
-    systems: HashMap<u64, SystemId>,
+/// Lock `mutex`, ignoring poisoning like every daemon lock.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn unknown_node(node: u64) -> Response {
+    Response::Error {
+        message: format!("unknown fleet node id {node}"),
+    }
 }
 
 impl FleetDaemon {
-    /// A daemon in its initial state (empty roster, epoch 0).
+    /// A daemon in its initial state (no members, epoch 0).
     #[must_use]
     pub fn new(cfg: ServeConfig) -> Self {
         Self {
             cfg,
-            state: Mutex::new(RosterState {
-                roster: FleetRoster::new(),
-                systems: HashMap::new(),
-            }),
+            members: Mutex::default(),
             epoch_lock: Mutex::new(()),
-            epochs: AtomicU64::new(0),
-            last_summary: Mutex::new(None),
-            subscribers: Mutex::new(Subscribers::default()),
+            last: Mutex::default(),
+            subscribers: Mutex::default(),
             stop: AtomicBool::new(false),
         }
     }
 
-    /// Completed epoch count.
-    #[must_use]
-    pub fn epochs(&self) -> u64 {
-        self.epochs.load(Ordering::SeqCst)
-    }
-
     /// Run one epoch at the current round boundary.
     fn advance(&self) -> Response {
-        let _epoch = self
-            .epoch_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let build = {
-            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let opts = RosterBuildOpts {
-                budget_s: self.cfg.budget_s,
-                shards: self.cfg.shards,
-            };
-            st.roster.build_fleet(&opts)
-            // Lock released here: the roster stays responsive (joins,
-            // leaves, snapshots) while the epoch runs below.
-        };
-        let (mut fleet, _ids) = match build {
-            Ok(built) => built,
+        let _epoch = lock(&self.epoch_lock);
+        let mut builder = FleetSim::builder(self.cfg.budget_s).shards(self.cfg.shards);
+        // Each preset's config is made once per epoch; the lock is
+        // released before the build, so members can change while the
+        // epoch runs.
+        let mut configs = HashMap::new();
+        for member in lock(&self.members).by_id.values() {
+            let Some(trace) = &member.trace else { continue };
+            let config = configs
+                .entry(member.system)
+                .or_insert_with(|| member.system.node_config());
+            builder = builder.node_at(config.clone(), Arc::clone(trace), member.start_offset_us);
+        }
+        let mut fleet = match builder.build() {
+            Ok(fleet) => fleet,
             Err(e) => {
                 return Response::Error {
                     message: format!("advance failed: {e}"),
@@ -165,11 +192,10 @@ impl FleetDaemon {
         };
         let (epoch, armed) = self.start_epoch(&mut fleet);
         let summary = fleet.run(&governor_run_opts(&self.cfg.governor, self.cfg.path));
-        self.epochs.store(epoch, Ordering::SeqCst);
-        *self
-            .last_summary
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(summary.clone());
+        *lock(&self.last) = LastEpoch {
+            epoch,
+            summary: Some(summary.clone()),
+        };
         if armed {
             let jsonl = magus_experiments::fleet::fleet_telemetry_jsonl(&mut fleet);
             self.broadcast(epoch, Response::Telemetry { epoch, jsonl });
@@ -186,7 +212,7 @@ impl FleetDaemon {
     /// there is one. Returns the epoch and whether it is armed.
     fn start_epoch(&self, fleet: &mut FleetSim) -> (u64, bool) {
         let (epoch, armed) = {
-            let mut subs = self.subscribers();
+            let mut subs = lock(&self.subscribers);
             subs.started += 1;
             (subs.started, !subs.senders.is_empty())
         };
@@ -196,18 +222,11 @@ impl FleetDaemon {
         (epoch, armed)
     }
 
-    /// The subscriber list (poison-tolerant, like every daemon lock).
-    fn subscribers(&self) -> MutexGuard<'_, Subscribers> {
-        self.subscribers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Queue one shared frame to every live subscriber that subscribed
     /// before `epoch` started, pruning closed channels.
     fn broadcast(&self, epoch: u64, message: Response) {
         let frame = Arc::new(message);
-        self.subscribers()
+        lock(&self.subscribers)
             .senders
             .retain(|(since, tx)| *since >= epoch || tx.send(Arc::clone(&frame)).is_ok());
     }
@@ -215,12 +234,9 @@ impl FleetDaemon {
     /// Accept a shutdown: finish any in-flight epoch, then drain
     /// subscribers (final frame + channel close).
     fn shutdown(&self) -> Response {
-        let _epoch = self
-            .epoch_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _epoch = lock(&self.epoch_lock);
         self.stop.store(true, Ordering::SeqCst);
-        let mut subs = self.subscribers();
+        let mut subs = lock(&self.subscribers);
         let frame = Arc::new(Response::ShuttingDown);
         for (_, tx) in &subs.senders {
             let _ = tx.send(Arc::clone(&frame));
@@ -255,70 +271,56 @@ impl FleetDaemon {
                 count,
                 start_offset_us,
             } => {
-                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                let config = system.node_config();
-                let nodes: Vec<u64> = (0..count)
+                let mut members = lock(&self.members);
+                let nodes = (0..count)
                     .map(|_| {
-                        let id = st.roster.join(config.clone(), start_offset_us);
-                        st.systems.insert(id, system);
+                        let id = members.next_id;
+                        members.next_id += 1;
+                        let member = Member {
+                            system,
+                            start_offset_us,
+                            trace: None,
+                        };
+                        members.by_id.insert(id, member);
                         id
                     })
                     .collect();
                 Response::Joined { nodes }
             }
-            Request::LeaveNode { node } => {
-                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                match st.roster.leave(node) {
-                    Ok(_) => {
-                        st.systems.remove(&node);
-                        Response::Left { node }
-                    }
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                }
-            }
+            Request::LeaveNode { node } => match lock(&self.members).by_id.remove(&node) {
+                Some(_) => Response::Left { node },
+                None => unknown_node(node),
+            },
             Request::SubmitWorkload { node, app, traffic } => {
-                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                let Some(system) = st.systems.get(&node).copied() else {
-                    return Response::Error {
-                        message: format!("unknown fleet node id {node}"),
-                    };
+                let mut members = lock(&self.members);
+                let Some(member) = members.by_id.get_mut(&node) else {
+                    return unknown_node(node);
                 };
+                let platform = member.system.platform();
                 // `validate()` already enforced exactly-one-of; expand the
                 // traffic slot addressed by the fleet node id, or intern
                 // the catalog app. Traffic deadline/tenant accounting is a
-                // batch-engine feature — the roster carries traces only, so
-                // daemon epochs report energy but not deadline metrics.
-                let trace = match (app, traffic) {
-                    (Some(app), None) => app_trace(app, system.platform()),
-                    (None, Some(spec)) => spec.node_profile(system.platform(), node as usize).trace,
+                // batch-engine feature — a member carries its trace only,
+                // so daemon epochs report energy but not deadline metrics.
+                member.trace = Some(match (app, traffic) {
+                    (Some(app), None) => app_trace(app, platform),
+                    (None, Some(spec)) => spec.node_profile(platform, node as usize).trace,
                     _ => {
                         return Response::Error {
                             message: "submit_workload needs exactly one of `app` or `traffic`"
                                 .into(),
                         };
                     }
-                };
-                match st.roster.submit(node, trace) {
-                    Ok(()) => Response::Submitted { node },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                }
+                });
+                Response::Submitted { node }
             }
             Request::Advance => self.advance(),
             Request::Snapshot => {
-                // Clone first: `metrics_text` takes the same lock.
-                let summary = self
-                    .last_summary
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
+                let last = lock(&self.last);
                 Response::SnapshotOk {
-                    epoch: self.epochs(),
-                    summary,
-                    prometheus: self.metrics_text(),
+                    epoch: last.epoch,
+                    summary: last.summary.clone(),
+                    prometheus: last.prometheus(),
                 }
             }
             // The connection loop intercepts Subscribe; reaching here
@@ -337,7 +339,7 @@ impl FleetDaemon {
     /// [`Response::ShuttingDown`].
     pub fn subscribe(&self) -> (u64, mpsc::Receiver<Arc<Response>>) {
         let (tx, rx) = mpsc::channel();
-        let mut subs = self.subscribers();
+        let mut subs = lock(&self.subscribers);
         let since = subs.started;
         subs.senders.push((since, tx));
         (since, rx)
@@ -352,13 +354,7 @@ impl FleetDaemon {
     /// The Prometheus text `/metrics` serves.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        fleet_prometheus(
-            self.epochs(),
-            self.last_summary
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .as_ref(),
-        )
+        lock(&self.last).prometheus()
     }
 }
 
@@ -472,6 +468,22 @@ impl Server {
     }
 }
 
+/// Send one reply or pushed frame. A frame over
+/// [`MAX_FRAME_BYTES`](proto::MAX_FRAME_BYTES) goes out as an `error`
+/// frame naming its size and the limit instead, so the peer is never left
+/// waiting, and the connection stays open; only an i/o failure ends it.
+fn send(writer: &mut impl Write, frame: &Response) -> Result<(), ProtoError> {
+    match proto::write_message(writer, frame) {
+        Err(err @ ProtoError::Oversized { .. }) => proto::write_message(
+            writer,
+            &Response::Error {
+                message: format!("frame not sent: {err}"),
+            },
+        ),
+        sent => sent,
+    }
+}
+
 /// One framed connection: requests in, responses out, until EOF, a framing
 /// error, or shutdown. `Subscribe` flips the connection into push mode.
 fn serve_conn(stream: TcpStream, daemon: &FleetDaemon, waker: &Waker) {
@@ -492,7 +504,7 @@ fn serve_conn(stream: TcpStream, daemon: &FleetDaemon, waker: &Waker) {
             Err(err) => {
                 // Framing or validation failure: the stream may be
                 // unsynchronized, so report and drop the connection.
-                let _ = proto::write_message(
+                let _ = send(
                     &mut writer,
                     &Response::Error {
                         message: err.to_string(),
@@ -503,24 +515,26 @@ fn serve_conn(stream: TcpStream, daemon: &FleetDaemon, waker: &Waker) {
         };
         if matches!(req, Request::Subscribe) {
             let (epoch, frames) = daemon.subscribe();
-            if proto::write_message(&mut writer, &Response::Subscribed { epoch }).is_err() {
+            if send(&mut writer, &Response::Subscribed { epoch }).is_err() {
                 return;
             }
             // Drain until the daemon closes the channel (shutdown): every
             // queued frame — including the final ShuttingDown — is written
             // before the socket drops.
             while let Ok(frame) = frames.recv() {
-                if proto::write_message(&mut writer, &*frame).is_err() {
+                if send(&mut writer, &frame).is_err() {
                     return;
                 }
             }
             return;
         }
         let was_shutdown = matches!(req, Request::Shutdown);
-        let resp = daemon.handle(req);
-        let _ = proto::write_message(&mut writer, &resp);
+        let sent = send(&mut writer, &daemon.handle(req));
         if was_shutdown || daemon.shutting_down() {
             waker.wake();
+            return;
+        }
+        if sent.is_err() {
             return;
         }
     }
@@ -589,9 +603,9 @@ fn handle_http(stream: TcpStream, daemon: &FleetDaemon) {
 /// the caller decides when to block (after reporting the bound addresses,
 /// say).
 pub fn serve_fleet(cfg: ServeConfig) -> Result<Server, CtlError> {
-    let listener = bind_with_retries(&cfg.ctl_addr, cfg.bind_retries)?;
+    let listener = bind_with_retries(&cfg.ctl_addr, BIND_RETRIES)?;
     let http = match &cfg.http_addr {
-        Some(addr) => Some(bind_with_retries(addr, cfg.bind_retries)?),
+        Some(addr) => Some(bind_with_retries(addr, BIND_RETRIES)?),
         None => None,
     };
     Ok(Server {
@@ -606,8 +620,10 @@ mod tests {
     use std::sync::mpsc::TryRecvError;
 
     use magus_experiments::fleet::{build_fleet, FleetSpec};
+    use magus_workloads::AppId;
 
     use super::*;
+    use crate::proto::MAX_FRAME_BYTES;
 
     fn fleet() -> FleetSim {
         build_fleet(&FleetSpec::new(GovernorSpec::magus_default(), 2))
@@ -624,6 +640,165 @@ mod tests {
             epoch,
             jsonl: format!("{{\"epoch\":{epoch}}}\n"),
         }
+    }
+
+    /// A MAGUS daemon with a short budget on two shards.
+    fn daemon() -> FleetDaemon {
+        FleetDaemon::new(ServeConfig {
+            governor: GovernorSpec::magus_default(),
+            budget_s: 5.0,
+            shards: 2,
+            ..ServeConfig::default()
+        })
+    }
+
+    fn join(daemon: &FleetDaemon, system: SystemId, count: u32, start_offset_us: u64) -> Vec<u64> {
+        match daemon.handle(Request::JoinNode {
+            system,
+            count,
+            start_offset_us,
+        }) {
+            Response::Joined { nodes } => nodes,
+            other => panic!("join: {other:?}"),
+        }
+    }
+
+    fn submit(daemon: &FleetDaemon, node: u64, app: AppId) -> Response {
+        daemon.handle(Request::SubmitWorkload {
+            node,
+            app: Some(app),
+            traffic: None,
+        })
+    }
+
+    fn leave(daemon: &FleetDaemon, node: u64) -> Response {
+        daemon.handle(Request::LeaveNode { node })
+    }
+
+    fn advance(daemon: &FleetDaemon) -> FleetSummary {
+        match daemon.handle(Request::Advance) {
+            Response::Advanced { summary, .. } => summary,
+            other => panic!("advance: {other:?}"),
+        }
+    }
+
+    /// Each member's id and whether it has a workload, in id order.
+    fn roll(daemon: &FleetDaemon) -> Vec<(u64, bool)> {
+        lock(&daemon.members)
+            .by_id
+            .iter()
+            .map(|(id, m)| (*id, m.trace.is_some()))
+            .collect()
+    }
+
+    #[test]
+    fn member_ids_ascend_and_are_never_reused() {
+        let daemon = daemon();
+        assert_eq!(join(&daemon, SystemId::IntelA100, 2, 0), [0, 1]);
+        assert_eq!(leave(&daemon, 1), Response::Left { node: 1 });
+        assert_eq!(leave(&daemon, 1), unknown_node(1));
+        assert_eq!(join(&daemon, SystemId::AmdMi210, 1, 0), [2]);
+        assert_eq!(roll(&daemon), [(0, false), (2, false)]);
+    }
+
+    #[test]
+    fn requests_for_unknown_ids_are_refused_and_change_nothing() {
+        let daemon = daemon();
+        join(&daemon, SystemId::IntelA100, 2, 0);
+        assert_eq!(
+            submit(&daemon, 0, AppId::all()[0]),
+            Response::Submitted { node: 0 }
+        );
+        let before = roll(&daemon);
+        assert_eq!(submit(&daemon, 99, AppId::all()[0]), unknown_node(99));
+        assert_eq!(leave(&daemon, 99), unknown_node(99));
+        assert_eq!(roll(&daemon), before);
+    }
+
+    /// Joined members without a workload are left out of the epoch; a
+    /// membership with none to run is a typed error that starts no epoch.
+    #[test]
+    fn dormant_members_are_skipped() {
+        let daemon = daemon();
+        let ids = join(&daemon, SystemId::IntelA100, 3, 0);
+        let refused = daemon.handle(Request::Advance);
+        assert!(
+            matches!(&refused, Response::Error { message } if message.starts_with("advance failed")),
+            "{refused:?}"
+        );
+        for id in [ids[0], ids[2]] {
+            submit(&daemon, id, AppId::all()[1]);
+        }
+        match daemon.handle(Request::Advance) {
+            Response::Advanced { epoch, nodes, .. } => assert_eq!((epoch, nodes), (1, 2)),
+            other => panic!("advance: {other:?}"),
+        }
+    }
+
+    /// The epoch rule: an epoch of a staggered, mixed-preset membership
+    /// equals the same nodes added to `FleetBuilder` directly, bit for
+    /// bit, and after a leave the next epoch equals the smaller batch.
+    #[test]
+    fn staggered_epochs_equal_direct_builder_runs() {
+        let daemon = daemon();
+        let app = AppId::all()[2];
+        let nodes = [
+            (SystemId::IntelA100, 0),
+            (SystemId::AmdMi210, 0),
+            (SystemId::IntelA100, 400_000),
+            (SystemId::AmdMi210, 800_000),
+        ];
+        for (system, offset) in nodes {
+            let id = join(&daemon, system, 1, offset)[0];
+            submit(&daemon, id, app);
+        }
+        let direct = |nodes: &[(SystemId, u64)]| {
+            let cfg = &daemon.cfg;
+            let mut builder = FleetSim::builder(cfg.budget_s).shards(cfg.shards);
+            for &(system, offset) in nodes {
+                builder = builder.node_at(
+                    system.node_config(),
+                    app_trace(app, system.platform()),
+                    offset,
+                );
+            }
+            let mut fleet = builder.build().expect("direct fleet");
+            fleet.run(&governor_run_opts(&cfg.governor, cfg.path))
+        };
+        assert_eq!(advance(&daemon), direct(&nodes));
+        assert_eq!(leave(&daemon, 3), Response::Left { node: 3 });
+        assert_eq!(advance(&daemon), direct(&nodes[..3]));
+    }
+
+    /// A frame one byte over the limit goes out as an `error` frame that
+    /// names its size and the limit, and the next frame still goes out.
+    #[test]
+    fn an_oversized_frame_is_sent_as_an_error_frame() {
+        let empty = Response::Telemetry {
+            epoch: 1,
+            jsonl: String::new(),
+        };
+        let overhead = serde::to_string(&empty).len();
+        let oversized = Response::Telemetry {
+            epoch: 1,
+            jsonl: "x".repeat(MAX_FRAME_BYTES + 1 - overhead),
+        };
+        let mut wire = Vec::new();
+        send(&mut wire, &oversized).expect("an oversized frame keeps the connection");
+        drop(oversized);
+        send(&mut wire, &Response::ShuttingDown).expect("a later frame");
+        let mut wire = wire.as_slice();
+        let read = |wire: &mut &[u8]| proto::read_message::<Response>(wire).expect("a frame");
+        assert_eq!(
+            read(&mut wire),
+            Some(Response::Error {
+                message: "frame not sent: oversized frame: 67108865 bytes exceeds the \
+                          67108864-byte limit"
+                    .into(),
+            })
+        );
+        assert_eq!(read(&mut wire), Some(Response::ShuttingDown));
+        assert_eq!(read(&mut wire), None);
     }
 
     /// An epoch that starts with no subscriber leaves its fleet unarmed

@@ -8,11 +8,11 @@
 //! third-party client sees.
 
 use std::io::{self, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use magus_ctl::proto::{self, ProtoError, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use magus_ctl::proto::{self, ProtoError, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use magus_ctl::{fleet_prometheus, serve_fleet, CtlClient, CtlError, ServeConfig, SubEvent};
 use magus_experiments::engine::GovernorSpec;
 use magus_experiments::fleet::fleet_app;
@@ -281,6 +281,42 @@ fn oversized_headers_are_refused_without_reading_the_payload() {
     let mut driver = CtlClient::connect(daemon.addr).expect("daemon still serves");
     driver.shutdown().expect("shutdown");
     daemon.join();
+}
+
+/// An `error` frame in a subscription's stream (the daemon sends one in
+/// place of a frame too large for the wire) is a typed server rejection.
+#[test]
+fn a_streamed_error_frame_is_a_server_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let peer = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut reply = |response: &Response| {
+            proto::read_message::<Request>(&mut reader)
+                .expect("request")
+                .expect("a request before EOF");
+            proto::write_message(&mut stream, response).expect("reply");
+        };
+        reply(&Response::HelloOk {
+            protocol: PROTOCOL_VERSION,
+            server: "peer".into(),
+        });
+        reply(&Response::Subscribed { epoch: 0 });
+        let error = Response::Error {
+            message: "frame not sent".into(),
+        };
+        proto::write_message(&mut stream, &error).expect("push");
+    });
+    let mut sub = CtlClient::connect(addr)
+        .expect("connect")
+        .subscribe()
+        .expect("subscribe");
+    match sub.next_event() {
+        Err(CtlError::Server(message)) => assert_eq!(message, "frame not sent"),
+        other => panic!("expected a server error, got {other:?}"),
+    }
+    peer.join().expect("peer thread");
 }
 
 /// A reader over `bytes` that records the largest read it was asked for.

@@ -115,17 +115,14 @@ impl FleetSpec {
     }
 }
 
-/// A completed fleet run: the spec that produced it and its summary.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// A completed fleet run: its summary and per-shard counters.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetRun {
-    /// The spec that ran.
-    pub spec: FleetSpec,
     /// Per-node summaries + fleet aggregates (bit-identical across shard
     /// counts).
     pub summary: FleetSummary,
     /// Per-shard counters (shard-count dependent, so they live outside
     /// the summary).
-    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub shard_stats: Vec<ShardStats>,
 }
 
@@ -167,7 +164,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetRun {
 /// Build (but do not run) the fleet a spec describes: N nodes with
 /// round-robin catalog apps on bulk-interned traces, staggered in catalog
 /// waves. This is the exact node sequence the control-plane daemon must
-/// reproduce through its roster for daemon-vs-batch bit-identity.
+/// reproduce from its members for daemon-vs-batch bit-identity.
 ///
 /// # Panics
 ///
@@ -231,7 +228,6 @@ pub fn run_fleet_keeping(spec: &FleetSpec) -> (FleetRun, FleetSim) {
 fn run_built(spec: &FleetSpec, mut fleet: FleetSim) -> (FleetRun, FleetSim) {
     let summary = fleet.run(&governor_run_opts(&spec.governor, spec.path));
     let run = FleetRun {
-        spec: spec.clone(),
         summary,
         shard_stats: fleet.shard_stats().to_vec(),
     };

@@ -42,7 +42,6 @@ pub mod gpu;
 pub mod mem;
 pub mod node;
 pub mod power;
-pub mod roster;
 pub mod sim;
 pub mod telemetry;
 pub mod trace;
@@ -59,7 +58,6 @@ pub use fleet::{
 };
 pub use node::{FastForward, Node};
 pub use power::PowerBreakdown;
-pub use roster::{FleetRoster, RosterBuildOpts, RosterEntry, RosterError};
 pub use sim::{RunSummary, Simulation};
 pub use trace::{TraceRecorder, TraceSample};
 pub use workload::{AppTrace, Phase};

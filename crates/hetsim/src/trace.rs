@@ -108,14 +108,6 @@ impl TraceRecorder {
     pub fn take_samples(&mut self) -> Vec<TraceSample> {
         core::mem::take(&mut self.samples)
     }
-
-    /// Mean of a projected quantity over all samples (0 when empty).
-    pub fn mean_of(&self, f: impl Fn(&TraceSample) -> f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(f).sum::<f64>() / self.samples.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -152,19 +144,6 @@ mod tests {
         }
         assert!(rec.samples().is_empty());
         assert!(!rec.enabled());
-    }
-
-    #[test]
-    fn mean_of_projects() {
-        let mut node = Node::new(NodeConfig::intel_a100());
-        let mut rec = TraceRecorder::new(10_000);
-        for _ in 0..50 {
-            node.step(10_000, &Demand::idle());
-            rec.observe(&node, 0.0, 0.0);
-        }
-        let mean_pkg = rec.mean_of(|s| s.pkg_w);
-        assert!(mean_pkg > 0.0);
-        assert_eq!(rec.mean_of(|s| s.mem_gbs), 0.0);
     }
 
     #[test]

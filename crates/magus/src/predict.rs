@@ -26,16 +26,6 @@ pub enum Trend {
 }
 
 impl Trend {
-    /// The paper's integer encoding: 1, −1, 0.
-    #[must_use]
-    pub fn as_i8(self) -> i8 {
-        match self {
-            Trend::Increase => 1,
-            Trend::Decrease => -1,
-            Trend::Stable => 0,
-        }
-    }
-
     /// True when this trend triggers a tune event (either direction).
     #[must_use]
     pub fn is_tune_event(self) -> bool {
@@ -138,10 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn integer_encoding_matches_paper() {
-        assert_eq!(Trend::Increase.as_i8(), 1);
-        assert_eq!(Trend::Decrease.as_i8(), -1);
-        assert_eq!(Trend::Stable.as_i8(), 0);
+    fn only_a_change_is_a_tune_event() {
         assert!(Trend::Increase.is_tune_event());
         assert!(Trend::Decrease.is_tune_event());
         assert!(!Trend::Stable.is_tune_event());

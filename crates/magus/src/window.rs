@@ -69,12 +69,6 @@ impl SampleWindow {
         self.samples.is_empty()
     }
 
-    /// True once the window holds `capacity` samples.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.samples.len() == self.capacity
-    }
-
     /// Maximum number of samples held.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -135,9 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn filled_window_is_full_and_flat() {
+    fn filled_window_is_flat() {
         let w = SampleWindow::filled(10, 5.0);
-        assert!(w.is_full());
         assert_eq!(w.derivative(), 0.0);
         assert_eq!(w.mean(), 5.0);
     }

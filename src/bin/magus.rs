@@ -126,7 +126,6 @@ fn cli(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
                 budget_s,
                 shards,
                 path,
-                ..ServeConfig::default()
             },
         )?,
         Command::Ctl { addr, action } => run_ctl(out, &addr, action)?,
@@ -308,21 +307,25 @@ fn drive(
     for (i, id) in ids.iter().enumerate() {
         client.submit(*id, fleet_app(i))?;
     }
-    // Subscribe on a second connection *before* advancing so the epoch's
-    // telemetry broadcast cannot race past us.
-    let mut sub = CtlClient::connect(addr)?.subscribe()?;
-    let (epoch, summary) = client.advance()?;
-    let jsonl = loop {
-        match sub.next_event()? {
-            Some(SubEvent::Telemetry { epoch: e, jsonl }) if e == epoch => break jsonl,
-            Some(_) => {}
-            None => return Err("subscription closed before the epoch's telemetry frame".into()),
-        }
+    // Only a `--telemetry` path reads the epoch's events, so only it
+    // subscribes (and so arms the epoch), on a second connection *before*
+    // advancing so the epoch's telemetry broadcast cannot race past us.
+    let mut sub = match telemetry {
+        Some(_) => Some(CtlClient::connect(addr)?.subscribe()?),
+        None => None,
     };
-    let snap = client.snapshot()?;
-    if let Some(path) = telemetry {
+    let (epoch, summary) = client.advance()?;
+    if let (Some(path), Some(sub)) = (telemetry, &mut sub) {
+        let jsonl = loop {
+            match sub.next_event()? {
+                Some(SubEvent::Telemetry { epoch: e, jsonl }) if e == epoch => break jsonl,
+                Some(_) => {}
+                None => return Err("subscription closed before the epoch's telemetry frame".into()),
+            }
+        };
         write_file(path, &jsonl)?;
     }
+    let snap = client.snapshot()?;
     if let Some(path) = summary_path {
         write_file(path, &summary_json(&summary))?;
     }
@@ -339,7 +342,9 @@ fn drive(
         client.shutdown()?;
         // Drain the subscription: the daemon queues a final shutting-down
         // frame and closes only after subscribers have read everything.
-        while sub.next_event()?.is_some() {}
+        if let Some(sub) = &mut sub {
+            while sub.next_event()?.is_some() {}
+        }
     }
     Ok(())
 }

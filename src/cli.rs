@@ -146,8 +146,9 @@ pub enum CtlAction {
     /// Gracefully stop the daemon.
     Shutdown,
     /// Whole-session convenience: join `nodes` nodes, submit round-robin
-    /// catalog apps, advance one epoch, snapshot — writing the streamed
-    /// telemetry, summary JSON, and Prometheus text to files. This is the
+    /// catalog apps, advance one epoch, snapshot — writing the summary
+    /// JSON, the Prometheus text and, with `--telemetry` (the only case in
+    /// which it subscribes), the streamed telemetry to files. This is the
     /// session the CI system test byte-compares against `magus fleet`.
     Drive {
         /// Fleet size.

@@ -63,9 +63,9 @@ fn fleet_nodes_match_isolated_trials_bit_for_bit() {
 fn fleet_sweep_at_256_nodes_completes_with_consistent_aggregates() {
     let runs = fleet_sweep(256, 600.0);
     assert_eq!(runs.len(), 3);
-    for run in &runs {
+    for (run, governor) in runs.iter().zip(governors()) {
         let s = &run.summary;
-        let gov = run.spec.governor.name(run.spec.system);
+        let gov = governor.name(SystemId::IntelA100);
         assert_eq!(s.nodes.len(), 256, "{gov}");
         assert_eq!(s.completed, 256, "{gov}: every node must finish in budget");
         // Round-robin catalog assignment, node order preserved.

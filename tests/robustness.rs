@@ -3,7 +3,10 @@
 //! without crashing or destroying the application's performance.
 
 use std::collections::BTreeSet;
+use std::fs;
+use std::io::{BufRead, BufReader};
 use std::panic::{self, AssertUnwindSafe};
+use std::process::{Child, Command, Stdio};
 
 use magus_suite::ctl::Request;
 use magus_suite::experiments::drivers::{MagusDriver, NoopDriver, RuntimeDriver};
@@ -327,4 +330,80 @@ fn an_overflowing_fleet_budget_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.starts_with("error: --budget"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A child process that is killed and reaped when dropped, so a failed
+/// assertion leaves no daemon running.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `ctl drive` without `--telemetry` does not subscribe, so its epoch is
+/// not armed and no telemetry frame is rendered: a 4 096-node session,
+/// whose single telemetry frame would pass the 64 MiB frame limit, writes
+/// the same summary bytes as `magus fleet` with the same spec.
+#[test]
+fn a_drive_past_the_telemetry_frame_limit_equals_the_batch_fleet() {
+    let magus = env!("CARGO_BIN_EXE_magus");
+    let dir = std::env::temp_dir().join(format!("magus-drive-4096-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("temp dir");
+    let mut serve = Reaped(
+        Command::new(magus)
+            .args(["serve", "--addr", "127.0.0.1:0", "--no-http"])
+            .args(["--runtime", "magus", "--budget", "30"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn magus serve"),
+    );
+    let mut line = String::new();
+    BufReader::new(serve.0.stdout.take().expect("serve stdout"))
+        .read_line(&mut line)
+        .expect("read the CTL_ADDR line");
+    let addr = line
+        .trim()
+        .strip_prefix("CTL_ADDR=")
+        .unwrap_or_else(|| panic!("serve printed {line:?}"));
+
+    let daemon = dir.join("daemon.json");
+    let drive = Command::new(magus)
+        .args([
+            "ctl",
+            "--addr",
+            addr,
+            "drive",
+            "--nodes",
+            "4096",
+            "--shutdown",
+        ])
+        .arg("--summary")
+        .arg(&daemon)
+        .output()
+        .expect("run magus ctl drive");
+    assert!(
+        drive.status.success(),
+        "{}",
+        String::from_utf8_lossy(&drive.stderr)
+    );
+    assert!(serve.0.wait().expect("wait for serve").success());
+
+    let batch = dir.join("batch.json");
+    let fleet = Command::new(magus)
+        .args(["--no-cache", "fleet", "--nodes", "4096"])
+        .args(["--runtime", "magus", "--budget", "30", "--summary"])
+        .arg(&batch)
+        .output()
+        .expect("run magus fleet");
+    assert!(fleet.status.success(), "{fleet:?}");
+    let daemon = fs::read(&daemon).expect("daemon summary");
+    assert!(
+        daemon == fs::read(&batch).expect("batch summary"),
+        "the 4 096-node daemon summary differs from the batch one"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
