@@ -147,6 +147,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The reply to a request that names a node id with no member.
 fn unknown_node(node: u64) -> Response {
     Response::Error {
         message: format!("unknown fleet node id {node}"),
